@@ -35,6 +35,7 @@ from .clifford import (
 )
 from .hopf import (
     complex_antipode_closed_form,
+    conjecture_record,
     convolution,
     solve_antipode,
     test_conjecture_antipode,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ from .clifford import (CliffordStructure, Tensor2, check_counit_is_algebra_map,
                        pair_tensor2, xi_gram_determinant)
 from .exterior import Multivector, blade_key, blades, det_pairing, grade
 from .sampling import random_rational
-from .scalars import Matrix, format_scalar, parse_scalar
+from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
 
 VERIFY_MAX_RANK = 3
 
@@ -117,8 +118,6 @@ def cmd_tables(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _check_exterior_laws(n: int) -> bool:
-    zero = Matrix.zeros(n, n)
-    s = CliffordStructure(n, zero, zero)
     for a in blades(n):
         mva = Multivector.blade(n, a)
         for b in blades(n):
@@ -131,7 +130,6 @@ def _check_exterior_laws(n: int) -> bool:
                 mvc = Multivector.blade(n, c)
                 if ab.wedge(mvc) != mva.wedge(mvb.wedge(mvc)):
                     return False
-    del s
     return True
 
 
@@ -227,9 +225,8 @@ def _check_cop_unit_signs(structure: CliffordStructure) -> bool:
     return True
 
 
-def _verify_antipode(structure: CliffordStructure) -> dict:
-    sol = hopf.solve_antipode(structure)
-    record = hopf.test_conjecture_antipode(structure)
+def _verify_antipode(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
+    record = hopf.conjecture_record(structure, sol)
     out = {
         "exists": sol.is_consistent,
         "unique": sol.is_unique if sol.is_consistent else None,
@@ -248,8 +245,7 @@ def _verify_antipode(structure: CliffordStructure) -> dict:
     return out
 
 
-def _verify_sigma(structure: CliffordStructure) -> dict:
-    sol = braiding.solve_sigma(structure)
+def _verify_sigma(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
     out: dict = {
         "consistent": sol.is_consistent,
         "solution_space_dim": sol.dimension if sol.is_consistent else None,
@@ -279,39 +275,36 @@ def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
     n = structure.n
     words = [w for k in range(bound + 1)
              for w in itertools.product(range(n), repeat=k)]
+    elem = {w: ts.GradedElement(n, bound, {w: 1}) for w in words}
+    pairs = [(a, b) for a in words for b in words if len(a) + len(b) <= bound]
+    concat = {(a, b): ts.concat_product(elem[a], elem[b]) for a, b in pairs}
+    shuffle = {(a, b): ts.shuffle_product(elem[a], elem[b]) for a, b in pairs}
+    deconcat = {x: ts.deconcat_coproduct(elem[x]) for x in words}
+    unshuffle = {x: ts.unshuffle_coproduct(elem[x]) for x in words}
     dual_ok = True
-    for a in words:
-        for b in words:
-            if len(a) + len(b) > bound:
-                continue
-            ga = ts.GradedElement(n, bound, {a: 1})
-            gb = ts.GradedElement(n, bound, {b: 1})
-            for x in words:
-                gx = ts.GradedElement(n, bound, {x: 1})
-                if (ts.word_pairing(ts.concat_product(ga, gb), gx)
-                        != ts.pair_word_tensor(ga, gb, ts.deconcat_coproduct(gx))):
-                    dual_ok = False
-                if (ts.word_pairing(ts.shuffle_product(ga, gb), gx)
-                        != ts.pair_word_tensor(ga, gb, ts.unshuffle_coproduct(gx))):
-                    dual_ok = False
+    for a, b in pairs:
+        ga, gb = elem[a], elem[b]
+        for x in words:
+            gx = elem[x]
+            if (ts.word_pairing(concat[(a, b)], gx)
+                    != ts.pair_word_tensor(ga, gb, deconcat[x])):
+                dual_ok = False
+            if (ts.word_pairing(shuffle[(a, b)], gx)
+                    != ts.pair_word_tensor(ga, gb, unshuffle[x])):
+                dual_ok = False
     lift = ts.universal_lift(ts.letter_inclusion(structure), structure)
+    lifted = {w: lift(elem[w]) for w in words}
     lift_ok = True
-    for a in words:
-        for b in words:
-            if len(a) + len(b) > bound:
-                continue
-            ga = ts.GradedElement(n, bound, {a: 1})
-            gb = ts.GradedElement(n, bound, {b: 1})
-            if lift(ts.concat_product(ga, gb)) != structure.clifford_product(lift(ga), lift(gb)):
-                lift_ok = False
+    for a, b in pairs:
+        if lift(concat[(a, b)]) != structure.clifford_product(lifted[a], lifted[b]):
+            lift_ok = False
     colift = ts.couniversal_lift(ts.grade1_projection(structure), structure, bound)
+    colifted = [colift(Multivector.blade(n, c)) for c in blades(n)]
     colift_ok = True
     for c in blades(n):
-        x = Multivector.blade(n, c)
         rhs: dict = {}
-        for (a, b), coeff in structure.coproduct(x).terms.items():
-            la = colift(Multivector.blade(n, a))
-            lb = colift(Multivector.blade(n, b))
+        for (a, b), coeff in structure.coproduct(Multivector.blade(n, c)).terms.items():
+            la, lb = colifted[a], colifted[b]
             for u, cu in la.terms.items():
                 for v, cv in lb.terms.items():
                     if len(u) + len(v) > bound:
@@ -319,7 +312,7 @@ def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
                     key = (u, v)
                     rhs[key] = rhs.get(key, Fraction(0)) + coeff * cu * cv
         rhs = {k: v for k, v in rhs.items() if v}
-        lhs = {k: v for k, v in ts.deconcat_coproduct(colift(x)).items()
+        lhs = {k: v for k, v in ts.deconcat_coproduct(colifted[c]).items()
                if len(k[0]) + len(k[1]) <= bound and v}
         if lhs != rhs:
             colift_ok = False
@@ -356,28 +349,31 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
         "counit_algebra_map_iff_eta_zero": counit_alg == eta_zero,
         "unit_cogebra_map_iff_xi_zero": unit_cog == xi_zero,
     }
-    antipode = _verify_antipode(structure)
+    ant_sol = hopf.solve_antipode(structure)
+    antipode = _verify_antipode(structure, ant_sol)
     if antipode["exists"]:
         hard["antipode_unique_and_two_sided"] = bool(antipode["unique"]) and bool(antipode["axiom_holds"])
-    sigma = _verify_sigma(structure) if n <= 2 else {"skipped": f"rank {n} > 2"}
-    if n <= 2 and sigma.get("consistent"):
-        hard["sigma_members_solve_square"] = bool(sigma["defect_zero_on_members"])
+    if n <= 2:
+        sigma_sol = braiding.solve_sigma(structure)
+        sigma = _verify_sigma(structure, sigma_sol)
+        if sigma["consistent"]:
+            hard["sigma_members_solve_square"] = bool(sigma["defect_zero_on_members"])
+    else:
+        sigma = {"skipped": f"rank {n} > 2"}
     if n == 1:
         a = structure.eta[(0, 0)] * structure.xi[(0, 0)]
         if a != 1:
             cf = braiding.closed_form_sigma(structure.eta[(0, 0)], structure.xi[(0, 0)])
-            sol = braiding.solve_sigma(structure)
-            match = (sol.is_unique and
-                     braiding.solution_to_scattering(structure, sol.particular) == cf)
+            match = (sigma_sol.is_unique and
+                     braiding.solution_to_scattering(structure, sigma_sol.particular) == cf)
             hard["sigma_closed_form_match"] = match
             hard["sigma_quartic_annihilates"] = braiding.check_min_polynomial(cf, a)
-            acl = hopf.solve_antipode(structure)
             hard["antipode_closed_form_match"] = (
-                acl.is_unique and hopf.solution_to_endo(structure, acl.particular)
+                ant_sol.is_unique and hopf.solution_to_endo(structure, ant_sol.particular)
                 == hopf.complex_antipode_closed_form(a))
         else:
-            hard["antipode_absent_at_unit_composite"] = not hopf.solve_antipode(structure).is_consistent
-            hard["sigma_family_dimension_12"] = braiding.solve_sigma(structure).dimension == 12
+            hard["antipode_absent_at_unit_composite"] = not ant_sol.is_consistent
+            hard["sigma_family_dimension_12"] = sigma_sol.dimension == 12
     shuffle = _verify_shuffle(structure, min(bound, 4)) if n <= 2 else {"skipped": f"rank {n} > 2"}
     for key in ("pairing_dualities", "universal_lift_multiplicative",
                 "couniversal_lift_comultiplicative", "antisymmetrizer_ranks_binomial"):
@@ -488,7 +484,7 @@ def sweep_row(i2_str: str, j2_str: str) -> dict:
     row: dict = {"i2": format_scalar(i2), "j2": format_scalar(j2),
                  "a": format_scalar(a)}
     ant = hopf.solve_antipode(structure)
-    rec = hopf.test_conjecture_antipode(structure)
+    rec = hopf.conjecture_record(structure, ant)
     row["antipode_exists"] = ant.is_consistent
     row["conjecture_consistent"] = rec.conjecture_consistent
     sol = braiding.solve_sigma(structure)
@@ -501,8 +497,9 @@ def sweep_row(i2_str: str, j2_str: str) -> dict:
         row["sigma_closed_form_match"] = (
             sol.is_unique and braiding.solution_to_scattering(structure, sol.particular) == cf)
         row["min_poly_ok"] = braiding.check_min_polynomial(cf, a)
-        row["invertible"] = braiding.check_braided(structure, cf).invertible
-        row["braid_eq"] = braiding.check_braid_equation(cf, 1)[0]
+        braided = braiding.check_braided(structure, cf)
+        row["invertible"] = braided.invertible
+        row["braid_eq"] = braided.braid_equation_holds
         row["hard_ok"] = (row["antipode_closed_form_match"]
                           and row["sigma_closed_form_match"] and row["min_poly_ok"])
     else:
@@ -528,8 +525,9 @@ def _sweep_pairs(args) -> list[tuple[str, str]]:
 
 def cmd_sweep(args) -> int:
     pairs = _sweep_pairs(args)
-    if args.jobs and args.jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs or 1, os.cpu_count() or 1)
+    if jobs > 1 and len(pairs) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row_star, pairs))
     else:
         rows = [sweep_row(i2, j2) for i2, j2 in pairs]

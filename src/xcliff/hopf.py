@@ -120,14 +120,6 @@ def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
     return solve_sparse_system(rows, rhs, dim * dim)
 
 
-def antipode_matrix(structure: CliffordStructure) -> Matrix | None:
-    """The antipode as a matrix, or None when the axiom is unsolvable."""
-    sol = solve_antipode(structure)
-    if not sol.is_consistent:
-        return None
-    return solution_to_endo(structure, sol.particular)
-
-
 def solution_to_endo(structure: CliffordStructure, flat: tuple) -> Matrix:
     dim = 1 << structure.n
     return Matrix([[flat[p * dim + a] for a in range(dim)] for p in range(dim)])
@@ -160,12 +152,13 @@ class ConjectureRecord:
         }
 
 
-def test_conjecture_antipode(structure: CliffordStructure) -> ConjectureRecord:
+def conjecture_record(structure: CliffordStructure,
+                      sol: AffineSolutionSet) -> ConjectureRecord:
     """Compare 'composite of the two forms is the identity' with antipode
-    nonexistence on this instance and record whether the biconditional held."""
+    nonexistence on this instance and record whether the biconditional held;
+    ``sol`` is the instance's antipode solution set."""
     composite = structure.eta @ structure.xi  # = id iff xi . eta = id (square factors)
     is_id = composite == Matrix.identity(structure.n)
-    sol = solve_antipode(structure)
     exists = sol.is_consistent
     return ConjectureRecord(
         xi_eta_is_identity=is_id,
@@ -174,11 +167,16 @@ def test_conjecture_antipode(structure: CliffordStructure) -> ConjectureRecord:
     )
 
 
+def test_conjecture_antipode(structure: CliffordStructure) -> ConjectureRecord:
+    """The conjecture record with the antipode solved here."""
+    return conjecture_record(structure, solve_antipode(structure))
+
+
 def antipode_report_json(structure: CliffordStructure, a=None) -> dict:
     """Per-instance report: closed-form parameter when given, the solved
     antipode matrix or null, and the conjecture consistency flag."""
     sol = solve_antipode(structure)
-    rec = test_conjecture_antipode(structure)
+    rec = conjecture_record(structure, sol)
     report = {
         "antipode": (solution_to_endo(structure, sol.particular).to_json()
                      if sol.is_consistent else None),

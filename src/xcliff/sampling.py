@@ -7,7 +7,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .clifford import CliffordStructure
 from .scalars import Matrix
 
 
@@ -36,9 +35,3 @@ def random_form(n: int, rng: random.Random, symmetric: bool = False,
         if not nonzero or not m.is_zero():
             return m
 
-
-def random_structure(n: int, rng: random.Random, zero_eta: bool = False,
-                     zero_xi: bool = False) -> CliffordStructure:
-    eta = Matrix.zeros(n, n) if zero_eta else random_form(n, rng, nonzero=True)
-    xi = Matrix.zeros(n, n) if zero_xi else random_form(n, rng, nonzero=True)
-    return CliffordStructure(n, eta, xi)

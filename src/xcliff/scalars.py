@@ -18,8 +18,14 @@ Scalar = Fraction
 
 
 def parse_scalar(s: str) -> Fraction:
-    """Parse a "p/q" or "p" string into an exact rational."""
-    return Fraction(s.strip())
+    """Parse a "p/q" or "p" string into an exact rational.  Anything else,
+    a zero denominator included, raises a one-line ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f'scalar must be a "p/q" string, got {s!r}')
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"scalar {s!r} has a zero denominator") from None
 
 
 def format_scalar(x: Fraction) -> str:
@@ -109,9 +115,6 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * Fraction(x) for a, x in zip(row, vec) if a) for row in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)) if self.rows else [])
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)

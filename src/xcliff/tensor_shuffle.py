@@ -228,9 +228,8 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
     if letter_map.nrows != n or letter_map.ncols != (1 << n):
         raise ValueError("letter map must be n x 2^n")
 
-    def letters_of(blade: int):
-        return [(mu, letter_map[(mu, blade)]) for mu in range(n)
-                if letter_map[(mu, blade)]]
+    letters = [[(mu, letter_map[(mu, blade)]) for mu in range(n)
+                if letter_map[(mu, blade)]] for blade in blades(n)]
 
     def evaluate(x: Multivector) -> GradedElement:
         structure._check(x)
@@ -240,7 +239,7 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
         for k in range(1, bound + 3):
             contrib: dict = {}
             for tup, c in layer.items():
-                parts = [letters_of(b) for b in tup]
+                parts = [letters[b] for b in tup]
                 if any(not p for p in parts):
                     continue
                 for combo in itertools.product(*parts):

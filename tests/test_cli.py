@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from xcliff.cli import main
+from xcliff import braiding, cli, hopf
+from xcliff.cli import main, sweep_row
 
 
 def write_config(tmp_path, name, n, eta, xi, options=None):
@@ -148,3 +149,81 @@ def test_sweep_deterministic_across_jobs(tmp_path):
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("eta", [[[1]], [["1/0"]]])
+def test_bad_scalar_in_config_is_a_parse_error(tmp_path, capsys, eta):
+    cfg = write_config(tmp_path, "bad.json", 1, eta, [["1"]])
+    assert main(["tables", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config:") and err.count("\n") == 1
+
+
+def test_sweep_zero_denominator_is_a_parse_error(capsys):
+    assert main(["sweep", "--a-values=1/0"]) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator" in err and err.count("\n") == 1
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, eta, xi", [
+    (1, [["-1"]], [["1"]]),
+    (1, [["2"]], [["1/2"]]),
+    (2, [["1", "1/2"], ["0", "-1"]], [["1", "0"], ["2", "1"]]),
+])
+def test_verify_solves_antipode_and_scattering_once(tmp_path, monkeypatch, n, eta, xi):
+    cfg = write_config(tmp_path, "c.json", n, eta, xi)
+    antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
+    sigma = _count_calls(monkeypatch, braiding, "solve_sigma")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v.json")]) == 0
+    assert (len(antipode), len(sigma)) == (1, 1)
+
+
+def test_antipode_command_solves_once(complex_config, tmp_path, monkeypatch):
+    antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
+    assert main(["antipode", "--config", complex_config,
+                 "--out", str(tmp_path / "a.json")]) == 0
+    assert len(antipode) == 1
+
+
+def test_sweep_row_solves_and_checks_braid_once(monkeypatch):
+    antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
+    braid = _count_calls(monkeypatch, braiding, "check_braid_equation")
+    row = sweep_row("-1", "1")
+    assert row["hard_ok"] is True and row["braid_eq"] is False
+    assert (len(antipode), len(braid)) == (1, 1)
+
+
+def test_sweep_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--a-values=-1,0,1/2", "--jobs", "64", "--out", str(out)]) == 0
+    assert workers == [2]
+    assert json.loads(out.read_text())["aggregate"]["rows"] == 3

@@ -17,6 +17,13 @@ def test_scalar_parse_format():
     assert format_scalar(F(-1, 2)) == "-1/2"
 
 
+@pytest.mark.parametrize("bad", [1, None, F(1, 2), " 3/0", "x"])
+def test_scalar_parse_errors_are_value_errors(bad):
+    with pytest.raises(ValueError) as exc:
+        parse_scalar(bad)
+    assert "\n" not in str(exc.value)
+
+
 def test_solve_identity_case():
     sol = solve_linear_system(Matrix([[1]]), [1])
     assert sol.particular == (F(1),)
