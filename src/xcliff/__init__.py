@@ -38,7 +38,6 @@ from .hopf import (
     conjecture_record,
     convolution,
     solve_antipode,
-    test_conjecture_antipode,
 )
 from .braiding import (
     BraidedReport,

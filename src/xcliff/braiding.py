@@ -2,9 +2,15 @@
 compatibility square, solved exactly, plus the braid-equation, minimal
 polynomial, naturality and module-action checks.
 
-A scattering is a 4^n x 4^n matrix over the blade-pair basis of the tensor
-square, pair (a, b) flattened as a * 2^n + b.  Solvers and operator checks
-work on sparse column maps so the triple-space compositions stay cheap.
+Each identity is written once as step lists over the sparse maps of
+:mod:`linmap`: the compatibility square, the braid relation and the two
+naturality hexagons.  The scattering's linear system is the linearization
+of the routed side of the compatibility square in the scattering's entries.
+
+A scattering is handed in and out as a dense 4^n x 4^n matrix over the
+blade-pair basis of the tensor square, pair (a, b) flattened as
+a * 2^n + b; that matrix is only the public interchange type, converted
+once per public call.
 """
 
 from __future__ import annotations
@@ -14,10 +20,12 @@ from fractions import Fraction
 
 from .clifford import CliffordStructure, Tensor2
 from .exterior import Multivector, blades, grade
+from .linmap import ONE, LinearMap, Unknown, agree, chain, keys, linearize, mismatches
 from .scalars import (
     AffineSolutionSet,
     Matrix,
     SingularMatrixError,
+    format_scalar,
     invert,
     poly_eval_matrix,
     solve_sparse_system,
@@ -30,35 +38,16 @@ def pair_index(n: int, a: int, b: int) -> int:
     return (a << n) | b
 
 
-def pair_unindex(n: int, idx: int) -> tuple[int, int]:
-    return idx >> n, idx & ((1 << n) - 1)
-
-
-def _sigma_columns(sigma: Matrix, n: int) -> dict:
-    """Sparse column map: (a, b) -> {(u, v): coeff}."""
+def _sigma_map(sigma: Matrix, n: int) -> LinearMap:
     dim2 = 1 << (2 * n)
     if sigma.nrows != dim2 or sigma.ncols != dim2:
         raise ValueError(f"scattering must be {dim2} x {dim2} for rank {n}")
-    cols = {}
-    for j in range(dim2):
-        col = {}
-        for i in range(dim2):
-            v = sigma[(i, j)]
-            if v:
-                col[pair_unindex(n, i)] = v
-        cols[pair_unindex(n, j)] = col
-    return cols
+    return LinearMap.from_matrix(sigma, keys(n, 2))
 
 
 def scattering_from_images(n: int, images: dict) -> Matrix:
     """Build a scattering matrix from {(a, b): {(u, v): coeff}} images."""
-    dim2 = 1 << (2 * n)
-    entries = {}
-    for (a, b), img in images.items():
-        j = pair_index(n, a, b)
-        for (u, v), c in img.items():
-            entries[(pair_index(n, u, v), j)] = c
-    return Matrix.from_entries(dim2, dim2, entries)
+    return LinearMap(2, images).to_matrix(keys(n, 2))
 
 
 def switch_scattering(n: int, graded: bool = True) -> Matrix:
@@ -72,6 +61,22 @@ def switch_scattering(n: int, graded: bool = True) -> Matrix:
     return scattering_from_images(n, images)
 
 
+def _direct(maps) -> list:
+    """coproduct . product on x (x) y."""
+    return [maps.m.at(0), maps.cop.at(0)]
+
+
+def _action(maps, sigma) -> list:
+    """x (x) t1 (x) t2 -> (product (x) product) . (id (x) sigma (x) id)
+    . (coproduct (x) id (x) id)."""
+    return [maps.cop.at(0), sigma.at(1), maps.m.at(2), maps.m.at(0)]
+
+
+def _routed(maps, sigma) -> list:
+    """(product (x) product) . (id (x) sigma (x) id) . (coproduct (x) coproduct)."""
+    return [maps.cop.at(1), *_action(maps, sigma)]
+
+
 def compatibility_defect(structure: CliffordStructure, sigma: Matrix) -> dict:
     """Defect of the compatibility square per input blade pair.
 
@@ -80,77 +85,32 @@ def compatibility_defect(structure: CliffordStructure, sigma: Matrix) -> dict:
     coproduct y).  Returns only the nonzero defects, keyed by (x, y) bits;
     empty dict means the triple (product, coproduct, sigma) is compatible.
     """
-    n = structure.n
-    cols = _sigma_columns(sigma, n)
+    n, maps = structure.n, structure.maps
+    direct, routed = _direct(maps), _routed(maps, _sigma_map(sigma, n))
     defects = {}
-    for s in blades(n):
-        cop_s = structure.coproduct_table[s].terms
-        for t in blades(n):
-            direct: dict = {}
-            prod_st = structure.product_table[(s, t)]
-            for c_bits, coeff in prod_st.items():
-                for k, v in structure.coproduct_table[c_bits].terms.items():
-                    direct[k] = direct.get(k, Fraction(0)) + coeff * v
-            routed: dict = {}
-            cop_t = structure.coproduct_table[t].terms
-            for (x1, x2), c1 in cop_s.items():
-                for (y1, y2), c2 in cop_t.items():
-                    c12 = c1 * c2
-                    for (u, v), cs in cols[(x2, y1)].items():
-                        w = c12 * cs
-                        for a_bits, pa in structure.product_table[(x1, u)].items():
-                            for b_bits, pb in structure.product_table[(v, y2)].items():
-                                k = (a_bits, b_bits)
-                                routed[k] = routed.get(k, Fraction(0)) + w * pa * pb
-            diff = {k: c for k, c in
-                    ((k, direct.get(k, Fraction(0)) - routed.get(k, Fraction(0)))
-                     for k in set(direct) | set(routed)) if c}
-            if diff:
-                defects[(s, t)] = Tensor2(n, diff)
+    for x in keys(n, 2):
+        diff = Tensor2(n, chain({x: ONE}, *direct)) - Tensor2(n, chain({x: ONE}, *routed))
+        if diff:
+            defects[x] = diff
     return defects
 
 
-def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:
-    """Exact affine solution set of the compatibility square, linear in the
-    16^n scattering entries (unknown (u, v) <- (p, q) flattened as
-    pair_index(u, v) * 4^n + pair_index(p, q))."""
-    n = structure.n
+def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
+    """The rows and right-hand sides (see linmap.linearize) of the
+    compatibility square, linear in the 16^n scattering entries: unknown
+    (u, v) <- (p, q) is column pair_index(u, v) * 4^n + pair_index(p, q)."""
+    n, pairs = structure.n, keys(structure.n, 2)
     dim2 = 1 << (2 * n)
-    rows: list[dict] = []
-    rhs: list[Fraction] = []
-    for s in blades(n):
-        cop_s = structure.coproduct_table[s].terms
-        for t in blades(n):
-            cop_t = structure.coproduct_table[t].terms
-            # constant side: coproduct of the product
-            direct: dict = {}
-            for c_bits, coeff in structure.product_table[(s, t)].items():
-                for (a, b), v in structure.coproduct_table[c_bits].terms.items():
-                    k = (a, b)
-                    direct[k] = direct.get(k, Fraction(0)) + coeff * v
-            # unknown side: coefficient of sigma[(u,v) <- (x2,y1)] in output (a,b)
-            eq: dict[tuple, dict] = {}
-            for (x1, x2), c1 in cop_s.items():
-                for (y1, y2), c2 in cop_t.items():
-                    c12 = c1 * c2
-                    in_idx = pair_index(n, x2, y1)
-                    for u in blades(n):
-                        prod_a = structure.product_table[(x1, u)]
-                        if not prod_a:
-                            continue
-                        for v in blades(n):
-                            prod_b = structure.product_table[(v, y2)]
-                            if not prod_b:
-                                continue
-                            unk = pair_index(n, u, v) * dim2 + in_idx
-                            for a_bits, pa in prod_a.items():
-                                for b_bits, pb in prod_b.items():
-                                    row = eq.setdefault((a_bits, b_bits), {})
-                                    row[unk] = row.get(unk, Fraction(0)) + c12 * pa * pb
-            for k in set(direct) | set(eq):
-                rows.append(eq.get(k, {}))
-                rhs.append(direct.get(k, Fraction(0)))
-    return solve_sparse_system(rows, rhs, dim2 * dim2)
+    sigma = Unknown(2, pairs, lambda x, y: pair_index(n, *y) * dim2 + pair_index(n, *x))
+    return linearize(pairs, _routed(structure.maps, sigma), _direct(structure.maps))
+
+
+def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:
+    """Exact affine solution set of the compatibility square, the unknowns
+    flattened as in scattering_system."""
+    rows, rhs = scattering_system(structure)
+    return solve_sparse_system(list(rows.values()), list(rhs.values()),
+                               1 << (4 * structure.n))
 
 
 def solution_to_scattering(structure: CliffordStructure, flat: tuple) -> Matrix:
@@ -221,101 +181,15 @@ def _poly_mul(p: list, q: list) -> list:
     return out
 
 
-# -- tensor-cube machinery --------------------------------------------------
-
-def _apply_sigma_12(cols, key, coeff, out):
-    (a, b, c) = key
-    for (u, v), cs in cols[(a, b)].items():
-        k = (u, v, c)
-        out[k] = out.get(k, Fraction(0)) + coeff * cs
-
-
-def _apply_sigma_23(cols, key, coeff, out):
-    (a, b, c) = key
-    for (u, v), cs in cols[(b, c)].items():
-        k = (a, u, v)
-        out[k] = out.get(k, Fraction(0)) + coeff * cs
-
-
-def _compose3(funcs, start: dict) -> dict:
-    cur = start
-    for f in funcs:
-        nxt: dict = {}
-        for key, coeff in cur.items():
-            f(key, coeff, nxt)
-        cur = {k: v for k, v in nxt.items() if v}
-    return cur
-
-
 def check_braid_equation(sigma: Matrix, n: int) -> tuple[bool, int]:
     """Evaluate both braid-relation composites on the tensor cube exactly.
 
     Returns (equal, number of basis triples where the two sides differ).
     """
-    cols = _sigma_columns(sigma, n)
-    s12 = lambda key, c, out: _apply_sigma_12(cols, key, c, out)
-    s23 = lambda key, c, out: _apply_sigma_23(cols, key, c, out)
-    bad = 0
-    for a in blades(n):
-        for b in blades(n):
-            for c in blades(n):
-                start = {(a, b, c): Fraction(1)}
-                lhs = _compose3([s12, s23, s12], start)
-                rhs = _compose3([s23, s12, s23], start)
-                if lhs != rhs:
-                    bad += 1
+    s = _sigma_map(sigma, n)
+    bad = sum(1 for _ in mismatches(keys(n, 3), [s.at(0), s.at(1), s.at(0)],
+                                    [s.at(1), s.at(0), s.at(1)]))
     return bad == 0, bad
-
-
-def _check_product_naturality(structure: CliffordStructure, cols) -> bool:
-    # sigma . (product (x) id) = (id (x) product) . (sigma (x) id) . (id (x) sigma)
-    n = structure.n
-    for a in blades(n):
-        for b in blades(n):
-            prod_ab = structure.product_table[(a, b)]
-            for c in blades(n):
-                lhs: dict = {}
-                for m_bits, pc in prod_ab.items():
-                    for (u, v), cs in cols[(m_bits, c)].items():
-                        k = (u, v)
-                        lhs[k] = lhs.get(k, Fraction(0)) + pc * cs
-                lhs = {k: v for k, v in lhs.items() if v}
-                mid = _compose3(
-                    [lambda key, co, out: _apply_sigma_23(cols, key, co, out),
-                     lambda key, co, out: _apply_sigma_12(cols, key, co, out)],
-                    {(a, b, c): Fraction(1)})
-                rhs: dict = {}
-                for (x, y, z), coeff in mid.items():
-                    for m_bits, pc in structure.product_table[(y, z)].items():
-                        k = (x, m_bits)
-                        rhs[k] = rhs.get(k, Fraction(0)) + coeff * pc
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def _check_coproduct_naturality(structure: CliffordStructure, cols) -> bool:
-    # (coproduct (x) id) . sigma = (id (x) sigma) . (sigma (x) id) . (id (x) coproduct)
-    n = structure.n
-    for a in blades(n):
-        for b in blades(n):
-            lhs: dict = {}
-            for (u, v), cs in cols[(a, b)].items():
-                for (u1, u2), cc in structure.coproduct_table[u].terms.items():
-                    k = (u1, u2, v)
-                    lhs[k] = lhs.get(k, Fraction(0)) + cs * cc
-            lhs = {k: v for k, v in lhs.items() if v}
-            start: dict = {}
-            for (b1, b2), cc in structure.coproduct_table[b].terms.items():
-                start[(a, b1, b2)] = cc
-            rhs = _compose3(
-                [lambda key, co, out: _apply_sigma_12(cols, key, co, out),
-                 lambda key, co, out: _apply_sigma_23(cols, key, co, out)],
-                start)
-            if lhs != rhs:
-                return False
-    return True
 
 
 @dataclass
@@ -348,18 +222,22 @@ def check_braided(structure: CliffordStructure, sigma: Matrix) -> BraidedReport:
     not solve the compatibility square in the first place."""
     if compatibility_defect(structure, sigma):
         raise ValueError("scattering does not solve the compatibility square")
-    cols = _sigma_columns(sigma, structure.n)
     try:
         invert(sigma)
         invertible = True
     except SingularMatrixError:
         invertible = False
     braid_ok, _ = check_braid_equation(sigma, structure.n)
+    n, maps, s = structure.n, structure.maps, _sigma_map(sigma, structure.n)
     return BraidedReport(
         invertible=invertible,
         braid_equation_holds=braid_ok,
-        product_naturality_holds=_check_product_naturality(structure, cols),
-        coproduct_naturality_holds=_check_coproduct_naturality(structure, cols),
+        # sigma . (product (x) id) = (id (x) product) . (sigma (x) id) . (id (x) sigma)
+        product_naturality_holds=agree(keys(n, 3), [maps.m.at(0), s.at(0)],
+                                       [s.at(1), s.at(0), maps.m.at(1)]),
+        # (coproduct (x) id) . sigma = (id (x) sigma) . (sigma (x) id) . (id (x) coproduct)
+        coproduct_naturality_holds=agree(keys(n, 2), [s.at(0), maps.cop.at(0)],
+                                         [maps.cop.at(1), s.at(0), s.at(1)]),
     )
 
 
@@ -370,24 +248,13 @@ def module_action(structure: CliffordStructure, sigma: Matrix,
     structure._check(x)
     if t.dim != structure.n:
         raise ValueError("rank mismatch")
-    cols = _sigma_columns(sigma, structure.n)
-    out: dict = {}
-    for (x1, x2), cx in structure.coproduct(x).terms.items():
-        for (t1, t2), ct in t.terms.items():
-            w0 = cx * ct
-            for (u, v), cs in cols[(x2, t1)].items():
-                w = w0 * cs
-                for a_bits, pa in structure.product_table[(x1, u)].items():
-                    for b_bits, pb in structure.product_table[(v, t2)].items():
-                        k = (a_bits, b_bits)
-                        out[k] = out.get(k, Fraction(0)) + w * pa * pb
-    return Tensor2(structure.n, out)
+    vector = {(c, *k): cx * ct for c, cx in x.terms.items() for k, ct in t.terms.items()}
+    steps = _action(structure.maps, _sigma_map(sigma, structure.n))
+    return Tensor2(structure.n, chain(vector, *steps))
 
 
 def braiding_report_json(structure: CliffordStructure, a=None) -> dict:
     """Per-instance scattering report used by the command-line front end."""
-    from .scalars import format_scalar
-
     sol = solve_sigma(structure)
     report: dict = {
         "sigma_unique": sol.is_unique,

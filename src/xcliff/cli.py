@@ -21,6 +21,7 @@ from .clifford import (CliffordStructure, Tensor2, check_counit_is_algebra_map,
                        check_unit_is_cogebra_map, coproduct_grades_ok, dkp_coproduct,
                        pair_tensor2, xi_gram_determinant)
 from .exterior import Multivector, blade_key, blades, det_pairing, grade
+from .linmap import agree, keys
 from .sampling import random_rational
 from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
 
@@ -134,55 +135,19 @@ def _check_exterior_laws(n: int) -> bool:
 
 
 def _check_product_associative(structure: CliffordStructure) -> bool:
-    n = structure.n
-    for a in blades(n):
-        mva = Multivector.blade(n, a)
-        for b in blades(n):
-            ab = structure.clifford_product(mva, Multivector.blade(n, b))
-            for c in blades(n):
-                mvc = Multivector.blade(n, c)
-                lhs = structure.clifford_product(ab, mvc)
-                rhs = structure.clifford_product(
-                    mva, structure.clifford_product(Multivector.blade(n, b), mvc))
-                if lhs != rhs:
-                    return False
-    return True
+    m = structure.maps.m
+    return agree(keys(structure.n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
 
 
 def _check_coassociative(structure: CliffordStructure) -> bool:
-    n = structure.n
-    for c in blades(n):
-        t = structure.coproduct_table[c]
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), v in t.terms.items():
-            for (a1, a2), w in structure.coproduct_table[a].terms.items():
-                k = (a1, a2, b)
-                lhs[k] = lhs.get(k, Fraction(0)) + v * w
-            for (b1, b2), w in structure.coproduct_table[b].terms.items():
-                k = (a, b1, b2)
-                rhs[k] = rhs.get(k, Fraction(0)) + v * w
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
-            return False
-    return True
+    cop = structure.maps.cop
+    return agree(keys(structure.n, 1), [cop.at(0), cop.at(0)], [cop.at(0), cop.at(1)])
 
 
 def _check_counit_law(structure: CliffordStructure) -> bool:
-    n = structure.n
-    for c in blades(n):
-        left: dict = {}
-        right: dict = {}
-        for (a, b), v in structure.coproduct_table[c].terms.items():
-            if a == 0:
-                left[b] = left.get(b, Fraction(0)) + v
-            if b == 0:
-                right[a] = right.get(a, Fraction(0)) + v
-        if ({k: v for k, v in left.items() if v} != {c: Fraction(1)}
-                or {k: v for k, v in right.items() if v} != {c: Fraction(1)}):
-            return False
-    return True
+    cop, counit = structure.maps.cop, structure.maps.counit
+    return all(agree(keys(structure.n, 1), [cop.at(0), counit.at(side)], [])
+               for side in (0, 1))
 
 
 def _check_duality(structure: CliffordStructure) -> bool:
@@ -419,11 +384,29 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _truncation(args, options: dict) -> int:
+    """The word-length bound: --l when given, else the config's
+    "truncation", else 4."""
+    if args.truncation is not None:
+        if args.truncation < 0:
+            raise ConfigError(f"--l must be a non-negative integer, got {args.truncation}")
+        return args.truncation
+    raw = options.get("truncation", 4)
+    try:
+        bound = int(raw)
+        if bound < 0:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError("bad config: truncation must be a non-negative integer, "
+                          f"got {raw!r}") from None
+    return bound
+
+
 def cmd_verify(args) -> int:
     structure, options = load_config(args.config)
     if structure.n > VERIFY_MAX_RANK:
         raise ConfigError(f"verify supports rank <= {VERIFY_MAX_RANK}")
-    bound = args.truncation or int(options.get("truncation", 4))
+    bound = _truncation(args, options)
     report = build_instance_report(structure, bound)
     write_out(report, args.out)
     if args.markdown:
@@ -464,7 +447,7 @@ def cmd_braided(args) -> int:
 
 def cmd_shuffle(args) -> int:
     structure, options = load_config(args.config)
-    bound = args.truncation or int(options.get("truncation", 4))
+    bound = _truncation(args, options)
     if structure.n > 2:
         raise ConfigError("shuffle summary supports rank <= 2")
     report = _verify_shuffle(structure, bound)

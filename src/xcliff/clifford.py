@@ -28,6 +28,7 @@ Conventions (each is load-bearing; tests pin all of them):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .exterior import (
     DualMultivector,
@@ -40,6 +41,7 @@ from .exterior import (
     parse_blade_key,
     wedge_sign,
 )
+from .linmap import StructureMaps, chain, structure_maps
 from .scalars import Matrix, format_scalar, parse_scalar
 
 PAIRINGS = ("inner", "straight")
@@ -233,6 +235,11 @@ class CliffordStructure:
                 coprod[c_bits][key] = coeff
         self.coproduct_table = {c: Tensor2(n, t) for c, t in coprod.items()}
 
+    @cached_property
+    def maps(self) -> StructureMaps:
+        """The tables as sparse maps (linmap), built on first use."""
+        return structure_maps(self.product_table, self.coproduct_table)
+
     # -- algebra ----------------------------------------------------------
 
     def clifford_product(self, x: Multivector, y: Multivector) -> Multivector:
@@ -258,11 +265,7 @@ class CliffordStructure:
 
     def coproduct(self, x: Multivector) -> Tensor2:
         self._check(x)
-        out: dict = {}
-        for c_bits, coeff in x.terms.items():
-            for k, v in self.coproduct_table[c_bits].terms.items():
-                out[k] = out.get(k, Fraction(0)) + coeff * v
-        return Tensor2(self.n, out)
+        return Tensor2(self.n, chain({(c,): v for c, v in x.terms.items()}, self.maps.cop.at(0)))
 
     def unit(self, c) -> Multivector:
         return Multivector.scalar(self.n, c)

@@ -1,10 +1,14 @@
 """Convolution algebra on endomorphisms and the antipode solver.
 
-Endomorphisms of the multivector space are dense matrices over the blade
-basis in ascending bitmask order: column j holds the image of blade j.  The
-convolution of f and g sends x to product(f (x) g)(coproduct x); an antipode
-is a two-sided convolution inverse of the identity against unit * counit,
-solved here as an exact linear system in the matrix entries.
+The convolution of f and g is the composite product . (f (x) g) .
+coproduct, written once as a step list over the sparse maps of
+:mod:`linmap`.  An antipode is a two-sided convolution inverse of the
+identity against unit . counit; its linear system is the linearization of
+the same two composites, S * id and id * S, in the entries of S.
+
+Dense matrices over the blade basis in ascending bitmask order (column j
+holds the image of blade j) are only the public interchange type: each
+public call converts them once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import CliffordStructure
-from .exterior import Multivector, blades
+from .exterior import Multivector
+from .linmap import LinearMap, Unknown, chain, keys, linearize
 from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
 
 EndoMap = Matrix  # 2^n x 2^n over the blade basis
@@ -23,39 +28,38 @@ def identity_endo(structure: CliffordStructure) -> Matrix:
     return Matrix.identity(1 << structure.n)
 
 
-def unit_counit_endo(structure: CliffordStructure) -> Matrix:
-    """u . counit: kills positive grades, fixes the scalar blade."""
-    dim = 1 << structure.n
-    m = Matrix.zeros(dim, dim)
-    rows = [list(r) for r in m.rows]
-    rows[0][0] = Fraction(1)
-    return Matrix(rows)
-
-
 def apply_endo(f: Matrix, x: Multivector) -> Multivector:
-    dim = 1 << x.dim
-    if f.ncols != dim:
+    basis = keys(x.dim, 1)
+    if f.ncols != len(basis):
         raise ValueError("endomorphism shape does not match rank")
-    out: dict = {}
-    for bits, c in x.terms.items():
-        for i in range(dim):
-            v = f[(i, bits)]
-            if v:
-                out[i] = out.get(i, Fraction(0)) + c * v
-    return Multivector(x.dim, out)
+    image = chain({(b,): c for b, c in x.terms.items()}, LinearMap.from_matrix(f, basis).at(0))
+    return Multivector(x.dim, {b: c for (b,), c in image.items()})
 
 
 def endo_from_images(structure: CliffordStructure, images: list[Multivector]) -> Matrix:
     """Matrix of the endomorphism sending blade j to images[j]."""
-    dim = 1 << structure.n
-    if len(images) != dim:
+    basis = keys(structure.n, 1)
+    if len(images) != len(basis):
         raise ValueError("need one image per blade")
-    entries = {}
-    for j, img in enumerate(images):
+    for img in images:
         structure._check(img)
-        for bits, c in img.terms.items():
-            entries[(bits, j)] = c
-    return Matrix.from_entries(dim, dim, entries)
+    return LinearMap(1, {(j,): {(b,): c for b, c in img.terms.items()}
+                         for j, img in enumerate(images)}).to_matrix(basis)
+
+
+def _convolution(maps, f, g) -> list:
+    """f * g = product . (f (x) g) . coproduct."""
+    return [maps.cop.at(0), f.at(0), g.at(1), maps.m.at(0)]
+
+
+def _unit_counit(maps) -> list:
+    return [maps.counit.at(0), maps.unit.at(0)]
+
+
+def unit_counit_endo(structure: CliffordStructure) -> Matrix:
+    """u . counit: kills positive grades, fixes the scalar blade."""
+    basis = keys(structure.n, 1)
+    return LinearMap.of(basis, _unit_counit(structure.maps)).to_matrix(basis)
 
 
 def convolution(f: Matrix, g: Matrix, structure: CliffordStructure) -> Matrix:
@@ -63,61 +67,30 @@ def convolution(f: Matrix, g: Matrix, structure: CliffordStructure) -> Matrix:
     dim = 1 << structure.n
     if f.nrows != dim or f.ncols != dim or g.nrows != dim or g.ncols != dim:
         raise ValueError("endomorphism shape does not match rank")
-    entries: dict = {}
-    for c_bits in blades(structure.n):
-        for (a, b), coeff in structure.coproduct_table[c_bits].terms.items():
-            fa = f.column(a)
-            gb = g.column(b)
-            for p in range(dim):
-                if not fa[p]:
-                    continue
-                for q in range(dim):
-                    if not gb[q]:
-                        continue
-                    w = coeff * fa[p] * gb[q]
-                    for out_bits, pc in structure.product_table[(p, q)].items():
-                        k = (out_bits, c_bits)
-                        entries[k] = entries.get(k, Fraction(0)) + w * pc
-    return Matrix.from_entries(dim, dim, entries)
+    basis = keys(structure.n, 1)
+    steps = _convolution(structure.maps, LinearMap.from_matrix(f, basis),
+                         LinearMap.from_matrix(g, basis))
+    return LinearMap.of(basis, steps).to_matrix(basis)
+
+
+def antipode_systems(structure: CliffordStructure) -> list[tuple[dict, dict]]:
+    """The rows and right-hand sides (see linmap.linearize) of S * id = u .
+    counit and of id * S = u . counit, in the unknown entries s[p, a] of S
+    (p output blade, a input blade) flattened as p * 2^n + a."""
+    maps, basis, dim = structure.maps, keys(structure.n, 1), 1 << structure.n
+    s = Unknown(1, basis, lambda a, p: p[0] * dim + a[0])
+    return [linearize(basis, _convolution(maps, f, g), _unit_counit(maps))
+            for f, g in ((s, maps.id), (maps.id, s))]
 
 
 def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
-    """Exact solution set of the two-sided antipode axiom.
-
-    Unknowns are the 4^n entries s[p, a] of S (p output blade, a input
-    blade), flattened as p * 2^n + a.  For each input blade c and output
-    blade d there are two equations, one per side of
-    S * id = u . counit = id * S.
-    """
-    n = structure.n
-    dim = 1 << n
-    unknown = lambda p, a: p * dim + a
-    rows: list[dict] = []
-    rhs: list[Fraction] = []
-    for c_bits in blades(n):
-        cop = structure.coproduct_table[c_bits].terms
-        left_rows: list[dict] = [dict() for _ in range(dim)]
-        right_rows: list[dict] = [dict() for _ in range(dim)]
-        for (a, b), coeff in cop.items():
-            for p in range(dim):
-                # S * id: S(e_a) *_eta e_b
-                for d_bits, pc in structure.product_table[(p, b)].items():
-                    k = unknown(p, a)
-                    row = left_rows[d_bits]
-                    row[k] = row.get(k, Fraction(0)) + coeff * pc
-                # id * S: e_a *_eta S(e_b)
-                for d_bits, pc in structure.product_table[(a, p)].items():
-                    k = unknown(p, b)
-                    row = right_rows[d_bits]
-                    row[k] = row.get(k, Fraction(0)) + coeff * pc
-        target = Fraction(1) if c_bits == 0 else Fraction(0)
-        for d_bits in range(dim):
-            t = target if d_bits == 0 else Fraction(0)
-            rows.append(left_rows[d_bits])
-            rhs.append(t)
-            rows.append(right_rows[d_bits])
-            rhs.append(t)
-    return solve_sparse_system(rows, rhs, dim * dim)
+    """Exact solution set of the two-sided antipode axiom, the unknowns
+    flattened as in antipode_systems."""
+    rows, rhs = [], []
+    for eq_rows, eq_rhs in antipode_systems(structure):
+        rows += eq_rows.values()
+        rhs += eq_rhs.values()
+    return solve_sparse_system(rows, rhs, 1 << (2 * structure.n))
 
 
 def solution_to_endo(structure: CliffordStructure, flat: tuple) -> Matrix:
@@ -165,11 +138,6 @@ def conjecture_record(structure: CliffordStructure,
         antipode_exists=exists,
         conjecture_consistent=(exists == (not is_id)),
     )
-
-
-def test_conjecture_antipode(structure: CliffordStructure) -> ConjectureRecord:
-    """The conjecture record with the antipode solved here."""
-    return conjecture_record(structure, solve_antipode(structure))
 
 
 def antipode_report_json(structure: CliffordStructure, a=None) -> dict:

@@ -35,6 +35,11 @@ def _report(num: int, ok: bool, desc: str):
     print(f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {desc}")
 
 
+def _conjecture_record(s):
+    """The conjecture record with the antipode solved here."""
+    return hopf.conjecture_record(s, hopf.solve_antipode(s))
+
+
 def complex_structure(i2, j2):
     return CliffordStructure(1, Matrix([[F(i2)]]), Matrix([[F(j2)]]))
 
@@ -434,7 +439,7 @@ def test_criterion_13_conjecture_evidence_recorded(tmp_path):
             else:
                 eta, xi = random_form(2, rng), random_form(2, rng)
             s = CliffordStructure(2, eta, xi)
-            rec = hopf.test_conjecture_antipode(s)
+            rec = _conjecture_record(s)
             recs.append((rec.xi_eta_is_identity, rec.antipode_exists,
                          rec.conjecture_consistent))
         return recs

@@ -227,3 +227,40 @@ def test_sweep_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
     assert main(["sweep", "--a-values=-1,0,1/2", "--jobs", "64", "--out", str(out)]) == 0
     assert workers == [2]
     assert json.loads(out.read_text())["aggregate"]["rows"] == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+@pytest.mark.parametrize("truncation", [[1], "x", -1])
+def test_bad_truncation_in_config_is_a_parse_error(tmp_path, capsys, command, truncation):
+    cfg = write_config(tmp_path, "c.json", 1, [["-1"]], [["1"]],
+                       options={"truncation": truncation})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+def test_zero_truncation_flag_is_read_as_zero(complex_config, tmp_path, monkeypatch, command):
+    bounds = []
+    original = cli._verify_shuffle
+
+    def recording(structure, bound):
+        bounds.append(bound)
+        return original(structure, bound)
+
+    monkeypatch.setattr(cli, "_verify_shuffle", recording)
+    out = tmp_path / "o.json"
+    assert main([command, "--config", complex_config, "--l", "0", "--out", str(out)]) == 0
+    assert bounds == [0]
+
+
+def test_zero_truncation_passes_every_shuffle_flag(complex_config):
+    structure, _ = cli.load_config(complex_config)
+    assert all(cli._verify_shuffle(structure, 0).values())
+
+
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+def test_negative_truncation_flag_is_a_usage_error(complex_config, capsys, command):
+    assert main([command, "--config", complex_config, "--l", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--l" in err and err.count("\n") == 1

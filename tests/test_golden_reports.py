@@ -1,0 +1,78 @@
+"""Golden reports: the sha256 of each report below, with its exit code, is
+pinned, so a refactor that changes any report byte or verdict fails here.
+
+The digests were recorded from the program before the sparse map layer
+replaced the hand-written product/coproduct/crossing loops; when a report
+changes on purpose, record the new digest together with the reason.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from xcliff.cli import main
+
+Z2 = [["0", "0"], ["0", "0"]]
+Z3 = [["0", "0", "0"]] * 3
+CONFIGS = {
+    "r1_a1": (1, [["1"]], [["1"]]),
+    "r1_complex": (1, [["-1"]], [["1"]]),
+    "r1_2_third": (1, [["2"]], [["1/3"]]),
+    "r2_zero": (2, Z2, Z2),
+    "r2_diagonal": (2, [["2", "0"], ["0", "-1"]], [["-1/3", "0"], ["0", "1/2"]]),
+    "r2_xi0": (2, [["1", "1/2"], ["-1", "2"]], Z2),
+    "r2_eta0": (2, Z2, [["1", "-1"], ["1/2", "1"]]),
+    "r2_generic": (2, [["1", "1/2"], ["-1", "2"]], [["1", "-1"], ["1/2", "1"]]),
+    "r2_identity": (2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]),
+    "r3_zero": (3, Z3, Z3),
+    "r3_diagonal": (3, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "2"]],
+                    [["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]),
+}
+
+SWEEP = ["sweep", "--samples", "40", "--seed", "7", "--a-values=-1,0,1"]
+
+# (command, config name or None for the sweep) -> (sha256 of the report, exit code)
+GOLDEN = {
+    ("verify", "r1_a1"): ("a6deb6bdf66b3ec6f2eda2afc6c2ebd5b8b9fd1307a15cfcf7b3711a7a0f8d15", 0),
+    ("verify", "r1_complex"): ("7b3a4aa36571e94f1c7b801e71a6912ffe614ceb85437bba06e3731d29d475d0", 0),
+    ("verify", "r1_2_third"): ("3d6a8171b4db73cf0b7aa84ce61cb1be960620d800fd74a4fbd8745a0f2ee645", 0),
+    ("verify", "r2_zero"): ("9ee9f4a75cf4621d21f068da57efd40cd87106d8686e33673ffdad6ef9d1ef2e", 0),
+    ("verify", "r2_diagonal"): ("477d0bfcc1aa6903fb9a1e1d0969fb08fec8c68a916a981f615bbab86462f24e", 0),
+    ("verify", "r2_xi0"): ("42a280776381ed42ab80926b545fabd16500c78b7873e3c5be19995933c7c879", 0),
+    ("verify", "r2_eta0"): ("10d09abbe5cfd47a8a706bd5175f8cb418c7d6579173cb9c76bf345925b1321c", 0),
+    ("verify", "r2_generic"): ("73af8ec2fb28c2d95887557dd8dc54fb54f22a2b292172a339ef6acbe5b1509c", 0),
+    ("verify", "r2_identity"): ("db3af22b4f87717e25cfff84de63df5db7f8e59a9c4d7340a8839782f5adf24f", 0),
+    ("verify", "r3_zero"): ("a1fe488c0a8169ff7ef4bc686c5bef586987574a4e68bd1d4b752bcf467c799a", 0),
+    ("verify", "r3_diagonal"): ("42a8d3b74ad69d61f403b1bd8ea9930e4b8645bfda55d8b75977f36a611f856e", 0),
+    ("sigma", "r1_a1"): ("d5159b1dcd06074f80ebf0fc8db58ac056f088e1081d94937d3e1fc197eb73a9", 0),
+    ("sigma", "r1_complex"): ("2a18436d7bef17b62d6aa622fcc58a9f1511323beac57fd4494ab3bdf563a0d1", 0),
+    ("sigma", "r1_2_third"): ("924278ac4cbb8d1e8abe9ad8e79e8ea7e8f540d47986e20abacd43d58bec9ed6", 0),
+    ("sigma", "r2_zero"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
+    ("sigma", "r2_diagonal"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
+    ("braided", "r1_a1"): ("3eef4058ceeb701625ea1faa908b7252a0f236a0c39440cec59a41d7c8aeccfa", 0),
+    ("braided", "r1_complex"): ("515b7ca29317559fd7fd09a168c996febf5a8ae6436ff97d07d474404b45867c", 0),
+    ("braided", "r1_2_third"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
+    ("braided", "r2_zero"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
+    ("braided", "r2_diagonal"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
+    ("antipode", "r1_a1"): ("066e77c3e2b6533d0a8ce49d12dae77d69464949b75c9500e0c8433be6424137", 0),
+    ("antipode", "r1_complex"): ("8584c82094861967bd154d0951f0612ddb975a5492af6fbc457d39842f3df57d", 0),
+    ("antipode", "r1_2_third"): ("257c20d5684219699c6aa0ccb82b156679ebb9b4f3c5f378ab61a3bbce06a90a", 0),
+    ("antipode", "r2_zero"): ("b20fd217bb667d8ffa01c724e045a441586299a5369c86968121eec8a15dfb52", 0),
+    ("antipode", "r2_diagonal"): ("854eeef1155ebac2fc54fb9ecdeff8461a5bef52799bc837506d43c2c9e70089", 0),
+    ("sweep", None): ("d7ac6eb5bfec09a2e942de070140b29b34bd442a0785f5bbca17d126dafd1b2c", 0),
+}
+
+
+@pytest.mark.parametrize("command, name", list(GOLDEN), ids=lambda v: str(v))
+def test_report_matches_golden_digest(tmp_path, command, name):
+    if name is None:
+        argv = list(SWEEP)
+    else:
+        n, eta, xi = CONFIGS[name]
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"n": n, "eta": eta, "xi": xi}))
+        argv = [command, "--config", str(cfg)]
+    out = tmp_path / "report.json"
+    code = main(argv + ["--out", str(out)])
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(), code) == GOLDEN[(command, name)]
