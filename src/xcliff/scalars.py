@@ -3,15 +3,20 @@
 Everything downstream works over arbitrary-precision rationals; there is no
 floating point anywhere.  ``Scalar`` is ``fractions.Fraction``, which already
 keeps numerator/denominator coprime with a positive denominator.  Matrices
-are small and dense; the solvers run fraction-exact Gaussian elimination with
-first-nonzero pivoting (deterministic, no stability concerns), working on
-sparse row dictionaries internally so structure-constant systems stay fast.
+are small and dense.  The solvers share one elimination routine: each sparse
+row is scaled to coprime integers and reduced by fraction-free Gauss-Jordan
+with first-nonzero pivoting (deterministic, no stability concerns), so
+Fractions appear only when the reduced rows are read off.  The reduced
+echelon form is unique, so the answers are those of Gauss-Jordan over the
+rationals.  Every solution ``solve_sparse_system`` returns is substituted
+back into its integer rows as a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -170,36 +175,69 @@ class AffineSolutionSet:
             yield tuple(p + d for p, d in zip(self.particular, v))
 
 
+def _in_range(row: dict, ncols: int) -> dict:
+    """The row itself, once its columns are checked to lie in range(ncols)."""
+    for col in (min(row), max(row)) if row else ():
+        if not 0 <= col < ncols:
+            raise ValueError(f"row column {col} outside range({ncols})")
+    return row
+
+
+def _integer_row(row: dict) -> dict[int, int]:
+    """Row {col: value} of ints or Fractions scaled to coprime integers,
+    zeros dropped; the scaled row has the same solutions."""
+    den = lcm(*(v.denominator for v in row.values()))
+    out = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+    g = gcd(*out.values())
+    if g > 1:
+        for k in out:
+            out[k] //= g
+    return out
+
+
 def _rref_in_place(rows: list[dict], ncols: int) -> dict[int, int]:
-    """Gauss-Jordan on sparse {col: value} rows; columns >= ncols ride along
-    (augmented part) and are never chosen as pivots.  Returns {pivot col: row}.
+    """Fraction-free Gauss-Jordan on sparse {col: int} rows holding no zeros;
+    columns >= ncols ride along (augmented part) and are never chosen as
+    pivots.  Returns {pivot col: row}.
+
+    The pivot of column c is the first row from the current one on with an
+    entry there.  Every other row with an entry f there becomes the primitive
+    part of (pv/g) row - (f/g) pivot row, g = gcd(pv, f), which clears the
+    column.  Pivot rows are never normalized: in the end the row of pivot
+    column c says row[c] x_c + (its free-column terms) = row[ncols].
     """
     pivot_rows: dict[int, int] = {}
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i].get(c)), None)
+        pr = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r]
         pv = piv[c]
-        if pv != 1:
-            for k in piv:
-                piv[k] /= pv
         for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i].get(c)
-            if not f:
-                continue
             ri = rows[i]
+            f = ri.get(c)
+            if f is None or i == r:
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for k in ri:
+                    ri[k] *= a
             for k, v in piv.items():
-                nv = ri.get(k, 0) - f * v
+                nv = ri.get(k, 0) - b * v
                 if nv:
                     ri[k] = nv
                 else:
-                    ri.pop(k, None)
+                    del ri[k]
+            g = gcd(*ri.values())
+            if g > 1:
+                for k in ri:
+                    ri[k] //= g
         pivot_rows[c] = r
         r += 1
         if r == nrows:
@@ -207,22 +245,34 @@ def _rref_in_place(rows: list[dict], ncols: int) -> dict[int, int]:
     return pivot_rows
 
 
+def _substitutes(rows: list[dict], xs: list, rhs_scale: int) -> bool:
+    """Whether A x = rhs_scale * b for every augmented integer row [A | b]
+    (b in column len(xs)), checked in integers at a common denominator."""
+    d = lcm(*(x.denominator for x in xs))
+    vec = [x.numerator * (d // x.denominator) for x in xs]
+    vec.append(-d * rhs_scale)
+    return all(sum(v * vec[k] for k, v in row.items()) == 0 for row in rows)
+
+
 def solve_sparse_system(rows: list[dict], rhs: list, ncols: int) -> AffineSolutionSet:
-    """Solve the system given as sparse rows (shared backend for all solvers)."""
-    aug = []
-    for row, b in zip(rows, rhs):
-        d = {k: Fraction(v) for k, v in row.items() if v}
-        b = Fraction(b)
-        if b:
-            d[ncols] = b
-        aug.append(d)
-    pivots = _rref_in_place(aug, ncols)
-    for row in aug:
-        if row and set(row) == {ncols}:
-            return AffineSolutionSet(particular=None)
+    """Solve the system given as sparse rows {col: value} with right-hand
+    sides rhs, entries ints or Fractions (shared backend for all solvers).
+
+    The particular solution (free variables 0) and each nullspace vector
+    (one per free column) are substituted back into the rows before they
+    are returned; a mismatch raises ArithmeticError.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    aug = [_integer_row({**_in_range(row, ncols), ncols: b}) for row, b in zip(rows, rhs)]
+    work = [dict(row) for row in aug]
+    pivots = _rref_in_place(work, ncols)
+    if any(len(row) == 1 and ncols in row for row in work):
+        return AffineSolutionSet(particular=None)
     particular = [Fraction(0)] * ncols
     for c, r in pivots.items():
-        particular[c] = aug[r].get(ncols, Fraction(0))
+        p = work[r]
+        particular[c] = Fraction(p.get(ncols, 0), p[c])
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -230,23 +280,25 @@ def solve_sparse_system(rows: list[dict], rhs: list, ncols: int) -> AffineSoluti
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for c, r in pivots.items():
-            coeff = aug[r].get(f)
-            if coeff:
-                v[c] = -coeff
-        basis.append(tuple(v))
-    return AffineSolutionSet(particular=tuple(particular), nullspace_basis=tuple(basis))
+            p = work[r]
+            if f in p:
+                v[c] = -Fraction(p[f], p[c])
+        basis.append(v)
+    if not (_substitutes(aug, particular, 1)
+            and all(_substitutes(aug, v, 0) for v in basis)):
+        raise ArithmeticError("solution does not substitute back into the system")
+    return AffineSolutionSet(particular=tuple(particular),
+                             nullspace_basis=tuple(map(tuple, basis)))
 
 
 def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
     """Exact rank of a matrix given as sparse {col: value} rows."""
-    work = [{k: Fraction(v) for k, v in row.items() if v} for row in rows]
+    work = [_integer_row(_in_range(row, ncols)) for row in rows]
     return len(_rref_in_place(work, ncols))
 
 
 def solve_linear_system(a: Matrix, b: Sequence) -> AffineSolutionSet:
     """Exact affine solution set of A x = b."""
-    if a.nrows != len(b):
-        raise ValueError(f"A has {a.nrows} rows but b has {len(b)} entries")
     rows = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
     return solve_sparse_system(rows, list(b), a.ncols)
 
@@ -260,18 +312,15 @@ def invert(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ValueError("invert requires a square matrix")
     n = a.nrows
-    rows = []
-    for i, row in enumerate(a.rows):
-        d = {j: v for j, v in enumerate(row) if v}
-        d[n + i] = Fraction(1)
-        rows.append(d)
+    rows = [_integer_row({**dict(enumerate(row)), n + i: 1})
+            for i, row in enumerate(a.rows)]
     pivots = _rref_in_place(rows, n)
     if len(pivots) < n:
         raise SingularMatrixError(len(pivots))
     inv_rows = []
     for c in range(n):
-        r = pivots[c]
-        inv_rows.append([rows[r].get(n + j, Fraction(0)) for j in range(n)])
+        p = rows[pivots[c]]
+        inv_rows.append([Fraction(p.get(n + j, 0), p[c]) for j in range(n)])
     return Matrix(inv_rows)
 
 

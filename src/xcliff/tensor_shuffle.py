@@ -259,6 +259,10 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
                 nxt: dict = {}
                 for tup, c in layer.items():
                     for (a, b), v in structure.coproduct_table[tup[0]].terms.items():
+                        # only the head is split again, so a tuple holding a
+                        # blade with no letter can never contribute
+                        if not letters[b]:
+                            continue
                         key = (a, b) + tup[1:]
                         nv = nxt.get(key, Fraction(0)) + c * v
                         if nv:

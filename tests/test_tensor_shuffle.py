@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -202,6 +202,62 @@ def test_couniversal_truncation_flag():
     assert out.truncated
     s0 = CliffordStructure(1, Matrix([[2]]), Matrix.zeros(1, 1))
     assert not couniversal_lift(grade1_projection(s0), s0, 4)(s0.unit(1)).truncated
+
+
+def _naive_couniversal_lift(letter_map, s, bound, x):
+    """The co-universal lift with every split-off blade kept: iterated
+    coproducts as full blade tuples, each layer read through the letter map."""
+    n = s.n
+    letters = [[(mu, letter_map[(mu, b)]) for mu in range(n) if letter_map[(mu, b)]]
+               for b in blades(n)]
+    terms = {(): x.scalar_part()} if x.scalar_part() else {}
+    layer = {(b,): c for b, c in x.terms.items()}
+    for k in range(1, bound + 3):
+        contrib = {}
+        for tup, c in layer.items():
+            for combo in itertools.product(*(letters[b] for b in tup)):
+                word = tuple(mu for mu, _ in combo)
+                contrib[word] = contrib.get(word, F(0)) + c * prod(v for _, v in combo)
+        contrib = {word: v for word, v in contrib.items() if v}
+        if k > bound and contrib:
+            return GradedElement(n, bound, terms, True)
+        if k <= bound:
+            for word, v in contrib.items():
+                terms[word] = terms.get(word, F(0)) + v
+        nxt = {}
+        for tup, c in layer.items():
+            for (a, b), v in s.coproduct_table[tup[0]].terms.items():
+                key = (a, b) + tup[1:]
+                nxt[key] = nxt.get(key, F(0)) + c * v
+        layer = {key: v for key, v in nxt.items() if v}
+    return GradedElement(n, bound, terms, False)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "generic"])
+def test_couniversal_lift_matches_naive_expansion(n, kind):
+    rng = random.Random(f"colift-{n}-{kind}")
+
+    def form():
+        if kind == "zero":
+            return Matrix.zeros(n, n)
+        m = random_form(n, rng, nonzero=True)
+        if kind == "diagonal":
+            m = Matrix([[m[i, j] if i == j else 0 for j in range(n)] for i in range(n)])
+        return m
+
+    s = CliffordStructure(n, form(), form())
+    # a letter map on every blade as well, so splits are pruned only where
+    # a blade has no letter
+    maps = [grade1_projection(s),
+            Matrix([[rng.choice([0, 1, F(-1, 2)]) for _ in blades(n)] for _ in range(n)])]
+    for letter_map in maps:
+        for bound in (2, 3, 4):
+            colift = couniversal_lift(letter_map, s, bound)
+            for c in blades(n):
+                x = Multivector.blade(n, c)
+                got, want = colift(x), _naive_couniversal_lift(letter_map, s, bound, x)
+                assert (got.terms, got.truncated) == (want.terms, want.truncated)
 
 
 # -- braid lifts and symmetrizer --------------------------------------------------
