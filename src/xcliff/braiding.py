@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .clifford import CliffordStructure, Tensor2
 from .exterior import Multivector, blades, grade
-from .linmap import ONE, LinearMap, Unknown, agree, chain, keys, linearize, mismatches
+from .linmap import LinearMap, Unknown, agree, chain, differences, keys, linearize
 from .scalars import (
     AffineSolutionSet,
     Matrix,
@@ -77,6 +77,12 @@ def _routed(maps, sigma) -> list:
     return [maps.cop.at(1), *_action(maps, sigma)]
 
 
+def square_defects(maps, sigma, inputs: list[tuple]):
+    """(x (x) y, direct minus routed side) for each input pair on which the
+    compatibility square of the maps with the crossing sigma fails, lazily."""
+    return differences(inputs, _direct(maps), _routed(maps, sigma))
+
+
 def compatibility_defect(structure: CliffordStructure, sigma: Matrix) -> dict:
     """Defect of the compatibility square per input blade pair.
 
@@ -85,14 +91,9 @@ def compatibility_defect(structure: CliffordStructure, sigma: Matrix) -> dict:
     coproduct y).  Returns only the nonzero defects, keyed by (x, y) bits;
     empty dict means the triple (product, coproduct, sigma) is compatible.
     """
-    n, maps = structure.n, structure.maps
-    direct, routed = _direct(maps), _routed(maps, _sigma_map(sigma, n))
-    defects = {}
-    for x in keys(n, 2):
-        diff = Tensor2(n, chain({x: ONE}, *direct)) - Tensor2(n, chain({x: ONE}, *routed))
-        if diff:
-            defects[x] = diff
-    return defects
+    n = structure.n
+    return {x: Tensor2(n, d) for x, d in
+            square_defects(structure.maps, _sigma_map(sigma, n), keys(n, 2))}
 
 
 def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
@@ -181,14 +182,18 @@ def _poly_mul(p: list, q: list) -> list:
     return out
 
 
+def braid_relation(s) -> tuple[list, list]:
+    """The two sides (s (x) id)(id (x) s)(s (x) id) and (id (x) s)(s (x) id)
+    (id (x) s) of the braid relation of a crossing s, as step lists."""
+    return [s.at(0), s.at(1), s.at(0)], [s.at(1), s.at(0), s.at(1)]
+
+
 def check_braid_equation(sigma: Matrix, n: int) -> tuple[bool, int]:
     """Evaluate both braid-relation composites on the tensor cube exactly.
 
     Returns (equal, number of basis triples where the two sides differ).
     """
-    s = _sigma_map(sigma, n)
-    bad = sum(1 for _ in mismatches(keys(n, 3), [s.at(0), s.at(1), s.at(0)],
-                                    [s.at(1), s.at(0), s.at(1)]))
+    bad = sum(1 for _ in differences(keys(n, 3), *braid_relation(_sigma_map(sigma, n))))
     return bad == 0, bad
 
 

@@ -238,7 +238,8 @@ class CliffordStructure:
     @cached_property
     def maps(self) -> StructureMaps:
         """The tables as sparse maps (linmap), built on first use."""
-        return structure_maps(self.product_table, self.coproduct_table)
+        return structure_maps(self.product_table,
+                              {c: t.terms for c, t in self.coproduct_table.items()})
 
     # -- algebra ----------------------------------------------------------
 

@@ -1,8 +1,9 @@
-"""Sparse linear maps on tensor powers of the multivector space, and the
-composites built from them.
+"""Sparse linear maps on tensor powers of a basis, and the composites built
+from them.
 
-A vector is a sparse dict {key: coefficient} whose keys are tuples of
-blades, one blade per tensor factor.  A LinearMap of arity k stores its
+A vector is a sparse dict {key: coefficient} whose keys are tuples of basis
+elements, one per tensor factor: blades of the multivector space, words of a
+word algebra, or letters of a word.  A LinearMap of arity k stores its
 columns {input k-tuple: {output tuple: coefficient}}; ``f.at(i)`` is the step
 that applies f to the k factors starting at factor i and leaves the others
 alone (id (x) ... (x) f (x) ... (x) id).  A composite is a list of steps,
@@ -54,6 +55,15 @@ class LinearMap:
         return Matrix.from_entries(len(basis), len(basis), {
             (index[y], index[x]): c for x, col in self.cols.items() for y, c in col.items()})
 
+    def transpose(self) -> "LinearMap":
+        """The map whose column y is row y of this one, for each output y
+        that occurs."""
+        cols: dict = {}
+        for x, col in self.cols.items():
+            for y, c in col.items():
+                cols.setdefault(y, {})[x] = c
+        return LinearMap(len(next(iter(cols), ())), cols)
+
     def at(self, pos: int) -> tuple:
         return self, pos
 
@@ -103,13 +113,25 @@ def chain(vector: dict, *steps) -> dict:
     return {k: c for k, c in vector.items() if c}
 
 
-def mismatches(inputs: list[tuple], lhs: list, rhs: list):
-    """The input keys on which the two composites differ, lazily."""
-    return (x for x in inputs if chain({x: ONE}, *lhs) != chain({x: ONE}, *rhs))
+def add(u: dict, v: dict, scale=ONE) -> dict:
+    """The sparse vector u + scale * v, zero entries dropped."""
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = out.get(k, 0) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+def differences(inputs: list[tuple], lhs: list, rhs: list):
+    """(x, lhs(x) - rhs(x)) for each input key x on which the two composites
+    differ, lazily."""
+    for x in inputs:
+        left, right = chain({x: ONE}, *lhs), chain({x: ONE}, *rhs)
+        if left != right:
+            yield x, add(left, right, -1)
 
 
 def agree(inputs: list[tuple], lhs: list, rhs: list) -> bool:
-    return next(mismatches(inputs, lhs, rhs), None) is None
+    return next(differences(inputs, lhs, rhs), None) is None
 
 
 def linearize(inputs: list[tuple], lhs: list, rhs: list) -> tuple[dict, dict]:
@@ -138,12 +160,14 @@ class StructureMaps(NamedTuple):
     counit: LinearMap
 
 
-def structure_maps(product_table: dict, coproduct_table: dict) -> StructureMaps:
+def structure_maps(product_table: dict, coproduct_table: dict, one=0) -> StructureMaps:
+    """The maps of the tables {(s, t): {c: coeff}} and {c: {(a, b): coeff}}
+    over basis elements c; ``one`` is the unit's basis element."""
     return StructureMaps(
         id=LinearMap(1, {(c,): {(c,): ONE} for c in coproduct_table}),
         m=LinearMap(2, {st: {(c,): v for c, v in prod.items()}
                         for st, prod in product_table.items()}),
-        cop=LinearMap(1, {(c,): t.terms for c, t in coproduct_table.items()}),
-        unit=LinearMap(0, {(): {(0,): ONE}}),
-        counit=LinearMap(1, {(0,): {(): ONE}}),
+        cop=LinearMap(1, {(c,): t for c, t in coproduct_table.items()}),
+        unit=LinearMap(0, {(): {(one,): ONE}}),
+        counit=LinearMap(1, {(one,): {(): ONE}}),
     )

@@ -4,6 +4,14 @@ and the word world, braid lifts and the permutation-summed symmetrizer.
 
 Words are tuples of letters in {0, ..., n-1}.  Elements carry a bound L and
 an explicit flag when an operation dropped terms beyond it.
+
+The word layer runs on the sparse maps of :mod:`linmap`.  :func:`word_maps`
+holds either word bi-gebra as StructureMaps over word tensors (tuples of
+words), read off the product and coproduct functions below.  A letter
+crossing is a map on letter pairs; its steps at adjacent positions of a
+letter string give the braid lifts, the symmetrizer's terms and the crossing
+of two words.  The compatibility square and the braid relation are the step
+lists of :mod:`braiding`, run over these maps.
 """
 
 from __future__ import annotations
@@ -11,8 +19,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .braiding import braid_relation, square_defects
 from .clifford import CliffordStructure
 from .exterior import Multivector, blades
+from .linmap import ONE, LinearMap, StructureMaps, add, agree, chain, structure_maps
 from .scalars import Matrix, sparse_rank
 
 Word = tuple
@@ -228,128 +238,99 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
     if letter_map.nrows != n or letter_map.ncols != (1 << n):
         raise ValueError("letter map must be n x 2^n")
 
-    letters = [[(mu, letter_map[(mu, blade)]) for mu in range(n)
-                if letter_map[(mu, blade)]] for blade in blades(n)]
+    letter = LinearMap(1, {(b,): {(mu,): letter_map[(mu, b)] for mu in range(n)
+                                  if letter_map[(mu, b)]} for b in blades(n)})
+    # only the head is split again, so a split whose tail blade has no letter
+    # can never contribute
+    keep = LinearMap(1, {key: {key: ONE} for key, col in letter.cols.items() if col})
+    cop = structure.maps.cop
 
     def evaluate(x: Multivector) -> GradedElement:
         structure._check(x)
         terms: dict = {(): x.scalar_part()} if x.scalar_part() else {}
         layer = {(b,): c for b, c in x.terms.items()}
-        truncated = False
         for k in range(1, bound + 3):
-            contrib: dict = {}
-            for tup, c in layer.items():
-                parts = [letters[b] for b in tup]
-                if any(not p for p in parts):
-                    continue
-                for combo in itertools.product(*parts):
-                    word = tuple(mu for mu, _ in combo)
-                    coeff = c
-                    for _, v in combo:
-                        coeff *= v
-                    contrib[word] = contrib.get(word, Fraction(0)) + coeff
-            contrib = {word: v for word, v in contrib.items() if v}
-            if k <= bound:
-                for word, v in contrib.items():
-                    terms[word] = terms.get(word, Fraction(0)) + v
-            elif contrib:
-                truncated = True
-                break
+            contrib = chain(layer, *(letter.at(i) for i in range(k)))
+            if k > bound and contrib:
+                return GradedElement(n, bound, terms, True)
+            terms.update(contrib)  # words of length k, new keys
             if k < bound + 2:
-                nxt: dict = {}
-                for tup, c in layer.items():
-                    for (a, b), v in structure.coproduct_table[tup[0]].terms.items():
-                        # only the head is split again, so a tuple holding a
-                        # blade with no letter can never contribute
-                        if not letters[b]:
-                            continue
-                        key = (a, b) + tup[1:]
-                        nv = nxt.get(key, Fraction(0)) + c * v
-                        if nv:
-                            nxt[key] = nv
-                        else:
-                            nxt.pop(key, None)
-                layer = nxt
-        return GradedElement(n, bound, terms, truncated)
+                layer = chain(layer, cop.at(0), keep.at(1))
+        return GradedElement(n, bound, terms, False)
 
     return evaluate
 
 
-# -- braid lifts and the symmetrizer ----------------------------------------
+# -- word bi-gebras as sparse maps ------------------------------------------
 
-class WordOperator:
-    """Linear operator on the length-k word space, stored as sparse columns."""
+def letter_words(n: int, k: int) -> list[Word]:
+    """Every length-k word over n letters, in lexicographic order."""
+    return list(itertools.product(range(n), repeat=k))
 
-    __slots__ = ("dim", "k", "columns")
+
+def word_maps(n: int, bound: int, shuffle: bool = False) -> StructureMaps:
+    """The concatenation/deconcatenation bi-gebra on words of length <= bound,
+    or with shuffle=True the shuffle/unshuffle one, as linmap maps over word
+    tensors (tuples of words).  The product is defined on the word pairs of
+    total length <= bound.  Each column is read off the product or coproduct
+    function on basis words, so those stay the one place each rule is written."""
+    product, coproduct = ((shuffle_product, unshuffle_coproduct) if shuffle
+                          else (concat_product, deconcat_coproduct))
+    elem = {w: GradedElement.word(n, bound, w)
+            for k in range(bound + 1) for w in letter_words(n, k)}
+    return structure_maps({(u, v): product(elem[u], elem[v]).terms
+                           for u in elem for v in elem if len(u) + len(v) <= bound},
+                          {w: coproduct(x) for w, x in elem.items()}, one=())
+
+
+# -- letter crossings, braid lifts and the symmetrizer ------------------------
+
+class WordOperator(LinearMap):
+    """Linear operator on the length-k word space: a linmap map of arity k
+    over letter tuples, so it is itself a step of a composite."""
+
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int, k: int, columns: dict):
+        super().__init__(k, columns)
         self.dim = dim
-        self.k = k
-        self.columns = columns
+
+    @classmethod
+    def of_steps(cls, dim: int, k: int, steps: list) -> "WordOperator":
+        """The composite of the steps on length-k words."""
+        return cls(dim, k, LinearMap.of(letter_words(dim, k), steps).cols)
 
     @classmethod
     def identity(cls, dim: int, k: int) -> "WordOperator":
-        return cls(dim, k, {w: {w: Fraction(1)}
-                            for w in itertools.product(range(dim), repeat=k)})
+        return cls.of_steps(dim, k, [])
 
     @classmethod
     def zero(cls, dim: int, k: int) -> "WordOperator":
-        return cls(dim, k, {w: {} for w in itertools.product(range(dim), repeat=k)})
+        return cls(dim, k, {w: {} for w in letter_words(dim, k)})
 
     def __eq__(self, other):
-        if not isinstance(other, WordOperator) or (self.dim, self.k) != (other.dim, other.k):
-            return False
-        for w in self.columns:
-            if self.columns[w] != other.columns.get(w, {}):
-                return False
-        return True
+        return (isinstance(other, WordOperator)
+                and (self.dim, self.arity, self.cols) == (other.dim, other.arity, other.cols))
 
     def __add__(self, other: "WordOperator") -> "WordOperator":
-        cols = {}
-        for w in self.columns:
-            col = dict(self.columns[w])
-            for u, c in other.columns[w].items():
-                nv = col.get(u, Fraction(0)) + c
-                if nv:
-                    col[u] = nv
-                else:
-                    col.pop(u, None)
-            cols[w] = col
-        return WordOperator(self.dim, self.k, cols)
+        return WordOperator(self.dim, self.arity,
+                            {w: add(col, other.cols[w]) for w, col in self.cols.items()})
 
     def compose(self, other: "WordOperator") -> "WordOperator":
         """self after other."""
-        cols = {}
-        for w, col in other.columns.items():
-            out: dict = {}
-            for u, c in col.items():
-                for t, d in self.columns[u].items():
-                    nv = out.get(t, Fraction(0)) + c * d
-                    if nv:
-                        out[t] = nv
-                    else:
-                        out.pop(t, None)
-            cols[w] = out
-        return WordOperator(self.dim, self.k, cols)
+        return WordOperator.of_steps(self.dim, self.arity, [other.at(0), self.at(0)])
 
     def apply_word(self, w: Word) -> dict:
-        return dict(self.columns[tuple(w)])
+        return dict(self.cols[tuple(w)])
 
     def rank(self) -> int:
-        index = {w: i for i, w in enumerate(itertools.product(range(self.dim), repeat=self.k))}
-        rows = [{index[u]: c for u, c in col.items()} for col in self.columns.values()]
-        return sparse_rank(rows, len(index))
+        index = {w: i for i, w in enumerate(self.cols)}
+        return sparse_rank([{index[u]: c for u, c in col.items()}
+                            for col in self.cols.values()], len(index))
 
     def to_matrix(self) -> Matrix:
         """Dense matrix in lexicographic word order."""
-        words = list(itertools.product(range(self.dim), repeat=self.k))
-        index = {w: i for i, w in enumerate(words)}
-        entries = {}
-        for w, col in self.columns.items():
-            j = index[w]
-            for u, c in col.items():
-                entries[(index[u], j)] = c
-        return Matrix.from_entries(len(words), len(words), entries)
+        return super().to_matrix(letter_words(self.dim, self.arity))
 
 
 def letter_switch(n: int, sign: int = 1) -> Matrix:
@@ -366,42 +347,22 @@ def zero_letter_crossing(n: int) -> Matrix:
     return Matrix.zeros(n * n, n * n)
 
 
-def _letter_sigma_columns(sigma: Matrix, n: int) -> dict:
+def letter_crossing(sigma: Matrix, n: int) -> LinearMap:
+    """The n^2 x n^2 letter crossing matrix as a map on letter pairs."""
     if sigma.nrows != n * n or sigma.ncols != n * n:
         raise ValueError(f"letter crossing must be {n * n} x {n * n}")
-    cols = {}
-    for c in range(n):
-        for d in range(n):
-            col = {}
-            for i in range(n * n):
-                v = sigma[(i, c * n + d)]
-                if v:
-                    col[(i // n, i % n)] = v
-            cols[(c, d)] = col
-    return cols
+    return LinearMap.from_matrix(sigma, letter_words(n, 2))
 
 
 def braid_lift(sigma: Matrix, k: int, n: int) -> list[WordOperator]:
     """Operators acting with the letter crossing on adjacent positions
     (i, i+1), identity elsewhere; returned for i = 1 .. k-1."""
-    cols = _letter_sigma_columns(sigma, n)
-    ops = []
-    for i in range(1, k):
-        opcols = {}
-        for w in itertools.product(range(n), repeat=k):
-            col = {}
-            for (c, d), v in cols[(w[i - 1], w[i])].items():
-                u = w[:i - 1] + (c, d) + w[i + 1:]
-                col[u] = col.get(u, Fraction(0)) + v
-            opcols[w] = col
-        ops.append(WordOperator(n, k, opcols))
-    return ops
+    crossing = letter_crossing(sigma, n)
+    return [WordOperator.of_steps(n, k, [crossing.at(i)]) for i in range(k - 1)]
 
 
 def check_letter_braid_equation(sigma: Matrix, n: int) -> bool:
-    ops = braid_lift(sigma, 3, n)
-    s1, s2 = ops
-    return s1.compose(s2).compose(s1) == s2.compose(s1).compose(s2)
+    return agree(letter_words(n, 3), *braid_relation(letter_crossing(sigma, n)))
 
 
 def _reduced_word(perm: tuple) -> list[int]:
@@ -431,13 +392,12 @@ def quantum_symmetrizer(sigma: Matrix, k: int, n: int) -> WordOperator:
         return WordOperator.identity(n, k)
     if not check_letter_braid_equation(sigma, n):
         raise ValueError("letter crossing does not satisfy the braid equation")
+    crossing = letter_crossing(sigma, n)
     total = WordOperator.zero(n, k)
-    lifts = braid_lift(sigma, k, n)
     for perm in itertools.permutations(range(k)):
-        op = WordOperator.identity(n, k)
-        for i in _reduced_word(perm):
-            op = op.compose(lifts[i - 1])
-        total = total + op
+        # the product s_i1 ... s_im of the reduced word acts rightmost first
+        steps = [crossing.at(i - 1) for i in reversed(_reduced_word(perm))]
+        total = total + WordOperator.of_steps(n, k, steps)
     return total
 
 
@@ -448,31 +408,14 @@ def exterior_image_dimensions(sigma: Matrix, n: int, up_to: int) -> list[int]:
 
 # -- compatibility of the word bi-gebra with a crossing ----------------------
 
-def _cross_single(cols, c: int, v: Word) -> dict:
-    """Move one letter past a word via the letter crossing: {(v', (c',)): coeff}."""
-    out = {(v, (c,)): Fraction(1)} if not v else {}
-    if v:
-        # cross c past the first letter, then recurse past the rest
-        for (d1, c1), w0 in cols[(c, v[0])].items():
-            for (vrest, ctail), w1 in _cross_single(cols, c1, v[1:]).items():
-                key = ((d1,) + vrest, ctail)
-                out[key] = out.get(key, Fraction(0)) + w0 * w1
-    return out
-
-
-def cross_words(cols, u: Word, v: Word) -> dict:
+def cross_words(crossing: LinearMap, u: Word, v: Word) -> dict:
     """Cross the whole word u past the whole word v: {(v', u'): coeff}.
-    Crossings with an empty strand are plain transposition (unit strands are
-    transparent); letter-letter crossings use the given matrix."""
-    if not u or not v:
-        return {(v, u): Fraction(1)}
-    out: dict = {}
-    c = u[-1]
-    for (v1, ctail), w0 in _cross_single(cols, c, v).items():
-        for (v2, urest), w1 in cross_words(cols, u[:-1], v1).items():
-            key = (v2, urest + ctail)
-            out[key] = out.get(key, Fraction(0)) + w0 * w1
-    return {k: c for k, c in out.items() if c}
+    The last letter of u crosses v letter by letter, then the one before it,
+    and so on, each crossing a letter-crossing step on adjacent positions of
+    the letter string u + v.  Crossings with an empty strand are plain
+    transposition (unit strands are transparent)."""
+    steps = [crossing.at(i + j) for i in reversed(range(len(u))) for j in range(len(v))]
+    return {(s[:len(v)], s[len(v):]): c for s, c in chain({u + v: ONE}, *steps).items()}
 
 
 def zero_braid_bigebra_check(n: int, bound: int, letter_sigma: Matrix | None = None):
@@ -482,30 +425,10 @@ def zero_braid_bigebra_check(n: int, bound: int, letter_sigma: Matrix | None = N
     Returns (all compatible, witnesses) with each witness
     (x, y, defect {(u, v): coeff})."""
     sigma = letter_sigma if letter_sigma is not None else zero_letter_crossing(n)
-    cols = _letter_sigma_columns(sigma, n)
-    witnesses = []
-    all_words = [w for k in range(bound + 1)
-                 for w in itertools.product(range(n), repeat=k)]
-    for x in all_words:
-        for y in all_words:
-            if len(x) + len(y) > bound:
-                continue
-            direct = {}
-            w = x + y
-            for i in range(len(w) + 1):
-                k = (w[:i], w[i:])
-                direct[k] = direct.get(k, Fraction(0)) + 1
-            routed: dict = {}
-            for i in range(len(x) + 1):
-                x1, x2 = x[:i], x[i:]
-                for j in range(len(y) + 1):
-                    y1, y2 = y[:j], y[j:]
-                    for (v1, u1), c in cross_words(cols, x2, y1).items():
-                        key = (x1 + v1, u1 + y2)
-                        routed[key] = routed.get(key, Fraction(0)) + c
-            defect = {k: v for k, v in
-                      ((k, direct.get(k, Fraction(0)) - routed.get(k, Fraction(0)))
-                       for k in set(direct) | set(routed)) if v}
-            if defect:
-                witnesses.append((x, y, defect))
+    crossing = letter_crossing(sigma, n)
+    maps = word_maps(n, bound)
+    pairs = list(maps.m.cols)
+    words_crossing = LinearMap(2, {(u, v): cross_words(crossing, u, v) for u, v in pairs})
+    witnesses = [(x, y, defect)
+                 for (x, y), defect in square_defects(maps, words_crossing, pairs)]
     return not witnesses, witnesses

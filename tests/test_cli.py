@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from xcliff import braiding, cli, hopf
+from xcliff import braiding, cli, hopf, tensor_shuffle as ts
 from xcliff.cli import main, sweep_row
+from xcliff.clifford import CliffordStructure
+from xcliff.exterior import Multivector
+from xcliff.scalars import Matrix
 
 
 def write_config(tmp_path, name, n, eta, xi, options=None):
@@ -264,3 +268,120 @@ def test_negative_truncation_flag_is_a_usage_error(complex_config, capsys, comma
     assert main([command, "--config", complex_config, "--l", "-2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--l" in err and err.count("\n") == 1
+
+
+# -- the tensor-square pairing read from the config ----------------------------
+
+GENERIC_FORMS = {
+    1: ([["2"]], [["-1/3"]]),
+    2: ([["1", "1/2"], ["-1", "2"]], [["1", "-1"], ["1/2", "1"]]),
+    3: ([["1", "1/2", "0"], ["-1", "2", "1"], ["0", "1/3", "-1"]],
+        [["1", "-1", "0"], ["1/2", "1", "2"], ["-2", "0", "1"]]),
+}
+
+
+def _forms(n, kind):
+    eta, xi = GENERIC_FORMS[n]
+    zero = [["0"] * n for _ in range(n)]
+    return {"zero": (zero, zero), "xi0": (eta, zero), "generic": (eta, xi)}[kind]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["zero", "xi0", "generic"])
+def test_verify_honours_straight_pairing(tmp_path, n, kind):
+    eta, xi = _forms(n, kind)
+    path = tmp_path / "straight.json"
+    path.write_text(json.dumps({"n": n, "eta": eta, "xi": xi, "pairing": "straight"}))
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["structure"]["pairing"] == "straight"
+    assert report["hard_pass"] is True
+
+
+def test_straight_pairing_coproduct_is_the_transposed_table(tmp_path):
+    eta, xi = _forms(2, "generic")
+    tables = {}
+    for pairing in ("inner", "straight"):
+        path = tmp_path / f"{pairing}.json"
+        path.write_text(json.dumps({"n": 2, "eta": eta, "xi": xi, "pairing": pairing}))
+        structure, _ = cli.load_config(str(path))
+        tables[pairing] = {c: t.terms for c, t in structure.coproduct_table.items()}
+    assert tables["straight"] == {c: {(b, a): v for (a, b), v in t.items()}
+                                  for c, t in tables["inner"].items()}
+    assert tables["straight"] != tables["inner"]
+
+
+@pytest.mark.parametrize("pairing", ["outer", ["inner"], 1])
+def test_bad_pairing_in_config_is_a_parse_error(tmp_path, capsys, pairing):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "eta": [["1"]], "xi": [["1"]], "pairing": pairing}))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: pairing") and err.count("\n") == 1
+
+
+# -- the word-algebra checks report a planted wrong column ------------------------
+
+RANK2 = CliffordStructure(2, Matrix([[1, F(1, 2)], [-1, 2]]), Matrix.zeros(2, 2))
+
+
+def _shuffle_flags(structure=RANK2, bound=3):
+    report = cli._verify_shuffle(structure, bound)
+    return {k: report[k] for k in cli.SHUFFLE_HARD_KEYS}
+
+
+def test_shuffle_checks_pass_unplanted():
+    assert all(_shuffle_flags().values())
+
+
+def _only_failure(flags, key):
+    assert flags == {k: k != key for k in cli.SHUFFLE_HARD_KEYS}
+
+
+def test_pairing_duality_sees_a_wrong_coproduct_coefficient(monkeypatch):
+    original = ts.word_maps
+
+    def planted(n, bound, shuffle=False):
+        maps = original(n, bound, shuffle)
+        if shuffle:
+            maps.cop.cols[((0, 1),)][((0,), (1,))] = F(2)
+        return maps
+
+    monkeypatch.setattr(ts, "word_maps", planted)
+    _only_failure(_shuffle_flags(), "pairing_dualities")
+
+
+def test_universal_lift_check_sees_a_wrong_lift_column(monkeypatch):
+    original = ts.universal_lift
+
+    def planted(images, structure):
+        lift = original(images, structure)
+
+        def evaluate(x):
+            out = lift(x)
+            return out + Multivector.scalar(2, 1) if x.terms == {(0, 1): 1} else out
+
+        return evaluate
+
+    monkeypatch.setattr(ts, "universal_lift", planted)
+    _only_failure(_shuffle_flags(), "universal_lift_multiplicative")
+
+
+def test_couniversal_lift_check_sees_a_wrong_lift_column(monkeypatch):
+    original = ts.couniversal_lift
+
+    def planted(letter_map, structure, bound):
+        colift = original(letter_map, structure, bound)
+
+        def evaluate(x):
+            out = colift(x)
+            if x.terms == {0b11: 1}:
+                word = min(out.terms)
+                out = out + out.terms[word] * ts.GradedElement.word(out.dim, out.bound, word)
+            return out
+
+        return evaluate
+
+    monkeypatch.setattr(ts, "couniversal_lift", planted)
+    _only_failure(_shuffle_flags(), "couniversal_lift_comultiplicative")

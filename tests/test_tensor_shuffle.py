@@ -4,9 +4,11 @@ from fractions import Fraction as F
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector, blades
+from xcliff.linmap import agree
 from xcliff.sampling import random_form
 from xcliff.scalars import Matrix
 from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
@@ -15,9 +17,9 @@ from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
                                    exterior_image_dimensions, grade1_projection,
                                    letter_inclusion, letter_switch, pair_word_tensor,
                                    quantum_symmetrizer, shuffle_product,
-                                   unshuffle_coproduct, universal_lift, word_pairing,
-                                   zero_braid_bigebra_check, zero_letter_crossing,
-                                   _letter_sigma_columns)
+                                   unshuffle_coproduct, universal_lift, word_maps,
+                                   word_pairing, zero_braid_bigebra_check,
+                                   zero_letter_crossing, letter_crossing)
 
 N, L = 2, 4
 
@@ -331,7 +333,7 @@ def test_operator_matrix_lex_order():
 # -- word bi-gebra compatibility ----------------------------------------------------
 
 def test_empty_word_crossing_transparent():
-    cols = _letter_sigma_columns(zero_letter_crossing(2), 2)
+    cols = letter_crossing(zero_letter_crossing(2), 2)
     assert cross_words(cols, (), (0, 1)) == {((0, 1), ()): F(1)}
     assert cross_words(cols, (0, 1), ()) == {((), (0, 1)): F(1)}
     assert cross_words(cols, (0,), (1,)) == {}
@@ -356,3 +358,182 @@ def test_graded_element_validation():
         GradedElement(2, 2, {(0, 1, 0): 1})
     with pytest.raises(ValueError):
         GradedElement(2, 4, {(5,): 1})
+
+
+# -- differential test against the hand-written word layer ------------------------
+#
+# The oracle below is the letter-tuple code that the linmap word layer
+# replaced: crossing columns read off the matrix, a recursive word crossing,
+# the compatibility square's two sides as explicit loops, and operators
+# composed column by column.
+
+def _oracle_columns(sigma, n):
+    cols = {}
+    for c in range(n):
+        for d in range(n):
+            cols[(c, d)] = {(i // n, i % n): sigma[(i, c * n + d)]
+                            for i in range(n * n) if sigma[(i, c * n + d)]}
+    return cols
+
+
+def _oracle_cross_single(cols, c, v):
+    out = {(v, (c,)): F(1)} if not v else {}
+    if v:
+        for (d1, c1), w0 in cols[(c, v[0])].items():
+            for (vrest, ctail), w1 in _oracle_cross_single(cols, c1, v[1:]).items():
+                key = ((d1,) + vrest, ctail)
+                out[key] = out.get(key, F(0)) + w0 * w1
+    return out
+
+
+def _oracle_cross_words(cols, u, v):
+    if not u or not v:
+        return {(v, u): F(1)}
+    out = {}
+    for (v1, ctail), w0 in _oracle_cross_single(cols, u[-1], v).items():
+        for (v2, urest), w1 in _oracle_cross_words(cols, u[:-1], v1).items():
+            key = (v2, urest + ctail)
+            out[key] = out.get(key, F(0)) + w0 * w1
+    return {k: c for k, c in out.items() if c}
+
+
+def _oracle_zero_braid_check(n, bound, sigma):
+    cols = _oracle_columns(sigma, n)
+    witnesses = []
+    words = all_words(n, bound)
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > bound:
+                continue
+            direct = {}
+            for i in range(len(x + y) + 1):
+                k = ((x + y)[:i], (x + y)[i:])
+                direct[k] = direct.get(k, F(0)) + 1
+            routed = {}
+            for i in range(len(x) + 1):
+                for j in range(len(y) + 1):
+                    for (v1, u1), c in _oracle_cross_words(cols, x[i:], y[:j]).items():
+                        key = (x[:i] + v1, u1 + y[j:])
+                        routed[key] = routed.get(key, F(0)) + c
+            defect = {k: direct.get(k, F(0)) - routed.get(k, F(0))
+                      for k in set(direct) | set(routed)}
+            defect = {k: v for k, v in defect.items() if v}
+            if defect:
+                witnesses.append((x, y, defect))
+    return not witnesses, witnesses
+
+
+def _oracle_compose(a, b):
+    """a after b, operators as {word: {word: coeff}}."""
+    out = {}
+    for w, col in b.items():
+        acc = {}
+        for u, c in col.items():
+            for t, d in a[u].items():
+                acc[t] = acc.get(t, F(0)) + c * d
+        out[w] = {t: v for t, v in acc.items() if v}
+    return out
+
+
+def _oracle_lifts(cols, k, n):
+    lifts = []
+    for i in range(1, k):
+        op = {}
+        for w in itertools.product(range(n), repeat=k):
+            op[w] = {}
+            for (c, d), v in cols[(w[i - 1], w[i])].items():
+                u = w[:i - 1] + (c, d) + w[i + 1:]
+                op[w][u] = op[w].get(u, F(0)) + v
+        lifts.append(op)
+    return lifts
+
+
+def _oracle_symmetrizer(sigma, k, n):
+    cols = _oracle_columns(sigma, n)
+    s1, s2 = _oracle_lifts(cols, 3, n)
+    if _oracle_compose(_oracle_compose(s1, s2), s1) != _oracle_compose(_oracle_compose(s2, s1), s2):
+        raise ValueError("letter crossing does not satisfy the braid equation")
+    lifts = _oracle_lifts(cols, k, n)
+    words = list(itertools.product(range(n), repeat=k))
+    total = {w: {} for w in words}
+    for perm in itertools.permutations(range(k)):
+        op = {w: {w: F(1)} for w in words}
+        for i in _reduced_word_oracle(perm):
+            op = _oracle_compose(op, lifts[i - 1])
+        for w in words:
+            for u, c in op[w].items():
+                total[w][u] = total[w].get(u, F(0)) + c
+    return {w: {u: c for u, c in col.items() if c} for w, col in total.items()}
+
+
+def _reduced_word_oracle(perm):
+    w, word, i = list(perm), [], 0
+    while i < len(w) - 1:
+        if w[i] > w[i + 1]:
+            w[i], w[i + 1] = w[i + 1], w[i]
+            word.append(i + 1)
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return word
+
+
+ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+rationals = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def square(size):
+    return st.lists(st.lists(rationals, min_size=size, max_size=size),
+                    min_size=size, max_size=size).map(Matrix)
+
+
+@st.composite
+def letter_crossings(draw):
+    """(n, crossing): a random n^2 x n^2 matrix, or a diagonal braiding
+    (c, d) -> q[c][d] (d, c), which satisfies the braid equation."""
+    n = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        return n, draw(square(n * n))
+    q = draw(square(n))
+    return n, Matrix.from_entries(n * n, n * n, {(d * n + c, c * n + d): q[(c, d)]
+                                                 for c in range(n) for d in range(n)})
+
+
+@ORACLE_SETTINGS
+@given(letter_crossings(), st.sampled_from([1, 2, 3]))
+def test_zero_braid_check_matches_oracle(crossing, bound):
+    n, sigma = crossing
+    assert zero_braid_bigebra_check(n, bound, sigma) == _oracle_zero_braid_check(n, bound, sigma)
+    crossing_map, oracle_cols = letter_crossing(sigma, n), _oracle_columns(sigma, n)
+    for u in all_words(n, 2):
+        for v in all_words(n, 2):
+            assert cross_words(crossing_map, u, v) == _oracle_cross_words(oracle_cols, u, v)
+
+
+@ORACLE_SETTINGS
+@given(letter_crossings(), st.sampled_from([2, 3, 4]))
+def test_symmetrizer_matches_oracle(crossing, k):
+    n, sigma = crossing
+    assert [op.cols for op in braid_lift(sigma, k, n)] == _oracle_lifts(
+        _oracle_columns(sigma, n), k, n)
+    try:
+        want = _oracle_symmetrizer(sigma, k, n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            quantum_symmetrizer(sigma, k, n)
+        return
+    assert quantum_symmetrizer(sigma, k, n).cols == want
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_word_maps_are_a_truncated_bigebra(shuffle):
+    maps = word_maps(2, 3, shuffle)
+    words = list(maps.id.cols)
+    triples = [(a, b, c) for (a,), (b,), (c,) in itertools.product(words, repeat=3)
+               if len(a) + len(b) + len(c) <= 3]
+    m, cop, unit, counit = maps.m, maps.cop, maps.unit, maps.counit
+    assert agree(triples, [m.at(0), m.at(0)], [m.at(1), m.at(0)])
+    assert agree(words, [cop.at(0), cop.at(0)], [cop.at(0), cop.at(1)])
+    for side in (0, 1):
+        assert agree(words, [cop.at(0), counit.at(side)], [])
+        assert agree(words, [unit.at(side), m.at(0)], [])
