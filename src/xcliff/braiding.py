@@ -7,10 +7,14 @@ Each identity is written once as step lists over the sparse maps of
 naturality hexagons.  The scattering's linear system is the linearization
 of the routed side of the compatibility square in the scattering's entries.
 
-A scattering is handed in and out as a dense 4^n x 4^n matrix over the
-blade-pair basis of the tensor square, pair (a, b) flattened as
-a * 2^n + b; that matrix is only the public interchange type, converted
-once per public call.
+A solution of that system is read back as the sparse map it solves for by
+the same Unknown that numbered its entries (:func:`scattering_map`), and
+:func:`braided_flags` checks such a map directly.  A dense 4^n x 4^n matrix
+over the blade-pair basis of the tensor square (pair (a, b) flattened as
+a * 2^n + b) remains only where a public function takes or returns one: the
+closed forms, the switches, ``solution_to_scattering``, ``sigma_matrix`` and
+``check_min_polynomial``.  The public checks also accept a LinearMap, which
+they use as it is; a matrix is converted once per call.
 """
 
 from __future__ import annotations
@@ -19,26 +23,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import CliffordStructure, Tensor2
-from .exterior import Multivector, blades, grade
+from .exterior import Multivector, grade
 from .linmap import LinearMap, Unknown, agree, chain, differences, keys, linearize
-from .scalars import (
-    AffineSolutionSet,
-    Matrix,
-    SingularMatrixError,
-    format_scalar,
-    invert,
-    poly_eval_matrix,
-    solve_sparse_system,
-)
+from .scalars import (AffineSolutionSet, Matrix, format_scalar, poly_eval_matrix,
+                      solve_sparse_system)
 
-Scattering = Matrix  # 4^n x 4^n over blade pairs
+Scattering = Matrix | LinearMap  # over blade pairs: 4^n x 4^n dense, or sparse
 
 
 def pair_index(n: int, a: int, b: int) -> int:
     return (a << n) | b
 
 
-def _sigma_map(sigma: Matrix, n: int) -> LinearMap:
+def _sigma_map(sigma: Scattering, n: int) -> LinearMap:
+    if isinstance(sigma, LinearMap):
+        return sigma
     dim2 = 1 << (2 * n)
     if sigma.nrows != dim2 or sigma.ncols != dim2:
         raise ValueError(f"scattering must be {dim2} x {dim2} for rank {n}")
@@ -50,15 +49,15 @@ def scattering_from_images(n: int, images: dict) -> Matrix:
     return LinearMap(2, images).to_matrix(keys(n, 2))
 
 
-def switch_scattering(n: int, graded: bool = True) -> Matrix:
+def switch_map(n: int, graded: bool = True) -> LinearMap:
     """The transposition on the tensor square; with graded=True odd-odd
     pairs pick up a minus sign."""
-    images = {}
-    for a in blades(n):
-        for b in blades(n):
-            sign = -1 if graded and (grade(a) & 1) and (grade(b) & 1) else 1
-            images[(a, b)] = {(b, a): Fraction(sign)}
-    return scattering_from_images(n, images)
+    return LinearMap(2, {(a, b): {(b, a): Fraction(-1 if graded and grade(a) & grade(b) & 1
+                                                   else 1)} for a, b in keys(n, 2)})
+
+
+def switch_scattering(n: int, graded: bool = True) -> Matrix:
+    return switch_map(n, graded).to_matrix(keys(n, 2))
 
 
 def _direct(maps) -> list:
@@ -83,7 +82,7 @@ def square_defects(maps, sigma, inputs: list[tuple]):
     return differences(inputs, _direct(maps), _routed(maps, sigma))
 
 
-def compatibility_defect(structure: CliffordStructure, sigma: Matrix) -> dict:
+def compatibility_defect(structure: CliffordStructure, sigma: Scattering) -> dict:
     """Defect of the compatibility square per input blade pair.
 
     For blades (x, y) the defect is coproduct(x *_eta y) minus the route
@@ -96,14 +95,17 @@ def compatibility_defect(structure: CliffordStructure, sigma: Matrix) -> dict:
             square_defects(structure.maps, _sigma_map(sigma, n), keys(n, 2))}
 
 
+def _scattering_unknown(n: int) -> Unknown:
+    """The scattering solved for: its entry (u, v) <- (p, q) is unknown
+    number pair_index(u, v) * 4^n + pair_index(p, q)."""
+    return Unknown(2, keys(n, 2), lambda x, y: (pair_index(n, *y) << 2 * n) + pair_index(n, *x))
+
+
 def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
     """The rows and right-hand sides (see linmap.linearize) of the
-    compatibility square, linear in the 16^n scattering entries: unknown
-    (u, v) <- (p, q) is column pair_index(u, v) * 4^n + pair_index(p, q)."""
-    n, pairs = structure.n, keys(structure.n, 2)
-    dim2 = 1 << (2 * n)
-    sigma = Unknown(2, pairs, lambda x, y: pair_index(n, *y) * dim2 + pair_index(n, *x))
-    return linearize(pairs, _routed(structure.maps, sigma), _direct(structure.maps))
+    compatibility square, linear in the 16^n scattering entries."""
+    sigma = _scattering_unknown(structure.n)
+    return linearize(keys(structure.n, 2), _routed(structure.maps, sigma), _direct(structure.maps))
 
 
 def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:
@@ -114,9 +116,13 @@ def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:
                                1 << (4 * structure.n))
 
 
+def scattering_map(structure: CliffordStructure, flat: tuple) -> LinearMap:
+    """The scattering of a solution of scattering_system, as a map."""
+    return _scattering_unknown(structure.n).read(flat, keys(structure.n, 2))
+
+
 def solution_to_scattering(structure: CliffordStructure, flat: tuple) -> Matrix:
-    dim2 = 1 << (2 * structure.n)
-    return Matrix([[flat[i * dim2 + j] for j in range(dim2)] for i in range(dim2)])
+    return scattering_map(structure, flat).to_matrix(keys(structure.n, 2))
 
 
 def sigma_matrix(structure: CliffordStructure) -> Matrix | None:
@@ -188,7 +194,7 @@ def braid_relation(s) -> tuple[list, list]:
     return [s.at(0), s.at(1), s.at(0)], [s.at(1), s.at(0), s.at(1)]
 
 
-def check_braid_equation(sigma: Matrix, n: int) -> tuple[bool, int]:
+def check_braid_equation(sigma: Scattering, n: int) -> tuple[bool, int]:
     """Evaluate both braid-relation composites on the tensor cube exactly.
 
     Returns (equal, number of basis triples where the two sides differ).
@@ -221,21 +227,23 @@ class BraidedReport:
         }
 
 
-def check_braided(structure: CliffordStructure, sigma: Matrix) -> BraidedReport:
+def check_braided(structure: CliffordStructure, sigma: Scattering) -> BraidedReport:
     """Braidedness of a compatible scattering: invertibility, the braid
     equation, and both naturality hexagons, all exact.  Raises if sigma does
     not solve the compatibility square in the first place."""
-    if compatibility_defect(structure, sigma):
+    s = _sigma_map(sigma, structure.n)
+    if compatibility_defect(structure, s):
         raise ValueError("scattering does not solve the compatibility square")
-    try:
-        invert(sigma)
-        invertible = True
-    except SingularMatrixError:
-        invertible = False
-    braid_ok, _ = check_braid_equation(sigma, structure.n)
-    n, maps, s = structure.n, structure.maps, _sigma_map(sigma, structure.n)
+    return braided_flags(structure, s)
+
+
+def braided_flags(structure: CliffordStructure, s: LinearMap) -> BraidedReport:
+    """The four flags of check_braided for the scattering map s, without
+    checking that s solves the compatibility square."""
+    n, maps = structure.n, structure.maps
+    braid_ok, _ = check_braid_equation(s, n)
     return BraidedReport(
-        invertible=invertible,
+        invertible=s.rank() == 1 << (2 * n),
         braid_equation_holds=braid_ok,
         # sigma . (product (x) id) = (id (x) product) . (sigma (x) id) . (id (x) sigma)
         product_naturality_holds=agree(keys(n, 3), [maps.m.at(0), s.at(0)],
@@ -246,7 +254,7 @@ def check_braided(structure: CliffordStructure, sigma: Matrix) -> BraidedReport:
     )
 
 
-def module_action(structure: CliffordStructure, sigma: Matrix,
+def module_action(structure: CliffordStructure, sigma: Scattering,
                   x: Multivector, t: Tensor2) -> Tensor2:
     """Action of x on a tensor pair: coproduct on the acting element, middle
     crossing by sigma, then pairwise products."""
@@ -271,14 +279,14 @@ def braiding_report_json(structure: CliffordStructure, a=None) -> dict:
         report.update({"min_poly_ok": None, "invertible": None, "braid_eq": None,
                        "braided_verdict": None, "braided_flags": None})
         return report
-    sigma = solution_to_scattering(structure, sol.particular)
-    braided = check_braided(structure, sigma)
+    s = scattering_map(structure, sol.particular)
+    braided = check_braided(structure, s)
     report["invertible"] = braided.invertible
     report["braid_eq"] = braided.braid_equation_holds
     report["braided_verdict"] = braided.verdict_braided
     report["braided_flags"] = braided.to_json()
     if a is not None and Fraction(a) != 1:
-        report["min_poly_ok"] = check_min_polynomial(sigma, a)
+        report["min_poly_ok"] = check_min_polynomial(s.to_matrix(keys(structure.n, 2)), a)
     else:
         report["min_poly_ok"] = None
     return report

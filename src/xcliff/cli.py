@@ -17,10 +17,10 @@ from fractions import Fraction
 from math import comb
 
 from . import braiding, hopf, tensor_shuffle as ts
-from .clifford import (CliffordStructure, Tensor2, check_counit_is_algebra_map,
+from .clifford import (CliffordStructure, check_counit_is_algebra_map,
                        check_unit_is_cogebra_map, coproduct_grades_ok, dkp_coproduct,
-                       pair_tensor2, xi_gram_determinant)
-from .exterior import Multivector, blade_key, blades, det_pairing, grade
+                       xi_gram_determinant)
+from .exterior import Multivector, blade_key, blade_name, blades, grade, wedge
 from .linmap import ONE, LinearMap, agree, keys
 from .sampling import random_rational
 from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
@@ -69,10 +69,6 @@ def write_out(report: dict, out: str | None):
 
 # -- tables ------------------------------------------------------------------
 
-def blade_name(bits: int) -> str:
-    return "1" if bits == 0 else "e" + blade_key(bits).replace(",", "")
-
-
 def mv_str(x: Multivector) -> str:
     if not x.terms:
         return "0"
@@ -83,13 +79,6 @@ def mv_str(x: Multivector) -> str:
     return " + ".join(parts)
 
 
-def tensor2_str(t: Tensor2) -> str:
-    if not t.terms:
-        return "0"
-    return " + ".join(f"{format_scalar(c)}*{blade_name(a)}(x){blade_name(b)}"
-                      for (a, b), c in sorted(t.terms.items()))
-
-
 def build_tables(structure: CliffordStructure) -> dict:
     n = structure.n
     product = {}
@@ -97,7 +86,7 @@ def build_tables(structure: CliffordStructure) -> dict:
         for t in blades(n):
             product[f"{blade_name(s)},{blade_name(t)}"] = mv_str(
                 Multivector(n, structure.product_table[(s, t)]))
-    coproduct = {blade_name(c): tensor2_str(structure.coproduct_table[c])
+    coproduct = {blade_name(c): repr(structure.coproduct_table[c])
                  for c in blades(n)}
     return {"product": product, "coproduct": coproduct}
 
@@ -119,25 +108,22 @@ def cmd_tables(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
+def _associative(m: LinearMap, n: int) -> bool:
+    return agree(keys(n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
+
+
 def _check_exterior_laws(n: int) -> bool:
-    for a in blades(n):
-        mva = Multivector.blade(n, a)
-        for b in blades(n):
-            mvb = Multivector.blade(n, b)
-            ab = mva.wedge(mvb)
-            sign = -1 if (grade(a) & 1) and (grade(b) & 1) else 1
-            if ab != sign * mvb.wedge(mva):
-                return False
-            for c in blades(n):
-                mvc = Multivector.blade(n, c)
-                if ab.wedge(mvc) != mva.wedge(mvb.wedge(mvc)):
-                    return False
-    return True
+    """The wedge product, read off exterior.wedge on basis blades, is
+    associative and graded commutative: wedge = wedge . graded switch."""
+    w = LinearMap(2, {(a, b): {(c,): v for c, v in wedge(Multivector.blade(n, a),
+                                                          Multivector.blade(n, b)).terms.items()}
+                      for a, b in keys(n, 2)})
+    return _associative(w, n) and agree(keys(n, 2), [w.at(0)],
+                                        [braiding.switch_map(n).at(0), w.at(0)])
 
 
 def _check_product_associative(structure: CliffordStructure) -> bool:
-    m = structure.maps.m
-    return agree(keys(structure.n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
+    return _associative(structure.maps.m, structure.n)
 
 
 def _check_coassociative(structure: CliffordStructure) -> bool:
@@ -158,19 +144,13 @@ def _inner_key(structure: CliffordStructure, a: int, b: int) -> tuple[int, int]:
 
 
 def _check_duality(structure: CliffordStructure) -> bool:
-    n = structure.n
-    for p in blades(n):
-        dp = Multivector.blade(n, p)
-        for q in blades(n):
-            dq = Multivector.blade(n, q)
-            prod = structure.dual_clifford_product(dp, dq)
-            # the straight pairing is the inner one with the two duals swapped
-            duals = (dp, dq) if structure.pairing == "inner" else (dq, dp)
-            for x in blades(n):
-                lhs = det_pairing(prod, Multivector.blade(n, x))
-                if lhs != pair_tensor2(*duals, structure.coproduct_table[x]):
-                    return False
-    return True
+    """The coproduct is the transposed dual product: <eps_p *_xi eps_q, e_x>
+    is the coefficient of coproduct(e_x) that pairs with eps_p (x) eps_q,
+    the one at _inner_key(q, p)."""
+    dual = LinearMap(2, {pq: {(c,): v for c, v in prod.items()}
+                         for pq, prod in structure.dual_product_table.items()})
+    return {x: {_inner_key(structure, q, p): v for (p, q), v in col.items()}
+            for x, col in dual.transpose().cols.items()} == structure.maps.cop.cols
 
 
 def _check_dkp(xi_zero_structure: CliffordStructure) -> bool:
@@ -211,12 +191,9 @@ def _verify_antipode(structure: CliffordStructure, sol: AffineSolutionSet) -> di
         "matrix": None,
     }
     if sol.is_consistent:
-        s = hopf.solution_to_endo(structure, sol.particular)
-        ue = hopf.unit_counit_endo(structure)
-        idm = hopf.identity_endo(structure)
-        out["axiom_holds"] = (hopf.convolution(s, idm, structure) == ue
-                              and hopf.convolution(idm, s, structure) == ue)
-        out["matrix"] = s.to_json()
+        s = hopf.antipode_map(structure, sol.particular)
+        out["axiom_holds"] = hopf.is_antipode(structure, s)
+        out["matrix"] = s.to_matrix(keys(structure.n, 1)).to_json()
     return out
 
 
@@ -229,20 +206,15 @@ def _verify_sigma(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
     }
     if not sol.is_consistent:
         return out
-    ok = True
-    for member in sol.members():
-        sigma = braiding.solution_to_scattering(structure, member)
-        if braiding.compatibility_defect(structure, sigma):
-            ok = False
-            break
+    members = [braiding.scattering_map(structure, m) for m in sol.members()]
+    ok = not any(braiding.compatibility_defect(structure, s) for s in members)
     out["defect_zero_on_members"] = ok
-    sigma = braiding.solution_to_scattering(structure, sol.particular)
-    report = braiding.check_braided(structure, sigma)
-    out["braided_flags"] = report.to_json()
-    eta_zero = structure.eta.is_zero()
-    xi_zero = structure.xi.is_zero()
-    out["braided_iff_discrepancy"] = (report.verdict_braided
-                                      != (eta_zero or xi_zero))
+    out["braided_iff_discrepancy"] = None
+    if ok:  # members[0] is the particular solution
+        report = braiding.braided_flags(structure, members[0])
+        out["braided_flags"] = report.to_json()
+        out["braided_iff_discrepancy"] = (report.verdict_braided
+                                          != (structure.eta.is_zero() or structure.xi.is_zero()))
     return out
 
 
@@ -423,8 +395,8 @@ def cmd_braided(args) -> int:
     if not sol.is_consistent:
         write_out({"consistent": False}, args.out)
         return 0
-    sigma = braiding.solution_to_scattering(structure, sol.particular)
-    report = braiding.check_braided(structure, sigma).to_json()
+    report = braiding.check_braided(structure,
+                                    braiding.scattering_map(structure, sol.particular)).to_json()
     report["solution_space_dim"] = sol.dimension
     write_out(report, args.out)
     return 0
@@ -527,28 +499,27 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="exact engine for deformed exterior algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="instance JSON path")
-        p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--markdown", action="store_true", help="print a human summary")
-        p.add_argument("--l", dest="truncation", type=int, default=None,
-                       help="word-length truncation bound")
-
+    parsers = {}
     for name, fn in [("tables", cmd_tables), ("verify", cmd_verify),
                      ("antipode", cmd_antipode), ("sigma", cmd_sigma),
-                     ("braided", cmd_braided), ("shuffle", cmd_shuffle)]:
-        p = sub.add_parser(name)
-        common(p)
+                     ("braided", cmd_braided), ("shuffle", cmd_shuffle), ("sweep", cmd_sweep)]:
+        p = parsers[name] = sub.add_parser(name)
         p.set_defaults(func=fn)
+        if name != "sweep":
+            p.add_argument("--config", required=True, help="instance JSON path")
+        p.add_argument("--out", help="write the JSON report to this path")
+        # each command registers only the options it reads
+        if name in ("tables", "verify", "sweep"):
+            p.add_argument("--markdown", action="store_true", help="print a human summary")
+        if name in ("verify", "shuffle"):
+            p.add_argument("--l", dest="truncation", type=int, default=None,
+                           help="word-length truncation bound")
 
-    p = sub.add_parser("sweep")
-    common(p, config_required=False)
+    p = parsers["sweep"]
     p.add_argument("--samples", type=int, default=0, help="random parameter pairs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--a-values", help="comma-separated rational products, realized as (a, 1)")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 

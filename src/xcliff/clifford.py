@@ -35,13 +35,15 @@ from .exterior import (
     Multivector,
     blade_indices,
     blade_key,
+    blade_name,
     blades,
+    check_dim,
     contract_sign,
     grade,
     parse_blade_key,
     wedge_sign,
 )
-from .linmap import StructureMaps, chain, structure_maps
+from .linmap import StructureMaps, add, chain, differences, keys, structure_maps
 from .scalars import Matrix, format_scalar, parse_scalar
 
 PAIRINGS = ("inner", "straight")
@@ -80,24 +82,16 @@ class Tensor2:
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Tensor2(self.dim, out)
+        return Tensor2(self.dim, add(self.terms, other.terms))
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return Tensor2(self.dim, out)
+        return self + -other
 
     def __neg__(self):
         return Tensor2(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, c) -> "Tensor2":
-        c = Fraction(c)
-        return Tensor2(self.dim, {k: c * v for k, v in self.terms.items()})
+        return Tensor2(self.dim, add({}, self.terms, Fraction(c)))
 
     __mul__ = __rmul__
 
@@ -107,9 +101,7 @@ class Tensor2:
     def __repr__(self):
         if not self.terms:
             return "0"
-        def name(b):
-            return "1" if b == 0 else "e" + blade_key(b).replace(",", "")
-        return " + ".join(f"{format_scalar(c)}*{name(a)}(x){name(b)}"
+        return " + ".join(f"{format_scalar(c)}*{blade_name(a)}(x){blade_name(b)}"
                           for (a, b), c in sorted(self.terms.items()))
 
     def to_json(self) -> list:
@@ -285,7 +277,10 @@ class CliffordStructure:
 
     @classmethod
     def from_config(cls, data: dict) -> "CliffordStructure":
-        n = int(data["n"])
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"rank must be a JSON integer, got {n!r}")
+        check_dim(n)
         return cls(n, Matrix.from_json(data["eta"]), Matrix.from_json(data["xi"]),
                    pairing=data.get("pairing", "inner"))
 
@@ -319,24 +314,22 @@ def dkp_coproduct(x: Multivector) -> Tensor2:
 
 
 def check_counit_is_algebra_map(structure: CliffordStructure):
-    """True iff counit(x *_eta y) = counit(x) counit(y) on all blade pairs;
-    returns (flag, witness pair of blades or None)."""
-    n = structure.n
-    for s in blades(n):
-        for t in blades(n):
-            prod_scalar = structure.product_table[(s, t)].get(0, Fraction(0))
-            expected = Fraction(1) if (s == 0 and t == 0) else Fraction(0)
-            if prod_scalar != expected:
-                return False, (Multivector.blade(n, s), Multivector.blade(n, t))
+    """True iff counit . product = counit (x) counit on all blade pairs;
+    returns (flag, first failing pair of blades or None)."""
+    maps, n = structure.maps, structure.n
+    for (s, t), _ in differences(keys(n, 2), [maps.m.at(0), maps.counit.at(0)],
+                                 [maps.counit.at(0), maps.counit.at(0)]):
+        return False, (Multivector.blade(n, s), Multivector.blade(n, t))
     return True, None
 
 
 def check_unit_is_cogebra_map(structure: CliffordStructure):
-    """True iff coproduct(1) = 1 (x) 1; returns (flag, defect Tensor2 or None)."""
-    one = structure.unit(1)
-    defect = structure.coproduct(one) - Tensor2.outer(one, one)
-    if defect:
-        return False, defect
+    """True iff coproduct . unit = unit (x) unit; returns (flag, the defect
+    coproduct(1) - 1 (x) 1 as a Tensor2, or None)."""
+    maps = structure.maps
+    for _, defect in differences(keys(structure.n, 0), [maps.unit.at(0), maps.cop.at(0)],
+                                 [maps.unit.at(0), maps.unit.at(1)]):
+        return False, Tensor2(structure.n, defect)
     return True, None
 
 

@@ -10,6 +10,8 @@ on the dual basis) use the same container.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .linmap import add, dot
 from .scalars import format_scalar, parse_scalar
 
 MAX_DIM = 16  # bitmask blades cap the rank at the word width we allow
@@ -58,6 +60,11 @@ def blade_key(bits: int) -> str:
         bits >>= 1
         i += 1
     return ",".join(out)
+
+
+def blade_name(bits: int) -> str:
+    """Display name of a blade: "1" for the unit, else "e" and its indices."""
+    return "1" if bits == 0 else "e" + blade_key(bits).replace(",", "")
 
 
 def parse_blade_key(key: str) -> int:
@@ -121,24 +128,16 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check(other)
-        out = dict(self.terms)
-        for bits, c in other.terms.items():
-            out[bits] = out.get(bits, Fraction(0)) + c
-        return Multivector(self.dim, out)
+        return Multivector(self.dim, add(self.terms, other.terms))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        out = dict(self.terms)
-        for bits, c in other.terms.items():
-            out[bits] = out.get(bits, Fraction(0)) - c
-        return Multivector(self.dim, out)
+        return self + -other
 
     def __neg__(self) -> "Multivector":
         return Multivector(self.dim, {b: -c for b, c in self.terms.items()})
 
     def __rmul__(self, c) -> "Multivector":
-        c = Fraction(c)
-        return Multivector(self.dim, {b: c * v for b, v in self.terms.items()})
+        return Multivector(self.dim, add({}, self.terms, Fraction(c)))
 
     __mul__ = __rmul__
 
@@ -160,12 +159,8 @@ class Multivector:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits_sorted = sorted(self.terms)
-        parts = []
-        for b in bits_sorted:
-            name = "1" if b == 0 else "e" + blade_key(b).replace(",", "")
-            parts.append(f"{format_scalar(self.terms[b])}*{name}")
-        return " + ".join(parts)
+        return " + ".join(f"{format_scalar(c)}*{blade_name(b)}"
+                          for b, c in sorted(self.terms.items()))
 
     def to_json(self) -> dict:
         return {blade_key(b): format_scalar(c) for b, c in sorted(self.terms.items())}
@@ -222,13 +217,7 @@ def det_pairing(alpha: DualMultivector, x: Multivector) -> Fraction:
     pair to zero automatically (distinct keys).
     """
     alpha._check(x)
-    total = Fraction(0)
-    small, big = (alpha.terms, x.terms) if len(alpha.terms) <= len(x.terms) else (x.terms, alpha.terms)
-    for bits, c in small.items():
-        v = big.get(bits)
-        if v:
-            total += c * v
-    return total
+    return dot(alpha.terms, x.terms)
 
 
 def grade_project(x: Multivector, k: int) -> Multivector:

@@ -6,9 +6,13 @@ coproduct, written once as a step list over the sparse maps of
 identity against unit . counit; its linear system is the linearization of
 the same two composites, S * id and id * S, in the entries of S.
 
-Dense matrices over the blade basis in ascending bitmask order (column j
-holds the image of blade j) are only the public interchange type: each
-public call converts them once.
+A solution of that system is read back as the sparse map S by the same
+Unknown that numbered its entries (:func:`antipode_map`), and the axiom is
+checked on S with the same two composites (:func:`is_antipode`).  Dense
+matrices over the blade basis in ascending bitmask order (column j holds the
+image of blade j) remain only where a public function takes or returns one:
+``convolution``, ``apply_endo``, ``endo_from_images``, ``identity_endo``,
+``unit_counit_endo``, ``solution_to_endo`` and the closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from .clifford import CliffordStructure
 from .exterior import Multivector
-from .linmap import LinearMap, Unknown, chain, keys, linearize
+from .linmap import LinearMap, Unknown, agree, chain, keys, linearize
 from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
 
 EndoMap = Matrix  # 2^n x 2^n over the blade basis
@@ -73,14 +77,23 @@ def convolution(f: Matrix, g: Matrix, structure: CliffordStructure) -> Matrix:
     return LinearMap.of(basis, steps).to_matrix(basis)
 
 
-def antipode_systems(structure: CliffordStructure) -> list[tuple[dict, dict]]:
-    """The rows and right-hand sides (see linmap.linearize) of S * id = u .
-    counit and of id * S = u . counit, in the unknown entries s[p, a] of S
-    (p output blade, a input blade) flattened as p * 2^n + a."""
-    maps, basis, dim = structure.maps, keys(structure.n, 1), 1 << structure.n
-    s = Unknown(1, basis, lambda a, p: p[0] * dim + a[0])
-    return [linearize(basis, _convolution(maps, f, g), _unit_counit(maps))
+def _antipode_axiom(maps, s) -> list[tuple[list, list]]:
+    """The two sides of S * id = u . counit and of id * S = u . counit."""
+    return [(_convolution(maps, f, g), _unit_counit(maps))
             for f, g in ((s, maps.id), (maps.id, s))]
+
+
+def _antipode_unknown(n: int) -> Unknown:
+    """S solved for: its entry s[p, a] (p output blade, a input blade) is
+    unknown number p * 2^n + a."""
+    return Unknown(1, keys(n, 1), lambda a, p: (p[0] << n) + a[0])
+
+
+def antipode_systems(structure: CliffordStructure) -> list[tuple[dict, dict]]:
+    """The rows and right-hand sides (see linmap.linearize) of the two sides
+    of the antipode axiom, in the unknown entries of S."""
+    basis, s = keys(structure.n, 1), _antipode_unknown(structure.n)
+    return [linearize(basis, lhs, rhs) for lhs, rhs in _antipode_axiom(structure.maps, s)]
 
 
 def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
@@ -93,9 +106,19 @@ def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
     return solve_sparse_system(rows, rhs, 1 << (2 * structure.n))
 
 
+def antipode_map(structure: CliffordStructure, flat: tuple) -> LinearMap:
+    """The map S of a solution of antipode_systems."""
+    return _antipode_unknown(structure.n).read(flat, keys(structure.n, 1))
+
+
+def is_antipode(structure: CliffordStructure, s: LinearMap) -> bool:
+    """Both sides of the antipode axiom hold for the map s."""
+    return all(agree(keys(structure.n, 1), lhs, rhs)
+               for lhs, rhs in _antipode_axiom(structure.maps, s))
+
+
 def solution_to_endo(structure: CliffordStructure, flat: tuple) -> Matrix:
-    dim = 1 << structure.n
-    return Matrix([[flat[p * dim + a] for a in range(dim)] for p in range(dim)])
+    return antipode_map(structure, flat).to_matrix(keys(structure.n, 1))
 
 
 def complex_antipode_closed_form(a) -> Matrix:

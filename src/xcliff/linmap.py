@@ -9,7 +9,9 @@ that applies f to the k factors starting at factor i and leaves the others
 alone (id (x) ... (x) f (x) ... (x) id).  A composite is a list of steps,
 run left to right by :func:`chain`, so each identity of the theory is
 written once as two step lists.  :func:`linearize` reads a step list holding
-one :class:`Unknown` map as the sparse linear system in that map's entries.
+one :class:`Unknown` map as the sparse linear system in that map's entries,
+and :meth:`Unknown.read` reads a solution of that system back as the map it
+solves for, so solved maps are checked on the same step lists.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .scalars import Matrix
+from .scalars import Matrix, sparse_rank
 
 ONE = Fraction(1)
 
@@ -54,6 +56,13 @@ class LinearMap:
         index = {x: i for i, x in enumerate(basis)}
         return Matrix.from_entries(len(basis), len(basis), {
             (index[y], index[x]): c for x, col in self.cols.items() for y, c in col.items()})
+
+    def rank(self) -> int:
+        """The exact rank: the dimension of the span of the columns."""
+        index: dict = {}
+        rows = [{index.setdefault(y, len(index)): c for y, c in col.items()}
+                for col in self.cols.values()]
+        return sparse_rank(rows, len(index))
 
     def transpose(self) -> "LinearMap":
         """The map whose column y is row y of this one, for each output y
@@ -96,6 +105,11 @@ class Unknown:
 
     at = LinearMap.at
 
+    def read(self, flat, inputs: list[tuple]) -> LinearMap:
+        """The map whose entry (input x, output y) is flat[column(x, y)]."""
+        return LinearMap(self.arity, {x: {y: v for y in self.outputs
+                                          if (v := flat[self.column(x, y)])} for x in inputs})
+
     def act(self, vector: dict, pos: int) -> dict:
         out: dict = {}
         end = pos + self.arity
@@ -119,6 +133,13 @@ def add(u: dict, v: dict, scale=ONE) -> dict:
     for k, c in v.items():
         out[k] = out.get(k, 0) + scale * c
     return {k: c for k, c in out.items() if c}
+
+
+def dot(u: dict, v: dict) -> Fraction:
+    """The sum of u[k] * v[k] over the keys the two sparse vectors share."""
+    if len(u) > len(v):
+        u, v = v, u
+    return sum((c * v[k] for k, c in u.items() if k in v), Fraction(0))
 
 
 def differences(inputs: list[tuple], lhs: list, rhs: list):

@@ -22,8 +22,8 @@ from fractions import Fraction
 from .braiding import braid_relation, square_defects
 from .clifford import CliffordStructure
 from .exterior import Multivector, blades
-from .linmap import ONE, LinearMap, StructureMaps, add, agree, chain, structure_maps
-from .scalars import Matrix, sparse_rank
+from .linmap import ONE, LinearMap, StructureMaps, add, agree, chain, dot, structure_maps
+from .scalars import Matrix
 
 Word = tuple
 
@@ -67,19 +67,15 @@ class GradedElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return GradedElement(self.dim, self.bound, out,
+        return GradedElement(self.dim, self.bound, add(self.terms, other.terms),
                              self.truncated or other.truncated)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, c):
-        c = Fraction(c)
-        return GradedElement(self.dim, self.bound,
-                             {w: c * v for w, v in self.terms.items()}, self.truncated)
+        return GradedElement(self.dim, self.bound, add({}, self.terms, Fraction(c)),
+                             self.truncated)
 
     __mul__ = __rmul__
 
@@ -169,13 +165,7 @@ def unshuffle_coproduct(x: GradedElement) -> dict:
 
 def word_pairing(alpha: GradedElement, x: GradedElement) -> Fraction:
     """Dual words pair letterwise: coefficient dot product on equal words."""
-    total = Fraction(0)
-    small, big = (alpha.terms, x.terms) if len(alpha.terms) <= len(x.terms) else (x.terms, alpha.terms)
-    for w, c in small.items():
-        v = big.get(w)
-        if v:
-            total += c * v
-    return total
+    return dot(alpha.terms, x.terms)
 
 
 def pair_word_tensor(alpha: GradedElement, beta: GradedElement, t: dict) -> Fraction:
@@ -196,20 +186,25 @@ def pair_word_tensor(alpha: GradedElement, beta: GradedElement, t: dict) -> Frac
 def universal_lift(images: list[Multivector], structure: CliffordStructure):
     """Algebra morphism from words into the deformed algebra: each letter maps
     to its image, words map to the left-to-right product, the empty word to 1.
-    Returns an evaluator on word elements."""
+    Returns an evaluator on word elements: a length-k word is the unit
+    followed by its k letters, each letter is replaced by its image, and k
+    product steps multiply the blades from the left."""
     if len(images) != structure.n:
         raise ValueError("need one image per letter")
     for img in images:
         structure._check(img)
+    letter = LinearMap(1, {(i,): {(b,): c for b, c in img.terms.items()}
+                           for i, img in enumerate(images)})
+    maps = structure.maps
 
     def evaluate(x: GradedElement) -> Multivector:
-        out = Multivector.zero(structure.n)
+        image: dict = {}
         for w, c in x.terms.items():
-            acc = structure.unit(1)
-            for letter in w:
-                acc = structure.clifford_product(acc, images[letter])
-            out = out + c * acc
-        return out
+            k = len(w)
+            image = add(image, chain({w: c}, maps.unit.at(0),
+                                     *(letter.at(i) for i in range(1, k + 1)),
+                                     *[maps.m.at(0)] * k))
+        return Multivector(structure.n, {b: c for (b,), c in image.items()})
 
     return evaluate
 
@@ -322,11 +317,6 @@ class WordOperator(LinearMap):
 
     def apply_word(self, w: Word) -> dict:
         return dict(self.cols[tuple(w)])
-
-    def rank(self) -> int:
-        index = {w: i for i, w in enumerate(self.cols)}
-        return sparse_rank([{index[u]: c for u, c in col.items()}
-                            for col in self.cols.values()], len(index))
 
     def to_matrix(self) -> Matrix:
         """Dense matrix in lexicographic word order."""

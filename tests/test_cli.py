@@ -7,7 +7,7 @@ from xcliff import braiding, cli, hopf, tensor_shuffle as ts
 from xcliff.cli import main, sweep_row
 from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector
-from xcliff.scalars import Matrix
+from xcliff.scalars import AffineSolutionSet, Matrix
 
 
 def write_config(tmp_path, name, n, eta, xi, options=None):
@@ -209,6 +209,26 @@ def test_sweep_row_solves_and_checks_braid_once(monkeypatch):
     assert (len(antipode), len(braid)) == (1, 1)
 
 
+def test_verify_reports_a_scattering_member_that_fails_the_square(tmp_path, monkeypatch):
+    original = braiding.solve_sigma
+
+    def planted(structure):
+        sol = original(structure)
+        shifted = (sol.particular[0] + 1, *sol.particular[1:])
+        return AffineSolutionSet(shifted, sol.nullspace_basis)
+
+    monkeypatch.setattr(braiding, "solve_sigma", planted)
+    cfg = write_config(tmp_path, "c.json", 1, [["2"]], [["1/3"]])
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["hard_checks"]["sigma_members_solve_square"] is False
+    assert report["hard_pass"] is False
+    assert report["sigma"]["defect_zero_on_members"] is False
+    assert report["sigma"]["braided_flags"] is None
+    assert report["sigma"]["braided_iff_discrepancy"] is None
+
+
 def test_sweep_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
     workers = []
 
@@ -268,6 +288,22 @@ def test_negative_truncation_flag_is_a_usage_error(complex_config, capsys, comma
     assert main([command, "--config", complex_config, "--l", "-2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--l" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, size", [(1.9, 1), (True, 1), ("2", 2), (-1, 1), (17, 1)])
+def test_bad_rank_in_config_is_a_parse_error(tmp_path, capsys, n, size):
+    form = [["1"] * size for _ in range(size)]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"n": n, "eta": form, "xi": form}))
+    assert main(["tables", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: rank") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["sigma", "--l", "3"], ["antipode", "--markdown"]])
+def test_flag_a_command_does_not_read_is_a_usage_error(complex_config, capsys, flag):
+    assert main(flag + ["--config", complex_config]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- the tensor-square pairing read from the config ----------------------------

@@ -2,8 +2,11 @@
 pinned, so a refactor that changes any report byte or verdict fails here.
 
 The digests were recorded from the program before the sparse map layer
-replaced the hand-written product/coproduct/crossing loops; when a report
-changes on purpose, record the new digest together with the reason.
+replaced the hand-written product/coproduct/crossing loops (the `tables`,
+`shuffle`, straight-pairing and rank-3 generic reports and the `sigma` and
+`braided` reports on non-diagonal forms were added before solved maps were
+read back as sparse maps); when a report changes on purpose, record the new
+digest together with the reason.
 """
 
 import hashlib
@@ -24,10 +27,14 @@ CONFIGS = {
     "r2_xi0": (2, [["1", "1/2"], ["-1", "2"]], Z2),
     "r2_eta0": (2, Z2, [["1", "-1"], ["1/2", "1"]]),
     "r2_generic": (2, [["1", "1/2"], ["-1", "2"]], [["1", "-1"], ["1/2", "1"]]),
+    "r2_generic_straight": (2, [["1", "1/2"], ["-1", "2"]], [["1", "-1"], ["1/2", "1"]],
+                            "straight"),
     "r2_identity": (2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]),
     "r3_zero": (3, Z3, Z3),
     "r3_diagonal": (3, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "2"]],
                     [["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]),
+    "r3_generic": (3, [["1", "1/2", "0"], ["-1", "2", "1"], ["0", "1/3", "-1"]],
+                   [["1", "-1", "0"], ["1/2", "1", "2"], ["-2", "0", "1"]]),
 }
 
 SWEEP = ["sweep", "--samples", "40", "--seed", "7", "--a-values=-1,0,1"]
@@ -60,6 +67,20 @@ GOLDEN = {
     ("antipode", "r1_2_third"): ("257c20d5684219699c6aa0ccb82b156679ebb9b4f3c5f378ab61a3bbce06a90a", 0),
     ("antipode", "r2_zero"): ("b20fd217bb667d8ffa01c724e045a441586299a5369c86968121eec8a15dfb52", 0),
     ("antipode", "r2_diagonal"): ("854eeef1155ebac2fc54fb9ecdeff8461a5bef52799bc837506d43c2c9e70089", 0),
+    ("tables", "r1_complex"): ("66d73612f37b003ac3d84d7ffb81d75ad1a4fd3f24f29fc41704187cd8923871", 0),
+    ("tables", "r2_generic"): ("c6cae7258d38dd9a563f3103c032196264832f0afce9824a90526ecee85d741a", 0),
+    ("tables", "r3_diagonal"): ("ea4a70dd2010b79d1f947131f62a7e522bc5d6990deb27a153d92b13a206c829", 0),
+    ("shuffle", "r1_complex"): ("843af59d2b0a59380854d95bb968ccb3d17869a9cd46c0c6ff02cbe49049f59b", 0),
+    ("shuffle", "r2_generic"): ("843af59d2b0a59380854d95bb968ccb3d17869a9cd46c0c6ff02cbe49049f59b", 0),
+    ("sigma", "r2_generic"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
+    ("sigma", "r2_xi0"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
+    ("sigma", "r2_eta0"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
+    ("braided", "r2_generic"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
+    ("braided", "r2_xi0"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
+    ("braided", "r2_eta0"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
+    ("antipode", "r2_generic"): ("28c3415ff91139bdca91c9745cf6dc77bd80321af47b425f4844b6576119ddb1", 0),
+    ("verify", "r3_generic"): ("85a515ea2aa738e91f1824fbe9fc6ac08dea30fc41d3c08994cda42d2ad0066e", 0),
+    ("verify", "r2_generic_straight"): ("b307201b9fe76db9dbeebb969ed6256fe0521913e2ec9fcef82272ae67558226", 0),
     ("sweep", None): ("d7ac6eb5bfec09a2e942de070140b29b34bd442a0785f5bbca17d126dafd1b2c", 0),
 }
 
@@ -69,9 +90,12 @@ def test_report_matches_golden_digest(tmp_path, command, name):
     if name is None:
         argv = list(SWEEP)
     else:
-        n, eta, xi = CONFIGS[name]
+        n, eta, xi, *pairing = CONFIGS[name]
+        data = {"n": n, "eta": eta, "xi": xi}
+        if pairing:
+            data["pairing"] = pairing[0]
         cfg = tmp_path / f"{name}.json"
-        cfg.write_text(json.dumps({"n": n, "eta": eta, "xi": xi}))
+        cfg.write_text(json.dumps(data))
         argv = [command, "--config", str(cfg)]
     out = tmp_path / "report.json"
     code = main(argv + ["--out", str(out)])
