@@ -36,7 +36,11 @@ class ConfigError(Exception):
     pass
 
 
-def load_config(path: str) -> tuple[CliffordStructure, dict]:
+def load_config(path: str, max_rank: int | None = None,
+                command: str = "") -> tuple[CliffordStructure, dict]:
+    """The structure and options of a config file; a rank above max_rank is
+    refused with "<command> supports rank <= max_rank" before any table is
+    built."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -45,6 +49,8 @@ def load_config(path: str) -> tuple[CliffordStructure, dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     try:
+        if max_rank is not None and CliffordStructure.config_rank(data) > max_rank:
+            raise ConfigError(f"{command} supports rank <= {max_rank}")
         structure = CliffordStructure.from_config(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
@@ -360,9 +366,7 @@ def _truncation(args, options: dict) -> int:
 
 
 def cmd_verify(args) -> int:
-    structure, options = load_config(args.config)
-    if structure.n > VERIFY_MAX_RANK:
-        raise ConfigError(f"verify supports rank <= {VERIFY_MAX_RANK}")
+    structure, options = load_config(args.config, VERIFY_MAX_RANK, "verify")
     bound = _truncation(args, options)
     report = build_instance_report(structure, bound)
     write_out(report, args.out)
@@ -403,10 +407,8 @@ def cmd_braided(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    structure, options = load_config(args.config)
+    structure, options = load_config(args.config, 2, "shuffle summary")
     bound = _truncation(args, options)
-    if structure.n > 2:
-        raise ConfigError("shuffle summary supports rank <= 2")
     report = _verify_shuffle(structure, bound)
     write_out(report, args.out)
     return 0 if all(report[k] for k in SHUFFLE_HARD_KEYS) else 1

@@ -7,11 +7,18 @@ dual product's structure constants through the determinant pairing.
 
 Conventions (each is load-bearing; tests pin all of them):
 
-* Vector product: v *_eta x = v ^ x + contract(eta(v, .), x), left slot of
-  eta feeding the contraction; blades peel their vectors left to right via
-  (v ^ x) *_eta y = v *_eta (x *_eta y) - (eta(v).x) *_eta y, which is the
-  unique extension making the product associative and unital.
-* The dual product mirrors this with xi in the vector role on co-vectors.
+* Product: the cliffordization of the wedge by eta,
+  product = wedge . (id (x) B (x) id) . (split (x) split), where split is the
+  exterior unshuffle coproduct and B contracts a blade pair of grade k to
+  (-1)^floor(k/2) det[eta(s_i, t_j)].  On blades
+  e_S *_eta e_T = sum wedge_sign(S1, S2) wedge_sign(T1, T2) wedge_sign(S1, T2)
+  (-1)^floor(k/2) det[eta(s2_i, t1_j)] e_(S1+T2) over the splits S = S1+S2,
+  T = T1+T2 with |S2| = |T1| = k.  It equals the recursion the tests check
+  it against: v *_eta x = v ^ x + contract(eta(v, .), x), left slot of eta
+  feeding the contraction, with blades peeling their vectors left to right
+  via (v ^ x) *_eta y = v *_eta (x *_eta y) - (eta(v).x) *_eta y, the unique
+  extension making the product associative and unital.
+* The dual product is the same composite with xi in the place of eta.
 * The tensor-square pairing is a convention, chosen per structure with
   pairing=.  The default "inner" pairs inner factors first,
   <a (x) b, x (x) y> = <b, x> <a, y>, and gives the coproduct constants
@@ -38,12 +45,12 @@ from .exterior import (
     blade_name,
     blades,
     check_dim,
-    contract_sign,
     grade,
     parse_blade_key,
     wedge_sign,
 )
-from .linmap import StructureMaps, add, chain, differences, keys, structure_maps
+from .linmap import (ONE, LinearMap, StructureMaps, add, chain, differences, keys,
+                     structure_maps)
 from .scalars import Matrix, format_scalar, parse_scalar
 
 PAIRINGS = ("inner", "straight")
@@ -133,62 +140,44 @@ def pair_tensor2(alpha: DualMultivector, beta: DualMultivector, t: Tensor2) -> F
     return total
 
 
-def _form_rows(form: Matrix) -> list[list[tuple[int, Fraction]]]:
-    return [[(j, v) for j, v in enumerate(row) if v] for row in form.rows]
+def _sign(s: int, t: int) -> Fraction:
+    return ONE if wedge_sign(s, t) > 0 else -ONE
 
 
-def _vector_product(rows, v: int, x: dict) -> dict:
-    # v *_B x = v ^ x + B(v, .) . x on sparse {blade: coeff} dicts
-    out: dict = {}
-    vbit = 1 << v
-    for bits, c in x.items():
-        if not bits & vbit:
-            sg = wedge_sign(vbit, bits)
-            k = bits | vbit
-            out[k] = out.get(k, Fraction(0)) + sg * c
-        for mu, bvm in rows[v]:
-            if (bits >> mu) & 1:
-                k = bits ^ (1 << mu)
-                out[k] = out.get(k, Fraction(0)) + contract_sign(mu, bits) * bvm * c
-    return {k: c for k, c in out.items() if c}
+def _exterior_maps(n: int) -> tuple[LinearMap, LinearMap]:
+    """The unshuffle coproduct e_S -> sum of wedge_sign(S1, S2) e_S1 (x) e_S2
+    over the splits S = S1 + S2, and the wedge e_S (x) e_T -> wedge_sign(S, T)
+    e_(S+T), as maps with coefficients ONE and -ONE."""
+    split = {(c,): {(a, c ^ a): _sign(a, c ^ a) for a in blades(n) if a & c == a}
+             for c in blades(n)}
+    wedge = {(s, t): {(s | t,): _sign(s, t)} for s, t in keys(n, 2) if not s & t}
+    return LinearMap(1, split), LinearMap(2, wedge)
 
 
-def deformed_blade_product(form: Matrix, s_bits: int, t_bits: int,
-                           _cache: dict | None = None) -> dict:
+def cliffordization(form: Matrix) -> list:
+    """The product deformed by the bilinear form B as a step list on blade
+    pairs: split both blades, contract the inner pair (S2, T1) to the scalar
+    (-1)^floor(k/2) det[B(s2_i, t1_j)] and wedge the outer pair (S1, T2)."""
+    n = form.nrows
+    split, wedge = _exterior_maps(n)
+    gram = LinearMap(2, {st: {(): -g if grade(st[0]) % 4 > 1 else g}
+                         for st in keys(n, 2) if (g := xi_gram_determinant(form, *st))})
+    contract = LinearMap.of(keys(n, 2), [split.at(1), gram.at(0)])
+    return [split.at(0), contract.at(1), wedge.at(0)]
+
+
+def deformed_product_table(form: Matrix) -> dict:
+    """{(s, t): e_s *_B e_t as a sparse {blade: coeff} dict} over all blade
+    pairs."""
+    m = LinearMap.of(keys(form.nrows, 2), cliffordization(form))
+    return {st: {c: v for (c,), v in col.items()} for st, col in m.cols.items()}
+
+
+def deformed_blade_product(form: Matrix, s_bits: int, t_bits: int) -> dict:
     """Product e_S *_B e_T in the algebra deformed by the bilinear form B,
-    as a sparse {blade: coeff} dict.  Standalone so tests can recompute
-    structure constants independently of any cached table."""
-    rows = _form_rows(form)
-    cache = _cache if _cache is not None else {}
-    return _blade_product(rows, s_bits, t_bits, cache)
-
-
-def _blade_product(rows, s_bits: int, t_bits: int, cache: dict) -> dict:
-    key = (s_bits, t_bits)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if s_bits == 0:
-        out = {t_bits: Fraction(1)}
-        cache[key] = out
-        return out
-    v = (s_bits & -s_bits).bit_length() - 1
-    rest = s_bits ^ (1 << v)
-    # (v ^ e_rest) *_B y = v *_B (e_rest *_B y) - (B(v).e_rest) *_B y
-    main = _vector_product(rows, v, _blade_product(rows, rest, t_bits, cache))
-    out = dict(main)
-    for mu, bvm in rows[v]:
-        if (rest >> mu) & 1:
-            corr_bits = rest ^ (1 << mu)
-            coeff = bvm * contract_sign(mu, rest)
-            for k, c in _blade_product(rows, corr_bits, t_bits, cache).items():
-                nv = out.get(k, Fraction(0)) - coeff * c
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-    cache[key] = out
-    return out
+    as a sparse {blade: coeff} dict: the cliffordization run on one pair."""
+    prod = chain({(s_bits, t_bits): ONE}, *cliffordization(form))
+    return {c: v for (c,), v in prod.items()}
 
 
 class CliffordStructure:
@@ -209,18 +198,10 @@ class CliffordStructure:
         self.eta = eta
         self.xi = xi
         self.pairing = pairing
-        cache_eta: dict = {}
-        cache_xi: dict = {}
-        eta_rows = _form_rows(eta)
-        xi_rows = _form_rows(xi)
-        for s in blades(n):
-            for t in blades(n):
-                _blade_product(eta_rows, s, t, cache_eta)
-                _blade_product(xi_rows, s, t, cache_xi)
-        self.product_table = cache_eta
-        self.dual_product_table = cache_xi
+        self.product_table = deformed_product_table(eta)
+        self.dual_product_table = deformed_product_table(xi)
         coprod: dict[int, dict] = {c: {} for c in blades(n)}
-        for (p, q), prod in cache_xi.items():
+        for (p, q), prod in self.dual_product_table.items():
             # (eps_p *_xi eps_q)[C] lands on (q, p) inner, on (p, q) straight
             key = (q, p) if pairing == "inner" else (p, q)
             for c_bits, coeff in prod.items():
@@ -275,14 +256,19 @@ class CliffordStructure:
             cfg["pairing"] = self.pairing
         return cfg
 
-    @classmethod
-    def from_config(cls, data: dict) -> "CliffordStructure":
+    @staticmethod
+    def config_rank(data: dict) -> int:
+        """A config's rank, checked without building anything."""
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"rank must be a JSON integer, got {n!r}")
         check_dim(n)
-        return cls(n, Matrix.from_json(data["eta"]), Matrix.from_json(data["xi"]),
-                   pairing=data.get("pairing", "inner"))
+        return n
+
+    @classmethod
+    def from_config(cls, data: dict) -> "CliffordStructure":
+        return cls(cls.config_rank(data), Matrix.from_json(data["eta"]),
+                   Matrix.from_json(data["xi"]), pairing=data.get("pairing", "inner"))
 
 
 def counit(x: Multivector) -> Fraction:
@@ -345,34 +331,25 @@ def coproduct_grades_ok(structure: CliffordStructure) -> bool:
     return True
 
 
-def xi_gram_determinant(xi: Matrix, b_bits: int, a_bits: int) -> Fraction:
-    """det [ xi(eps_{b_i}, eps_{a_j}) ] over the ascending indices of the two
-    blades; the scalar part of eps_B *_xi eps_A equals
+def xi_gram_determinant(form: Matrix, b_bits: int, a_bits: int) -> Fraction:
+    """det [ form(e_{b_i}, e_{a_j}) ] over the ascending indices of the two
+    blades, for any bilinear form (zero when the grades differ).  For the
+    product deformed by that form, the scalar part of e_B * e_A equals
     (-1)^floor(k/2) times this (grade-k blades)."""
     bi = blade_indices(b_bits)
     aj = blade_indices(a_bits)
     if len(bi) != len(aj):
         return Fraction(0)
-    k = len(bi)
-    if k == 0:
-        return Fraction(1)
-    sub = Matrix([[xi[(r, c)] for c in aj] for r in bi])
-    return _det(sub)
+    return _det([[form[(r, c)] for c in aj] for r in bi])
 
 
-def _det(m: Matrix) -> Fraction:
-    # cofactor expansion; only used on tiny Gram blocks
-    n = m.nrows
-    if n == 0:
+def _det(rows: list) -> Fraction:
+    # cofactor expansion along the first row; only used on tiny Gram blocks
+    if not rows:
         return Fraction(1)
-    if n == 1:
-        return m[(0, 0)]
     total = Fraction(0)
-    rows = m.rows
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = Matrix([[rows[i][c] for c in range(n) if c != j] for i in range(1, n)])
-        term = rows[0][j] * _det(minor)
-        total += term if j % 2 == 0 else -term
+    for j, v in enumerate(rows[0]):
+        if v:
+            term = v * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+            total += term if j % 2 == 0 else -term
     return total

@@ -140,13 +140,6 @@ class ConjectureRecord:
     antipode_exists: bool
     conjecture_consistent: bool
 
-    def to_json(self) -> dict:
-        return {
-            "xi_eta_is_identity": self.xi_eta_is_identity,
-            "antipode_exists": self.antipode_exists,
-            "conjecture_consistent": self.conjecture_consistent,
-        }
-
 
 def conjecture_record(structure: CliffordStructure,
                       sol: AffineSolutionSet) -> ConjectureRecord:

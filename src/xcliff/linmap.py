@@ -85,7 +85,8 @@ class LinearMap:
                 head, tail = key[:pos], key[end:]
                 for y, w in col.items():
                     k = head + y + tail
-                    cw = c if w is ONE else c * w  # id, unit and counit hold ONE
+                    # id, unit and counit hold ONE, and every chain starts from ONE
+                    cw = c if w is ONE else w if c is ONE else c * w
                     v = out.get(k)
                     out[k] = cw if v is None else v + cw
         return out

@@ -273,10 +273,9 @@ def test_criterion_09_duality_and_coproduct():
         for _ in range(10):
             xi = random_form(n, rng)
             s = CliffordStructure(n, Matrix.zeros(n, n), xi)
-            fresh: dict = {}
             for p in blades(n):
                 for q in blades(n):
-                    prod = Multivector(n, deformed_blade_product(xi, p, q, fresh))
+                    prod = Multivector(n, deformed_blade_product(xi, p, q))
                     for x in blades(n):
                         if det_pairing(prod, Multivector.blade(n, x)) != pair_tensor2(
                                 Multivector.blade(n, p), Multivector.blade(n, q),

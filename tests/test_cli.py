@@ -55,6 +55,25 @@ def test_tables_malformed_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, n, message", [
+    ("verify", 4, "verify supports rank <= 3"),
+    ("shuffle", 3, "shuffle summary supports rank <= 2"),
+])
+def test_rank_cap_refused_before_any_table_is_built(tmp_path, monkeypatch, capsys,
+                                                   command, n, message):
+    built = []
+    build = CliffordStructure.__init__
+    monkeypatch.setattr(CliffordStructure, "__init__",
+                        lambda self, *args, **kw: built.append(args) or build(self, *args, **kw))
+    zero = [["0"] * n] * n
+    cfg = write_config(tmp_path, "big.json", n, zero, zero)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == []
+    assert main(["tables", "--config", cfg, "--out", str(tmp_path / "t.json")]) == 0
+    assert len(built) == 1
+
+
 def test_verify_zero_instance_passes(zero_config, tmp_path):
     out = tmp_path / "v.json"
     assert main(["verify", "--config", zero_config, "--out", str(out)]) == 0

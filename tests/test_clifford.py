@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xcliff.clifford import (CliffordStructure, Tensor2, check_counit_is_algebra_map,
                              check_unit_is_cogebra_map, coproduct_grades_ok, counit,
                              deformed_blade_product, dkp_coproduct, pair_tensor2, unit,
                              xi_gram_determinant)
-from xcliff.exterior import Multivector, basis_blades_of_grade, blades, det_pairing, grade
+from xcliff.exterior import (Multivector, basis_blades_of_grade, blades, contract_sign,
+                             det_pairing, grade, wedge_sign)
 from xcliff.sampling import random_form
 from xcliff.scalars import Matrix
 
@@ -134,6 +136,83 @@ def test_counit_law(n):
         assert {k: v for k, v in right.items() if v} == {c: F(1)}
 
 
+# -- the Chevalley recursion, the oracle for the cliffordization --------------
+
+def chevalley_table(form: Matrix) -> dict:
+    """{(s, t): e_s * e_t} for the product deformed by form, by the peel rule
+    v * x = v ^ x + B(v, .) . x on a vector v and
+    (v ^ x) * y = v * (x * y) - (B(v, .) . x) * y, memoized over blade pairs."""
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in form.rows]
+    cache: dict = {}
+
+    def vector_product(v, x):
+        out: dict = {}
+        for bits, c in x.items():
+            if not bits >> v & 1:
+                k = bits | 1 << v
+                out[k] = out.get(k, F(0)) + wedge_sign(1 << v, bits) * c
+            for mu, b in rows[v]:
+                if bits >> mu & 1:
+                    k = bits ^ 1 << mu
+                    out[k] = out.get(k, F(0)) + contract_sign(mu, bits) * b * c
+        return {k: c for k, c in out.items() if c}
+
+    def product(s, t):
+        if (s, t) not in cache:
+            if not s:
+                cache[(s, t)] = {t: F(1)}
+                return cache[(s, t)]
+            v = (s & -s).bit_length() - 1
+            rest = s ^ 1 << v
+            out = vector_product(v, product(rest, t))
+            for mu, b in rows[v]:
+                if rest >> mu & 1:
+                    for k, c in product(rest ^ 1 << mu, t).items():
+                        out[k] = out.get(k, F(0)) - b * contract_sign(mu, rest) * c
+            cache[(s, t)] = {k: c for k, c in out.items() if c}
+        return cache[(s, t)]
+
+    return {(s, t): product(s, t) for s in blades(form.nrows) for t in blades(form.nrows)}
+
+
+rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def forms(n: int, kind: str):
+    if kind == "zero":
+        return st.just(Matrix.zeros(n, n))
+    if kind == "diagonal":
+        return st.lists(rationals, min_size=n, max_size=n).map(
+            lambda d: Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    return st.lists(st.lists(rationals, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix)
+
+
+@st.composite
+def form_pairs(draw):
+    """(rank, eta, xi, s, t): two forms of any family and one blade pair."""
+    n = draw(st.integers(0, 4))
+    kinds = st.sampled_from(["zero", "diagonal", "generic"])
+    blade = st.integers(0, (1 << n) - 1)
+    return (n, draw(forms(n, draw(kinds))), draw(forms(n, draw(kinds))),
+            draw(blade), draw(blade))
+
+
+GENERIC4 = (Matrix([[1, F(1, 2), 0, 2], [-1, 2, 1, 0], [0, F(1, 3), -1, 1], [3, 0, -2, F(1, 2)]]),
+            Matrix([[2, -1, 1, 0], [F(1, 2), 1, 0, -3], [-2, 0, 1, 1], [1, F(2, 3), -1, 0]]))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(form_pairs())
+@example((4, *GENERIC4, 0b1110, 0b0111))
+def test_products_match_chevalley_recursion(case):
+    n, eta, xi, s, t = case
+    structure = CliffordStructure(n, eta, xi)
+    assert structure.product_table == chevalley_table(eta)
+    assert structure.dual_product_table == chevalley_table(xi)
+    assert deformed_blade_product(eta, s, t) == chevalley_table(eta)[(s, t)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_product_coproduct_duality(n):
     # dual products recomputed from scratch, then paired against the
@@ -142,10 +221,9 @@ def test_product_coproduct_duality(n):
     for _ in range(10):
         xi = random_form(n, rng)
         s = CliffordStructure(n, Matrix.zeros(n, n), xi)
-        fresh: dict = {}
         for p in blades(n):
             for q in blades(n):
-                prod = Multivector(n, deformed_blade_product(xi, p, q, fresh))
+                prod = Multivector(n, deformed_blade_product(xi, p, q))
                 for x in blades(n):
                     lhs = det_pairing(prod, mv(n, x))
                     rhs = pair_tensor2(mv(n, p), mv(n, q), s.coproduct_table[x])

@@ -5,8 +5,9 @@ The digests were recorded from the program before the sparse map layer
 replaced the hand-written product/coproduct/crossing loops (the `tables`,
 `shuffle`, straight-pairing and rank-3 generic reports and the `sigma` and
 `braided` reports on non-diagonal forms were added before solved maps were
-read back as sparse maps); when a report changes on purpose, record the new
-digest together with the reason.
+read back as sparse maps; the rank-2 scattering digests were added before
+both product tables were built from one cliffordization composite); when a
+report changes on purpose, record the new digest together with the reason.
 """
 
 import hashlib
@@ -14,6 +15,8 @@ import json
 
 import pytest
 
+from xcliff import braiding
+from xcliff.clifford import CliffordStructure
 from xcliff.cli import main
 
 Z2 = [["0", "0"], ["0", "0"]]
@@ -85,15 +88,38 @@ GOLDEN = {
 }
 
 
+# config name -> sha256 of json.dumps of the solved scattering's matrix; the
+# `sigma` report holds no entry of it, so these pin the entries themselves
+SCATTERING = {
+    "r2_zero": "3540d4c8caa9b62094314717f91e197fcc21a85afd82246ac7cb36c5a9c9b2a2",
+    "r2_diagonal": "f890c41787c1c2bafa09c03443781d1792b54f98f3b387c65a638ea562d02660",
+    "r2_xi0": "dcfeb8ae02f6fce70a2ecff85d95918dc522f5b6900e47fbe6baf09eff3da27b",
+    "r2_eta0": "31eb973342092defd728fcf1c1042837cc2312e74fa1df92d0a9c3089cbc1847",
+    "r2_generic": "386bab579f017fb24dfcd6487e579f9935150201c62c8c7c58ce240243c1a499",
+    "r2_generic_straight": "8073781c44d2c28f6e60110469de509d0c25214acf7193a296f678b8245f3636",
+}
+
+
+def config_data(name):
+    n, eta, xi, *pairing = CONFIGS[name]
+    data = {"n": n, "eta": eta, "xi": xi}
+    if pairing:
+        data["pairing"] = pairing[0]
+    return data
+
+
+@pytest.mark.parametrize("name", list(SCATTERING))
+def test_scattering_matches_golden_digest(name):
+    sigma = braiding.sigma_matrix(CliffordStructure.from_config(config_data(name)))
+    assert hashlib.sha256(json.dumps(sigma.to_json()).encode()).hexdigest() == SCATTERING[name]
+
+
 @pytest.mark.parametrize("command, name", list(GOLDEN), ids=lambda v: str(v))
 def test_report_matches_golden_digest(tmp_path, command, name):
     if name is None:
         argv = list(SWEEP)
     else:
-        n, eta, xi, *pairing = CONFIGS[name]
-        data = {"n": n, "eta": eta, "xi": xi}
-        if pairing:
-            data["pairing"] = pairing[0]
+        data = config_data(name)
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(data))
         argv = [command, "--config", str(cfg)]
