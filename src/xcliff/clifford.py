@@ -49,8 +49,7 @@ from .exterior import (
     parse_blade_key,
     wedge_sign,
 )
-from .linmap import (ONE, LinearMap, StructureMaps, add, chain, differences, keys,
-                     structure_maps)
+from .linmap import LinearMap, StructureMaps, add, chain, differences, keys, structure_maps
 from .scalars import Matrix, format_scalar, parse_scalar
 
 PAIRINGS = ("inner", "straight")
@@ -140,29 +139,36 @@ def pair_tensor2(alpha: DualMultivector, beta: DualMultivector, t: Tensor2) -> F
     return total
 
 
-def _sign(s: int, t: int) -> Fraction:
-    return ONE if wedge_sign(s, t) > 0 else -ONE
+def _parts(n: int, cs) -> list[int]:
+    """The blades contained in some blade of cs, ascending."""
+    return [a for a in blades(n) if any(a & c == a for c in cs)]
 
 
-def _exterior_maps(n: int) -> tuple[LinearMap, LinearMap]:
-    """The unshuffle coproduct e_S -> sum of wedge_sign(S1, S2) e_S1 (x) e_S2
-    over the splits S = S1 + S2, and the wedge e_S (x) e_T -> wedge_sign(S, T)
-    e_(S+T), as maps with coefficients ONE and -ONE."""
-    split = {(c,): {(a, c ^ a): _sign(a, c ^ a) for a in blades(n) if a & c == a}
-             for c in blades(n)}
-    wedge = {(s, t): {(s | t,): _sign(s, t)} for s, t in keys(n, 2) if not s & t}
-    return LinearMap(1, split), LinearMap(2, wedge)
+def _cliffordization_maps(form: Matrix, lefts, rights) -> tuple[LinearMap, ...]:
+    """split, gram and wedge on what blade pairs (S, T) with S in lefts and
+    T in rights reach: split is the exterior unshuffle coproduct e_S -> sum
+    of wedge_sign(S1, S2) e_S1 (x) e_S2 over the splits S = S1 + S2, gram
+    contracts a grade-k pair (S2, T1) to (-1)^floor(k/2) det[B(s2_i, t1_j)],
+    and wedge is e_S (x) e_T -> wedge_sign(S, T) e_(S+T)."""
+    n = form.nrows
+    split = LinearMap(1, {(c,): {(a, c ^ a): wedge_sign(a, c ^ a) for a in _parts(n, [c])}
+                          for c in {*lefts, *rights}})
+    left_parts, right_parts = _parts(n, lefts), _parts(n, rights)
+    gram = LinearMap(2, {(s, t): {(): -g if grade(s) % 4 > 1 else g}
+                         for s in left_parts for t in right_parts
+                         if grade(s) == grade(t) and (g := xi_gram_determinant(form, s, t))})
+    wedge = LinearMap(2, {(s, t): {(s | t,): wedge_sign(s, t)}
+                          for s in left_parts for t in right_parts if not s & t})
+    return split, gram, wedge
 
 
 def cliffordization(form: Matrix) -> list:
     """The product deformed by the bilinear form B as a step list on blade
     pairs: split both blades, contract the inner pair (S2, T1) to the scalar
     (-1)^floor(k/2) det[B(s2_i, t1_j)] and wedge the outer pair (S1, T2)."""
-    n = form.nrows
-    split, wedge = _exterior_maps(n)
-    gram = LinearMap(2, {st: {(): -g if grade(st[0]) % 4 > 1 else g}
-                         for st in keys(n, 2) if (g := xi_gram_determinant(form, *st))})
-    contract = LinearMap.of(keys(n, 2), [split.at(1), gram.at(0)])
+    every = blades(form.nrows)
+    split, gram, wedge = _cliffordization_maps(form, every, every)
+    contract = LinearMap.of(keys(form.nrows, 2), [split.at(1), gram.at(0)])
     return [split.at(0), contract.at(1), wedge.at(0)]
 
 
@@ -175,8 +181,11 @@ def deformed_product_table(form: Matrix) -> dict:
 
 def deformed_blade_product(form: Matrix, s_bits: int, t_bits: int) -> dict:
     """Product e_S *_B e_T in the algebra deformed by the bilinear form B,
-    as a sparse {blade: coeff} dict: the cliffordization run on one pair."""
-    prod = chain({(s_bits, t_bits): ONE}, *cliffordization(form))
+    as a sparse {blade: coeff} dict: the cliffordization run on one pair,
+    with its maps built only on the blades contained in S and in T and
+    contract run as its two steps."""
+    split, gram, wedge = _cliffordization_maps(form, [s_bits], [t_bits])
+    prod = chain({(s_bits, t_bits): 1}, split.at(0), split.at(2), gram.at(1), wedge.at(0))
     return {c: v for (c,), v in prod.items()}
 
 

@@ -12,12 +12,22 @@ written once as two step lists.  :func:`linearize` reads a step list holding
 one :class:`Unknown` map as the sparse linear system in that map's entries,
 and :meth:`Unknown.read` reads a solution of that system back as the map it
 solves for, so solved maps are checked on the same step lists.
+
+The columns are exact (ints or Fractions), but composites run on integers:
+on first use a map caches its columns times d, the lcm of its entry
+denominators, and a step multiplies and adds ints only and returns d with
+its output.  Every term passes through each step exactly once, so a chain's
+output has the one denominator D = d_0 d_1 ... d_k (d_0 clears the input).
+Exact values appear only at the edges: :func:`chain` and :func:`linearize`
+divide by D once, and :func:`differences` compares two sides by
+cross-multiplying their denominators, building Fractions only for a witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import NamedTuple
 
 from .scalars import Matrix, sparse_rank
@@ -31,11 +41,16 @@ def keys(n: int, k: int) -> list[tuple]:
 
 
 class LinearMap:
-    __slots__ = ("arity", "cols")
+    """A map of arity k given by its exact columns.  A map is not mutated
+    after its first use in a composite: that use caches its integer form,
+    which a later change to ``cols`` would not reach."""
+
+    __slots__ = ("arity", "cols", "_ints")
 
     def __init__(self, arity: int, cols: dict):
         self.arity = arity
         self.cols = cols
+        self._ints = None
 
     @classmethod
     def from_matrix(cls, matrix: Matrix, basis: list[tuple]) -> "LinearMap":
@@ -50,7 +65,7 @@ class LinearMap:
     @classmethod
     def of(cls, inputs: list[tuple], steps: list) -> "LinearMap":
         """The composite of ``steps`` as a map, from its images of ``inputs``."""
-        return cls(len(inputs[0]), {x: chain({x: ONE}, *steps) for x in inputs})
+        return cls(len(inputs[0]), {x: chain({x: 1}, *steps) for x in inputs})
 
     def to_matrix(self, basis: list[tuple]) -> Matrix:
         index = {x: i for i, x in enumerate(basis)}
@@ -61,7 +76,7 @@ class LinearMap:
         """The exact rank: the dimension of the span of the columns."""
         index: dict = {}
         rows = [{index.setdefault(y, len(index)): c for y, c in col.items()}
-                for col in self.cols.values()]
+                for col in self._integer_form()[0].values()]
         return sparse_rank(rows, len(index))
 
     def transpose(self) -> "LinearMap":
@@ -76,20 +91,29 @@ class LinearMap:
     def at(self, pos: int) -> tuple:
         return self, pos
 
-    def act(self, vector: dict, pos: int) -> dict:
+    def _integer_form(self) -> tuple[dict, int]:
+        """(integer columns, d): the columns times d, the lcm of the entry
+        denominators, derived on first use and cached."""
+        if self._ints is None:
+            d = lcm(*(c.denominator for col in self.cols.values() for c in col.values()))
+            self._ints = ({x: {y: c.numerator * (d // c.denominator) for y, c in col.items()}
+                           for x, col in self.cols.items()}, d)
+        return self._ints
+
+    def act(self, vector: dict, pos: int) -> tuple[dict, int]:
+        """The integer image of an integer vector and its denominator: the
+        exact image of vector / D is out / (D * d)."""
+        cols, d = self._integer_form()
         out: dict = {}
         end = pos + self.arity
         for key, c in vector.items():
-            col = self.cols.get(key[pos:end])
+            col = cols.get(key[pos:end])
             if col:
                 head, tail = key[:pos], key[end:]
                 for y, w in col.items():
                     k = head + y + tail
-                    # id, unit and counit hold ONE, and every chain starts from ONE
-                    cw = c if w is ONE else w if c is ONE else c * w
-                    v = out.get(k)
-                    out[k] = cw if v is None else v + cw
-        return out
+                    out[k] = out.get(k, 0) + c * w
+        return out, d
 
 
 class Unknown:
@@ -111,21 +135,31 @@ class Unknown:
         return LinearMap(self.arity, {x: {y: v for y in self.outputs
                                           if (v := flat[self.column(x, y)])} for x in inputs})
 
-    def act(self, vector: dict, pos: int) -> dict:
+    def act(self, vector: dict, pos: int) -> tuple[dict, int]:
         out: dict = {}
         end = pos + self.arity
         for key, c in vector.items():
             x, head, tail = key[pos:end], key[:pos], key[end:]
             for y in self.outputs:
                 out[head + y + tail + (self.column(x, y),)] = c
-        return out
+        return out, 1
+
+
+def _run(vector: dict, steps) -> tuple[dict, int]:
+    """(integer vector, D) whose quotient is the composite of the steps at
+    the exact vector; entries may be zero."""
+    den = lcm(*(c.denominator for c in vector.values()))
+    out = {k: c.numerator * (den // c.denominator) for k, c in vector.items()}
+    for f, pos in steps:
+        out, d = f.act(out, pos)
+        den *= d
+    return out, den
 
 
 def chain(vector: dict, *steps) -> dict:
     """Run a composite: apply each (map, position) step in turn."""
-    for f, pos in steps:
-        vector = f.act(vector, pos)
-    return {k: c for k, c in vector.items() if c}
+    out, den = _run(vector, steps)
+    return {k: Fraction(c, den) for k, c in out.items() if c}
 
 
 def add(u: dict, v: dict, scale=ONE) -> dict:
@@ -147,9 +181,12 @@ def differences(inputs: list[tuple], lhs: list, rhs: list):
     """(x, lhs(x) - rhs(x)) for each input key x on which the two composites
     differ, lazily."""
     for x in inputs:
-        left, right = chain({x: ONE}, *lhs), chain({x: ONE}, *rhs)
-        if left != right:
-            yield x, add(left, right, -1)
+        (left, dl), (right, dr) = _run({x: 1}, lhs), _run({x: 1}, rhs)
+        diff = {k: c * dr for k, c in left.items() if c}
+        for k, c in right.items():
+            diff[k] = diff.get(k, 0) - c * dl
+        if any(diff.values()):
+            yield x, {k: Fraction(c, dl * dr) for k, c in diff.items() if c}
 
 
 def agree(inputs: list[tuple], lhs: list, rhs: list) -> bool:
@@ -164,9 +201,9 @@ def linearize(inputs: list[tuple], lhs: list, rhs: list) -> tuple[dict, dict]:
     rows: dict = {}
     consts: dict = {}
     for x in inputs:
-        for key, c in chain({x: ONE}, *lhs).items():
+        for key, c in chain({x: 1}, *lhs).items():
             rows.setdefault((x, key[:-1]), {})[key[-1]] = c
-        for key, c in chain({x: ONE}, *rhs).items():
+        for key, c in chain({x: 1}, *rhs).items():
             rows.setdefault((x, key), {})
             consts[(x, key)] = c
     return rows, {label: consts.get(label, 0) for label in rows}

@@ -1,14 +1,16 @@
 """The sparse map layer, and the property that each solved system and the
 check it solves come from one expression: at any point, the residual of the
-assembled rows equals the composite the check evaluates."""
+assembled rows equals the composite the check evaluates.  The integer steps
+are checked against the same steps run in Fractions."""
 
 from fractions import Fraction as F
+from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xcliff import braiding, hopf
 from xcliff.clifford import PAIRINGS, CliffordStructure
-from xcliff.linmap import LinearMap, Unknown, chain, keys, linearize
+from xcliff.linmap import LinearMap, Unknown, agree, chain, differences, keys, linearize
 from xcliff.scalars import Matrix
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
@@ -81,3 +83,159 @@ def test_antipode_residuals_are_the_convolution_defects(structure, data):
                 if defect[(d, c)]:
                     expected.setdefault((c,), {})[(d,)] = defect[(d, c)]
         assert residuals(rows, rhs, s) == expected
+
+
+# -- differential tests against the step over Fractions ----------------------
+
+def fraction_act(f, vector: dict, pos: int) -> dict:
+    """One step with exact multiply-adds: the step the integer one replaced."""
+    out: dict = {}
+    end = pos + f.arity
+    for key, c in vector.items():
+        x, head, tail = key[pos:end], key[:pos], key[end:]
+        if isinstance(f, Unknown):
+            for y in f.outputs:
+                out[head + y + tail + (f.column(x, y),)] = c
+            continue
+        for y, w in f.cols.get(x, {}).items():
+            k = head + y + tail
+            out[k] = out.get(k, 0) + c * w
+    return out
+
+
+def fraction_chain(vector: dict, *steps) -> dict:
+    for f, pos in steps:
+        vector = fraction_act(f, vector, pos)
+    return {k: c for k, c in vector.items() if c}
+
+
+def fraction_differences(inputs, lhs, rhs) -> list:
+    out = []
+    for x in inputs:
+        left, right = fraction_chain({x: F(1)}, *lhs), fraction_chain({x: F(1)}, *rhs)
+        diff = dict(left)
+        for k, c in right.items():
+            diff[k] = diff.get(k, 0) - c
+        if left != right:
+            out.append((x, {k: c for k, c in diff.items() if c}))
+    return out
+
+
+def fraction_linearize(inputs, lhs, rhs) -> tuple[dict, dict]:
+    rows: dict = {}
+    consts: dict = {}
+    for x in inputs:
+        for key, c in fraction_chain({x: F(1)}, *lhs).items():
+            rows.setdefault((x, key[:-1]), {})[key[-1]] = c
+        for key, c in fraction_chain({x: F(1)}, *rhs).items():
+            rows.setdefault((x, key), {})
+            consts[(x, key)] = c
+    return rows, {label: consts.get(label, 0) for label in rows}
+
+
+def ordered(value):
+    """A dict as its item list, recursively, so that comparisons see order."""
+    if isinstance(value, dict):
+        return [(k, ordered(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [ordered(v) for v in value]
+    return value
+
+
+BASIS = (0, 1)
+MAX_FACTORS = 4
+# ints, zeros, and Fractions over several denominators, so one map's columns
+# mostly have different denominators
+coefficients = st.one_of(st.integers(-2, 2),
+                         st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6])))
+
+
+def tuples(k: int) -> list[tuple]:
+    return list(product(BASIS, repeat=k))
+
+
+@st.composite
+def maps(draw, arity: int, out_arity: int) -> LinearMap:
+    cols = {}
+    for x in tuples(arity):
+        if draw(st.integers(0, 5)):  # some columns are missing
+            cols[x] = draw(st.dictionaries(st.sampled_from(tuples(out_arity)), coefficients,
+                                           min_size=1, max_size=3))
+    return LinearMap(arity, cols)
+
+
+def unknown(arity: int) -> Unknown:
+    ins, outs = tuples(arity), tuples(arity)
+    return Unknown(arity, outs, lambda x, y: ins.index(x) * len(outs) + outs.index(y))
+
+
+@st.composite
+def composites(draw, factors: int, with_unknown: bool = False) -> list:
+    """A step list on keys of ``factors`` factors, mixing random maps, the
+    arity-0 unit, the counit to the empty tuple, a pair of steps whose terms
+    cancel to zero, and, if asked, one Unknown."""
+    steps = []
+    kinds = draw(st.lists(st.sampled_from(["map", "unit", "counit", "cancel"]), max_size=5))
+    if with_unknown:
+        kinds.insert(draw(st.integers(0, len(kinds))), "unknown")
+    for kind in kinds:
+        if kind == "unit" and factors < MAX_FACTORS:
+            f, out = LinearMap(0, {(): {(1,): draw(coefficients)}}), 1
+        elif kind == "counit" and factors:
+            f, out = LinearMap(1, {(0,): {(): draw(coefficients)}}), 0
+        elif kind == "cancel" and factors:
+            # (x) -> c (0) + c (1) -> c w (0) - c w (0) + c (1)
+            c, w = draw(coefficients), draw(coefficients)
+            pos = draw(st.integers(0, factors - 1))
+            steps += [LinearMap(1, {x: {(0,): c, (1,): c} for x in tuples(1)}).at(pos),
+                      LinearMap(1, {(0,): {(0,): w, (1,): 1}, (1,): {(0,): -w}}).at(pos)]
+            continue
+        elif kind == "unknown" and factors:
+            f, out = unknown(1), 1
+        else:
+            a = draw(st.integers(0, min(factors, 2)))
+            out = draw(st.integers(0, min(2, MAX_FACTORS - factors + a)))
+            f = draw(maps(a, out))
+        steps.append(f.at(draw(st.integers(0, factors - f.arity))))
+        factors += out - f.arity
+    return steps
+
+
+@st.composite
+def cases(draw) -> tuple:
+    """(factors, lhs with one Unknown or none, rhs, a vector to run lhs on)."""
+    factors = draw(st.integers(0, 2))
+    lhs = draw(composites(factors, draw(st.booleans())))
+    vector = draw(st.dictionaries(st.sampled_from(tuples(factors)), coefficients,
+                                  min_size=1, max_size=4))
+    return factors, lhs, draw(composites(factors)), vector
+
+
+# every kind of input at once: two denominators in one map (HALVES), the
+# unit, terms cancelling to zero, an Unknown and the counit
+HALVES = LinearMap(1, {(0,): {(0,): F(1, 2), (1,): 3}, (1,): {(1,): F(2, 3)}})
+FIXED = (2, [LinearMap(0, {(): {(1,): F(3, 4)}}).at(1), HALVES.at(0),
+             LinearMap(1, {(1,): {(0,): 1, (1,): 1}}).at(1),
+             LinearMap(1, {(0,): {(0,): 1, (1,): 1}, (1,): {(0,): -1}}).at(1),
+             unknown(1).at(0), LinearMap(1, {(1,): {(): F(-5, 6)}}).at(1)],
+         [HALVES.at(1), HALVES.at(1)], {(0, 1): F(1, 3), (1, 1): 2})
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cases())
+@example(FIXED)
+def test_integer_layer_matches_fraction_steps(case):
+    factors, lhs, rhs, vector = case
+    inputs = tuples(factors)
+    assert ordered(chain(vector, *lhs)) == ordered(fraction_chain(vector, *lhs))
+    want = fraction_differences(inputs, lhs, rhs)
+    assert ordered(list(differences(inputs, lhs, rhs))) == ordered(want)
+    assert list(differences(inputs, lhs, lhs)) == []
+    assert agree(inputs, lhs, rhs) == (not want)
+    if any(isinstance(f, Unknown) for f, _ in lhs):
+        want = fraction_linearize(inputs, lhs, rhs)
+        assert ordered(linearize(inputs, lhs, rhs)) == ordered(want)
+    else:
+        want = {x: fraction_chain({x: F(1)}, *lhs) for x in inputs}
+        assert ordered(LinearMap.of(inputs, lhs).cols) == ordered(want)
+
