@@ -4,11 +4,28 @@ polynomial, naturality and module-action checks.
 
 Each identity is written once as step lists over the sparse maps of
 :mod:`linmap`: the compatibility square, the braid relation and the two
-naturality hexagons.  The scattering's linear system is the linearization
-of the routed side of the compatibility square in the scattering's entries.
+naturality hexagons.
 
-A solution of that system is read back as the sparse map it solves for by
-the same Unknown that numbered its entries (:func:`scattering_map`), and
+The scattering sigma solves the compatibility square
+coproduct . product = (product (x) product) . (id (x) sigma (x) id)
+. (coproduct (x) coproduct).  When the structure has a two-sided antipode S
+and the bigebra laws hold (associativity, the unit law, coassociativity, the
+counit law; see :mod:`hopf`), the square has at most one solution, in closed
+form:
+
+    sigma(a (x) b) = S(a1) (a2 b1)_(1) (x) (a2 b1)_(2) S(b2),
+
+that is sigma = (product (x) product) . (S (x) coproduct . product (x) S)
+. (coproduct (x) coproduct).  Any solution equals it: put the square's
+routed side in for coproduct(a2 b1) and contract S(a1) a2 and b2 S(b3) to
+counits by S * id = unit . counit = id * S.  So the closed form is certified
+by substitution: if it solves the square it is the unique solution, and if
+it does not, the square has none.  Where there is no antipode, or a law
+fails, the scattering is solved instead from the linearization of the
+square's routed side in its 16^n entries (:func:`scattering_system`).
+
+A solution is read back as the sparse map it solves for by the same Unknown
+that numbered its entries (:func:`scattering_map`), and
 :func:`braided_flags` checks such a map directly.  A dense 4^n x 4^n matrix
 over the blade-pair basis of the tensor square (pair (a, b) flattened as
 a * 2^n + b) remains only where a public function takes or returns one: the
@@ -22,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import hopf
 from .clifford import CliffordStructure, Tensor2
 from .exterior import Multivector, grade
 from .linmap import LinearMap, Unknown, agree, chain, differences, keys, linearize
@@ -108,12 +126,39 @@ def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
     return linearize(keys(structure.n, 2), _routed(structure.maps, sigma), _direct(structure.maps))
 
 
+def _antipode_route(maps, s) -> list:
+    """(product (x) product) . (S (x) coproduct . product (x) S)
+    . (coproduct (x) coproduct) on a blade pair."""
+    return [maps.cop.at(1), maps.cop.at(0), maps.m.at(1), maps.cop.at(1),
+            s.at(0), s.at(3), maps.m.at(0), maps.m.at(1)]
+
+
+def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
+    """The only possible solution of the compatibility square, built from
+    the antipode S (see the module docstring); None when the structure has
+    no unique two-sided antipode or a bigebra law fails."""
+    sol = hopf.antipode_solution(structure)
+    if not sol.is_unique:
+        return None
+    s = hopf.antipode_map(structure, sol.particular)
+    if not (hopf.bigebra_laws(structure) and hopf.is_antipode(structure, s)):
+        return None
+    return LinearMap.of(keys(structure.n, 2), _antipode_route(structure.maps, s))
+
+
 def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:
     """Exact affine solution set of the compatibility square, the unknowns
-    flattened as in scattering_system."""
-    rows, rhs = scattering_system(structure)
-    return solve_sparse_system(list(rows.values()), list(rhs.values()),
-                               1 << (4 * structure.n))
+    flattened as in scattering_system: the antipode's closed form when it
+    applies (unique, or no solution when it fails the square), else the
+    solve of scattering_system."""
+    n, unknowns = structure.n, 1 << (4 * structure.n)
+    sigma = antipode_scattering(structure)
+    if sigma is None:
+        rows, rhs = scattering_system(structure)
+        return solve_sparse_system(list(rows.values()), list(rhs.values()), unknowns)
+    if next(square_defects(structure.maps, sigma, keys(n, 2)), None):
+        return AffineSolutionSet(particular=None)
+    return AffineSolutionSet(particular=_scattering_unknown(n).flatten(sigma, unknowns))
 
 
 def scattering_map(structure: CliffordStructure, flat: tuple) -> LinearMap:

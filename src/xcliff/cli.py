@@ -114,33 +114,14 @@ def cmd_tables(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _associative(m: LinearMap, n: int) -> bool:
-    return agree(keys(n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
-
-
 def _check_exterior_laws(n: int) -> bool:
     """The wedge product, read off exterior.wedge on basis blades, is
     associative and graded commutative: wedge = wedge . graded switch."""
     w = LinearMap(2, {(a, b): {(c,): v for c, v in wedge(Multivector.blade(n, a),
                                                           Multivector.blade(n, b)).terms.items()}
                       for a, b in keys(n, 2)})
-    return _associative(w, n) and agree(keys(n, 2), [w.at(0)],
-                                        [braiding.switch_map(n).at(0), w.at(0)])
-
-
-def _check_product_associative(structure: CliffordStructure) -> bool:
-    return _associative(structure.maps.m, structure.n)
-
-
-def _check_coassociative(structure: CliffordStructure) -> bool:
-    cop = structure.maps.cop
-    return agree(keys(structure.n, 1), [cop.at(0), cop.at(0)], [cop.at(0), cop.at(1)])
-
-
-def _check_counit_law(structure: CliffordStructure) -> bool:
-    cop, counit = structure.maps.cop, structure.maps.counit
-    return all(agree(keys(structure.n, 1), [cop.at(0), counit.at(side)], [])
-               for side in (0, 1))
+    return hopf.associative(w, n) and agree(keys(n, 2), [w.at(0)],
+                                            [braiding.switch_map(n).at(0), w.at(0)])
 
 
 def _inner_key(structure: CliffordStructure, a: int, b: int) -> tuple[int, int]:
@@ -268,9 +249,9 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
         n, structure.eta, Matrix.zeros(n, n), pairing=structure.pairing))
     hard = {
         "exterior_laws": _check_exterior_laws(n),
-        "product_associative": _check_product_associative(structure),
-        "coassociative": _check_coassociative(structure),
-        "counit_law": _check_counit_law(structure),
+        "product_associative": hopf.product_associative(structure),
+        "coassociative": hopf.coassociative(structure),
+        "counit_law": hopf.counital(structure),
         "product_coproduct_duality": _check_duality(structure),
         "coproduct_grade_pattern": coproduct_grades_ok(structure),
         "coproduct_unit_sign_pattern": _check_cop_unit_signs(structure),
@@ -278,7 +259,7 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
         "counit_algebra_map_iff_eta_zero": counit_alg == eta_zero,
         "unit_cogebra_map_iff_xi_zero": unit_cog == xi_zero,
     }
-    ant_sol = hopf.solve_antipode(structure)
+    ant_sol = hopf.antipode_solution(structure)
     antipode = _verify_antipode(structure, ant_sol)
     if antipode["exists"]:
         hard["antipode_unique_and_two_sided"] = bool(antipode["unique"]) and bool(antipode["axiom_holds"])
@@ -422,7 +403,7 @@ def sweep_row(i2_str: str, j2_str: str) -> dict:
     structure = CliffordStructure(1, Matrix([[i2]]), Matrix([[j2]]))
     row: dict = {"i2": format_scalar(i2), "j2": format_scalar(j2),
                  "a": format_scalar(a)}
-    ant = hopf.solve_antipode(structure)
+    ant = hopf.antipode_solution(structure)
     rec = hopf.conjecture_record(structure, ant)
     row["antipode_exists"] = ant.is_consistent
     row["conjecture_consistent"] = rec.conjecture_consistent

@@ -192,9 +192,11 @@ def deformed_blade_product(form: Matrix, s_bits: int, t_bits: int) -> dict:
 class CliffordStructure:
     """A rank, a form on vectors and a form on co-vectors, with the product,
     dual-product and coproduct structure constants cached eagerly so the
-    instance is immutable after construction.  pairing ("inner" or
-    "straight", see the module docstring) fixes how the coproduct table is
-    transposed from the dual product; it leaves the product tables alone."""
+    instance is immutable after construction; what is derived from them, the
+    sparse maps and the antipode's solution set, is kept on first use.
+    pairing ("inner" or "straight", see the module docstring) fixes how the
+    coproduct table is transposed from the dual product; it leaves the
+    product tables alone."""
 
     def __init__(self, n: int, eta: Matrix, xi: Matrix, pairing: str = "inner"):
         if pairing not in PAIRINGS:
@@ -216,6 +218,8 @@ class CliffordStructure:
             for c_bits, coeff in prod.items():
                 coprod[c_bits][key] = coeff
         self.coproduct_table = {c: Tensor2(n, t) for c, t in coprod.items()}
+        # the antipode's solution set, filled on first use by hopf.antipode_solution
+        self.antipode = None
 
     @cached_property
     def maps(self) -> StructureMaps:

@@ -13,6 +13,12 @@ matrices over the blade basis in ascending bitmask order (column j holds the
 image of blade j) remain only where a public function takes or returns one:
 ``convolution``, ``apply_endo``, ``endo_from_images``, ``identity_endo``,
 ``unit_counit_endo``, ``solution_to_endo`` and the closed forms.
+
+The bigebra laws the antipode argument rests on (associativity, the unit
+law, coassociativity and the counit law) are step-list identities here too,
+shared by the ``verify`` hard checks and the scattering's closed form.  The
+antipode is solved once per structure and kept on it
+(:func:`antipode_solution`).
 """
 
 from __future__ import annotations
@@ -77,6 +83,40 @@ def convolution(f: Matrix, g: Matrix, structure: CliffordStructure) -> Matrix:
     return LinearMap.of(basis, steps).to_matrix(basis)
 
 
+def associative(m: LinearMap, n: int) -> bool:
+    """m . (m (x) id) = m . (id (x) m) on every rank-n blade triple."""
+    return agree(keys(n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
+
+
+def product_associative(structure: CliffordStructure) -> bool:
+    return associative(structure.maps.m, structure.n)
+
+
+def unital(structure: CliffordStructure) -> bool:
+    """product . (unit (x) id) = id = product . (id (x) unit)."""
+    unit, m = structure.maps.unit, structure.maps.m
+    return all(agree(keys(structure.n, 1), [unit.at(side), m.at(0)], []) for side in (0, 1))
+
+
+def coassociative(structure: CliffordStructure) -> bool:
+    """(coproduct (x) id) . coproduct = (id (x) coproduct) . coproduct."""
+    cop = structure.maps.cop
+    return agree(keys(structure.n, 1), [cop.at(0), cop.at(0)], [cop.at(0), cop.at(1)])
+
+
+def counital(structure: CliffordStructure) -> bool:
+    """(counit (x) id) . coproduct = id = (id (x) counit) . coproduct."""
+    cop, counit = structure.maps.cop, structure.maps.counit
+    return all(agree(keys(structure.n, 1), [cop.at(0), counit.at(side)], [])
+               for side in (0, 1))
+
+
+def bigebra_laws(structure: CliffordStructure) -> bool:
+    """Associativity, the unit law, coassociativity and the counit law."""
+    return (product_associative(structure) and unital(structure)
+            and coassociative(structure) and counital(structure))
+
+
 def _antipode_axiom(maps, s) -> list[tuple[list, list]]:
     """The two sides of S * id = u . counit and of id * S = u . counit."""
     return [(_convolution(maps, f, g), _unit_counit(maps))
@@ -104,6 +144,14 @@ def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
         rows += eq_rows.values()
         rhs += eq_rhs.values()
     return solve_sparse_system(rows, rhs, 1 << (2 * structure.n))
+
+
+def antipode_solution(structure: CliffordStructure) -> AffineSolutionSet:
+    """solve_antipode(structure), solved on first use and kept on the
+    structure (``structure.antipode``), so that every caller shares it."""
+    if structure.antipode is None:
+        structure.antipode = solve_antipode(structure)
+    return structure.antipode
 
 
 def antipode_map(structure: CliffordStructure, flat: tuple) -> LinearMap:
@@ -159,7 +207,7 @@ def conjecture_record(structure: CliffordStructure,
 def antipode_report_json(structure: CliffordStructure, a=None) -> dict:
     """Per-instance report: closed-form parameter when given, the solved
     antipode matrix or null, and the conjecture consistency flag."""
-    sol = solve_antipode(structure)
+    sol = antipode_solution(structure)
     rec = conjecture_record(structure, sol)
     report = {
         "antipode": (solution_to_endo(structure, sol.particular).to_json()

@@ -11,7 +11,8 @@ run left to right by :func:`chain`, so each identity of the theory is
 written once as two step lists.  :func:`linearize` reads a step list holding
 one :class:`Unknown` map as the sparse linear system in that map's entries,
 and :meth:`Unknown.read` reads a solution of that system back as the map it
-solves for, so solved maps are checked on the same step lists.
+solves for (:meth:`Unknown.flatten` writes a map as one), so solved maps are
+checked on the same step lists.
 
 The columns are exact (ints or Fractions), but composites run on integers:
 on first use a map caches its columns times d, the lcm of its entry
@@ -134,6 +135,15 @@ class Unknown:
         """The map whose entry (input x, output y) is flat[column(x, y)]."""
         return LinearMap(self.arity, {x: {y: v for y in self.outputs
                                           if (v := flat[self.column(x, y)])} for x in inputs})
+
+    def flatten(self, f: LinearMap, size: int) -> tuple:
+        """The solution vector of ``size`` unknowns that :meth:`read` reads
+        back as f: entry (x, y) of f at column(x, y), zero elsewhere."""
+        flat = [Fraction(0)] * size
+        for x, col in f.cols.items():
+            for y, c in col.items():
+                flat[self.column(x, y)] = Fraction(c)
+        return tuple(flat)
 
     def act(self, vector: dict, pos: int) -> tuple[dict, int]:
         out: dict = {}

@@ -2,18 +2,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xcliff.braiding import (braiding_report_json, check_braid_equation, check_braided,
-                             check_min_polynomial, closed_form_sigma,
+from xcliff import braiding, hopf
+from xcliff.braiding import (antipode_scattering, braiding_report_json, check_braid_equation,
+                             check_braided, check_min_polynomial, closed_form_sigma,
                              compatibility_defect, module_action, pair_index,
-                             scattering_from_images, sigma_matrix, solve_sigma,
-                             solution_to_scattering, switch_scattering,
-                             twelve_param_family_member)
-from xcliff.clifford import CliffordStructure, Tensor2
+                             scattering_from_images, scattering_map, scattering_system,
+                             sigma_matrix, solve_sigma, solution_to_scattering,
+                             switch_scattering, twelve_param_family_member)
+from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
 from xcliff.sampling import random_form, random_nonzero_rational
 from xcliff.scalars import (Matrix, is_invertible, minimal_polynomial,
-                            poly_eval_matrix, solve_linear_system)
+                            poly_eval_matrix, solve_linear_system, solve_sparse_system)
 
 
 def complex_structure(i2, j2):
@@ -343,3 +345,127 @@ def test_braiding_report_shape():
     report = braiding_report_json(complex_structure(1, 1), a=F(1))
     assert report["solution_space_dim"] == 12
     assert report["min_poly_ok"] is None
+
+
+# -- the antipode's closed form against the linear-system solve ---------------------------
+
+def linear_system_sigma(structure):
+    """The oracle: the scattering solved from its 16^n-unknown linear system."""
+    rows, rhs = scattering_system(structure)
+    return solve_sparse_system(list(rows.values()), list(rhs.values()), 1 << (4 * structure.n))
+
+
+def count_solves(monkeypatch):
+    """The unknown counts of the linear systems solve_sigma solves from now on."""
+    calls = []
+    original = braiding.solve_sparse_system
+
+    def counted(rows, rhs, ncols):
+        calls.append(ncols)
+        return original(rows, rhs, ncols)
+
+    monkeypatch.setattr(braiding, "solve_sparse_system", counted)
+    return calls
+
+
+rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+# each family's (eta, xi) kinds, as in the benchmark's configs
+FAMILIES = {"generic": ("generic", "generic"), "diagonal": ("diagonal", "diagonal"),
+            "xi0": ("generic", "zero"), "eta0": ("zero", "generic"), "zero": ("zero", "zero")}
+
+
+def forms(n: int, kind: str):
+    if kind == "zero":
+        return st.just(Matrix.zeros(n, n))
+    if kind == "diagonal":
+        return st.lists(rationals, min_size=n, max_size=n).map(
+            lambda d: Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    return st.lists(st.lists(rationals, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix)
+
+
+@st.composite
+def instances(draw):
+    """(rank, eta, xi, pairing) over every family of forms."""
+    n = draw(st.sampled_from([1, 2]))
+    eta_kind, xi_kind = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    return n, draw(forms(n, eta_kind)), draw(forms(n, xi_kind)), draw(st.sampled_from(PAIRINGS))
+
+
+@settings(derandomize=True, database=None, max_examples=16, deadline=None)
+@given(instances())
+def test_solve_sigma_matches_the_linear_system_solve(instance):
+    n, eta, xi, pairing = instance
+    s = CliffordStructure(n, eta, xi, pairing=pairing)
+    assert solve_sigma(s) == linear_system_sigma(s)
+
+
+GENERIC2 = (Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]]))
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("n, eta, xi", [(1, Matrix([[2]]), Matrix([[F(1, 3)]])),
+                                        (2, *GENERIC2)])
+def test_antipode_scattering_is_the_unique_solution(monkeypatch, pairing, n, eta, xi):
+    # S(a1) (a2 b1)_(1) (x) (a2 b1)_(2) S(b2): S on the outer factors, the
+    # middle pair multiplied and split again
+    s = CliffordStructure(n, eta, xi, pairing=pairing)
+    sigma = antipode_scattering(s)
+    assert sigma is not None and not compatibility_defect(s, sigma)
+    solves = count_solves(monkeypatch)
+    sol = solve_sigma(s)
+    assert solves == []
+    assert sol == linear_system_sigma(s) and sol.is_unique
+    assert scattering_map(s, sol.particular).cols == sigma.cols
+
+
+@pytest.mark.parametrize("n, form, pairing, dim", [(1, Matrix([[1]]), "inner", 12),
+                                                   (2, Matrix.identity(2), "straight", 240)])
+def test_no_antipode_solves_the_linear_system(monkeypatch, n, form, pairing, dim):
+    s = CliffordStructure(n, form, form, pairing=pairing)
+    assert not hopf.antipode_solution(s).is_consistent
+    assert antipode_scattering(s) is None
+    solves = count_solves(monkeypatch)
+    sol = solve_sigma(s)
+    assert solves == [1 << (4 * n)]
+    assert sol.dimension == dim
+
+
+def test_broken_coassociativity_solves_the_linear_system(monkeypatch):
+    # the coefficient of e2 (x) e12 in coproduct(e1), 1/2, planted as 3/2,
+    # breaks coassociativity alone: the antipode stays unique, but the closed
+    # form no longer solves the square although the square has a unique
+    # solution
+    s = CliffordStructure(2, Matrix([[2, 0], [0, -1]]), Matrix([[F(-1, 3), 0], [0, F(1, 2)]]))
+    s.maps.cop.cols[(0b01,)][(0b10, 0b11)] += 1
+    assert not hopf.coassociative(s)
+    assert hopf.product_associative(s) and hopf.unital(s) and hopf.counital(s)
+    assert hopf.antipode_solution(s).is_unique
+    assert antipode_scattering(s) is None
+    solves = count_solves(monkeypatch)
+    sol = solve_sigma(s)
+    assert solves == [256]
+    assert sol == linear_system_sigma(s) and sol.is_unique
+
+
+Z3 = Matrix.zeros(3, 3)
+RANK3 = {
+    "zero": (Z3, Z3),
+    "xi0": (Matrix([[1, F(1, 2), 0], [-1, 2, 1], [0, F(1, 3), -1]]), Z3),
+    "eta0": (Z3, Matrix([[1, -1, 0], [F(1, 2), 1, 2], [-2, 0, 1]])),
+    "diagonal": (Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 2]]),
+                 Matrix([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, -1]])),
+}
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("family", sorted(RANK3))
+def test_rank3_scattering_is_unique_and_solves_the_square(monkeypatch, family, pairing):
+    # the generic rank-3 scattering takes about 2 s, too slow for this suite:
+    # perfbench/reference.py sigma3 solves it and checks it independently
+    s = CliffordStructure(3, *RANK3[family], pairing=pairing)
+    solves = count_solves(monkeypatch)
+    sol = solve_sigma(s)
+    assert solves == []
+    assert sol.is_unique
+    assert compatibility_defect(s, scattering_map(s, sol.particular)) == {}

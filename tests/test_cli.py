@@ -213,6 +213,14 @@ def test_verify_solves_antipode_and_scattering_once(tmp_path, monkeypatch, n, et
     assert (len(antipode), len(sigma)) == (1, 1)
 
 
+@pytest.mark.parametrize("command", ["sigma", "braided"])
+def test_scattering_commands_solve_the_antipode_once(complex_config, tmp_path, monkeypatch,
+                                                     command):
+    antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
+    assert main([command, "--config", complex_config, "--out", str(tmp_path / "o.json")]) == 0
+    assert len(antipode) == 1
+
+
 def test_antipode_command_solves_once(complex_config, tmp_path, monkeypatch):
     antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
     assert main(["antipode", "--config", complex_config,
@@ -226,6 +234,13 @@ def test_sweep_row_solves_and_checks_braid_once(monkeypatch):
     row = sweep_row("-1", "1")
     assert row["hard_ok"] is True and row["braid_eq"] is False
     assert (len(antipode), len(braid)) == (1, 1)
+
+
+@pytest.mark.parametrize("i2, j2", [("2", "1/3"), ("1", "1")])
+def test_sweep_row_shares_the_antipode_with_the_scattering(monkeypatch, i2, j2):
+    antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
+    assert sweep_row(i2, j2)["hard_ok"] is True
+    assert len(antipode) == 1
 
 
 def test_verify_reports_a_scattering_member_that_fails_the_square(tmp_path, monkeypatch):

@@ -205,3 +205,40 @@ def test_antipode_report_json_shape():
     assert report["conjecture_consistent"] is True
     report = antipode_report_json(complex_structure(1, 1), a=F(1))
     assert report["antipode"] is None
+
+
+# -- the bigebra laws and the shared antipode ---------------------------------------------
+
+@pytest.mark.parametrize("pairing", ["inner", "straight"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_bigebra_laws_hold_at_sampled_forms(n, pairing):
+    rng = random.Random(900 + n)
+    for _ in range(3):
+        s = CliffordStructure(n, random_form(n, rng), random_form(n, rng), pairing=pairing)
+        assert hopf.product_associative(s) and hopf.unital(s)
+        assert hopf.coassociative(s) and hopf.counital(s)
+        assert hopf.bigebra_laws(s)
+
+
+def test_unit_law_fails_on_a_planted_product_entry():
+    s = complex_structure(2, F(1, 3))
+    s.maps.m.cols[(0, 1)][(1,)] += 1  # 1 * e1 = 2 e1
+    assert not hopf.unital(s)
+    assert not hopf.bigebra_laws(s)
+
+
+def test_antipode_is_solved_once_per_structure(monkeypatch):
+    calls = []
+    original = hopf.solve_antipode
+
+    def counted(structure):
+        calls.append(structure)
+        return original(structure)
+
+    monkeypatch.setattr(hopf, "solve_antipode", counted)
+    s = complex_structure(2, F(1, 3))
+    sol = hopf.antipode_solution(s)
+    assert hopf.antipode_solution(s) is sol and s.antipode is sol
+    assert sol == original(s)
+    hopf.antipode_solution(complex_structure(2, F(1, 3)))
+    assert len(calls) == 2
