@@ -42,9 +42,8 @@ from fractions import Fraction
 from . import hopf
 from .clifford import CliffordStructure, Tensor2
 from .exterior import Multivector, grade
-from .linmap import LinearMap, Unknown, agree, chain, differences, keys, linearize
-from .scalars import (AffineSolutionSet, Matrix, format_scalar, poly_eval_matrix,
-                      solve_sparse_system)
+from .linmap import LinearMap, Unknown, add, agree, chain, differences, keys, linearize
+from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
 
 Scattering = Matrix | LinearMap  # over blade pairs: 4^n x 4^n dense, or sparse
 
@@ -213,24 +212,23 @@ def twelve_param_family_member(p, q, r, i2) -> Matrix:
 
 def check_min_polynomial(sigma: Matrix, a) -> bool:
     """Evaluate the quartic (x + 1)(x - b)(x^2 + a b x - b) with
-    b = (1 + a)/(1 - a) at the scattering; true iff it vanishes exactly."""
+    b = (1 + a)/(1 - a) at the scattering; true iff it vanishes exactly.
+    The three factors are applied in turn by Horner's rule to every basis
+    vector at once, each tagged by its index in a second tensor factor."""
     a = Fraction(a)
     if a == 1:
         raise ValueError("quartic undefined at parameter product 1")
+    if not sigma.is_square():
+        raise ValueError("square matrix required")
     b = (1 + a) / (1 - a)
-    # (x + 1)(x - b) = x^2 + (1 - b) x - b
-    p1 = [-b, 1 - b, Fraction(1)]
-    p2 = [-b, a * b, Fraction(1)]
-    coeffs = _poly_mul(p1, p2)
-    return poly_eval_matrix(coeffs, sigma).is_zero()
-
-
-def _poly_mul(p: list, q: list) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    f = LinearMap.from_matrix(sigma, [(i,) for i in range(sigma.nrows)])
+    v = {(i, i): 1 for i in range(sigma.nrows)}
+    for coeffs in ([1, 1], [1, -b], [1, a * b, -b]):  # descending coefficients
+        out: dict = {}
+        for c in coeffs:
+            out = add(chain(out, f.at(0)), v, c)
+        v = out
+    return not v
 
 
 def braid_relation(s) -> tuple[list, list]:

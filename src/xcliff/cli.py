@@ -134,10 +134,8 @@ def _check_duality(structure: CliffordStructure) -> bool:
     """The coproduct is the transposed dual product: <eps_p *_xi eps_q, e_x>
     is the coefficient of coproduct(e_x) that pairs with eps_p (x) eps_q,
     the one at _inner_key(q, p)."""
-    dual = LinearMap(2, {pq: {(c,): v for c, v in prod.items()}
-                         for pq, prod in structure.dual_product_table.items()})
     return {x: {_inner_key(structure, q, p): v for (p, q), v in col.items()}
-            for x, col in dual.transpose().cols.items()} == structure.maps.cop.cols
+            for x, col in structure.dual.transpose().cols.items()} == structure.maps.cop.cols
 
 
 def _check_dkp(xi_zero_structure: CliffordStructure) -> bool:
@@ -245,8 +243,9 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     xi_zero = structure.xi.is_zero()
     counit_alg, _ = check_counit_is_algebra_map(structure)
     unit_cog, _ = check_unit_is_cogebra_map(structure)
+    # _check_dkp reads only the coproduct, which does not depend on eta
     xi_zero_structure = (structure if xi_zero else CliffordStructure(
-        n, structure.eta, Matrix.zeros(n, n), pairing=structure.pairing))
+        n, Matrix.zeros(n, n), Matrix.zeros(n, n), pairing=structure.pairing))
     hard = {
         "exterior_laws": _check_exterior_laws(n),
         "product_associative": hopf.product_associative(structure),

@@ -3,7 +3,9 @@
 A structure holds two bilinear forms: eta on vectors deforms the wedge into
 the Clifford product on multivectors, xi on co-vectors deforms the dual wedge
 the same way.  The coproduct on multivectors is obtained by transposing the
-dual product's structure constants through the determinant pairing.
+dual product's structure constants through the determinant pairing.  So a
+structure is two cliffordizations and one transpose, built once as sparse
+maps; its tables are views read off them (see CliffordStructure).
 
 Conventions (each is load-bearing; tests pin all of them):
 
@@ -49,7 +51,7 @@ from .exterior import (
     parse_blade_key,
     wedge_sign,
 )
-from .linmap import LinearMap, StructureMaps, add, chain, differences, keys, structure_maps
+from .linmap import LinearMap, add, chain, differences, keys, structure_maps
 from .scalars import Matrix, format_scalar, parse_scalar
 
 PAIRINGS = ("inner", "straight")
@@ -144,12 +146,15 @@ def _parts(n: int, cs) -> list[int]:
     return [a for a in blades(n) if any(a & c == a for c in cs)]
 
 
-def _cliffordization_maps(form: Matrix, lefts, rights) -> tuple[LinearMap, ...]:
-    """split, gram and wedge on what blade pairs (S, T) with S in lefts and
-    T in rights reach: split is the exterior unshuffle coproduct e_S -> sum
-    of wedge_sign(S1, S2) e_S1 (x) e_S2 over the splits S = S1 + S2, gram
-    contracts a grade-k pair (S2, T1) to (-1)^floor(k/2) det[B(s2_i, t1_j)],
-    and wedge is e_S (x) e_T -> wedge_sign(S, T) e_(S+T)."""
+def cliffordization(form: Matrix, lefts, rights) -> list:
+    """The product deformed by the bilinear form B as a step list on blade
+    pairs (S, T) with S in lefts and T in rights: split both blades, contract
+    the inner pair (S2, T1) and wedge the outer pair (S1, T2).  Its maps are
+    built on what those pairs reach: split is the exterior unshuffle
+    coproduct e_S -> sum of wedge_sign(S1, S2) e_S1 (x) e_S2 over the splits
+    S = S1 + S2, gram contracts a grade-k pair (S2, T1) to
+    (-1)^floor(k/2) det[B(s2_i, t1_j)], and wedge is
+    e_S (x) e_T -> wedge_sign(S, T) e_(S+T)."""
     n = form.nrows
     split = LinearMap(1, {(c,): {(a, c ^ a): wedge_sign(a, c ^ a) for a in _parts(n, [c])}
                           for c in {*lefts, *rights}})
@@ -159,44 +164,25 @@ def _cliffordization_maps(form: Matrix, lefts, rights) -> tuple[LinearMap, ...]:
                          if grade(s) == grade(t) and (g := xi_gram_determinant(form, s, t))})
     wedge = LinearMap(2, {(s, t): {(s | t,): wedge_sign(s, t)}
                           for s in left_parts for t in right_parts if not s & t})
-    return split, gram, wedge
-
-
-def cliffordization(form: Matrix) -> list:
-    """The product deformed by the bilinear form B as a step list on blade
-    pairs: split both blades, contract the inner pair (S2, T1) to the scalar
-    (-1)^floor(k/2) det[B(s2_i, t1_j)] and wedge the outer pair (S1, T2)."""
-    every = blades(form.nrows)
-    split, gram, wedge = _cliffordization_maps(form, every, every)
-    contract = LinearMap.of(keys(form.nrows, 2), [split.at(1), gram.at(0)])
-    return [split.at(0), contract.at(1), wedge.at(0)]
-
-
-def deformed_product_table(form: Matrix) -> dict:
-    """{(s, t): e_s *_B e_t as a sparse {blade: coeff} dict} over all blade
-    pairs."""
-    m = LinearMap.of(keys(form.nrows, 2), cliffordization(form))
-    return {st: {c: v for (c,), v in col.items()} for st, col in m.cols.items()}
+    return [split.at(0), split.at(2), gram.at(1), wedge.at(0)]
 
 
 def deformed_blade_product(form: Matrix, s_bits: int, t_bits: int) -> dict:
     """Product e_S *_B e_T in the algebra deformed by the bilinear form B,
     as a sparse {blade: coeff} dict: the cliffordization run on one pair,
-    with its maps built only on the blades contained in S and in T and
-    contract run as its two steps."""
-    split, gram, wedge = _cliffordization_maps(form, [s_bits], [t_bits])
-    prod = chain({(s_bits, t_bits): 1}, split.at(0), split.at(2), gram.at(1), wedge.at(0))
+    with its maps built only on the blades contained in S and in T."""
+    prod = chain({(s_bits, t_bits): 1}, *cliffordization(form, [s_bits], [t_bits]))
     return {c: v for (c,), v in prod.items()}
 
 
 class CliffordStructure:
-    """A rank, a form on vectors and a form on co-vectors, with the product,
-    dual-product and coproduct structure constants cached eagerly so the
-    instance is immutable after construction; what is derived from them, the
-    sparse maps and the antipode's solution set, is kept on first use.
-    pairing ("inner" or "straight", see the module docstring) fixes how the
-    coproduct table is transposed from the dual product; it leaves the
-    product tables alone."""
+    """A rank, a form on vectors and a form on co-vectors.  On construction
+    ``maps.m`` and ``dual`` are built as the cliffordizations by eta and by
+    xi, and ``maps.cop`` as ``dual`` transposed: the one stored copy of the
+    structure constants.  The three tables are read-only views of these
+    maps, read off on first use, as is the antipode's solution set.  pairing
+    ("inner" or "straight", see the module docstring) fixes how the
+    coproduct is transposed from the dual product."""
 
     def __init__(self, n: int, eta: Matrix, xi: Matrix, pairing: str = "inner"):
         if pairing not in PAIRINGS:
@@ -209,44 +195,47 @@ class CliffordStructure:
         self.eta = eta
         self.xi = xi
         self.pairing = pairing
-        self.product_table = deformed_product_table(eta)
-        self.dual_product_table = deformed_product_table(xi)
-        coprod: dict[int, dict] = {c: {} for c in blades(n)}
-        for (p, q), prod in self.dual_product_table.items():
-            # (eps_p *_xi eps_q)[C] lands on (q, p) inner, on (p, q) straight
-            key = (q, p) if pairing == "inner" else (p, q)
-            for c_bits, coeff in prod.items():
-                coprod[c_bits][key] = coeff
-        self.coproduct_table = {c: Tensor2(n, t) for c, t in coprod.items()}
+        every, pairs = blades(n), keys(n, 2)
+        self.dual = LinearMap.of(pairs, cliffordization(xi, every, every))
+        # (eps_p *_xi eps_q)[C] lands on (q, p) inner, on (p, q) straight; the
+        # columns come out in blade order, as 1 *_xi eps_c = eps_c comes first
+        cop = {c: {(q, p) if pairing == "inner" else (p, q): v for (p, q), v in col.items()}
+               for c, col in self.dual.transpose().cols.items()}
+        self.maps = structure_maps(LinearMap.of(pairs, cliffordization(eta, every, every)),
+                                   LinearMap(1, cop))
         # the antipode's solution set, filled on first use by hopf.antipode_solution
         self.antipode = None
 
     @cached_property
-    def maps(self) -> StructureMaps:
-        """The tables as sparse maps (linmap), built on first use."""
-        return structure_maps(self.product_table,
-                              {c: t.terms for c, t in self.coproduct_table.items()})
+    def product_table(self) -> dict:
+        """{(s, t): e_s *_eta e_t as a sparse {blade: coeff} dict}."""
+        return _table(self.maps.m)
+
+    @cached_property
+    def dual_product_table(self) -> dict:
+        """{(p, q): eps_p *_xi eps_q as a sparse {blade: coeff} dict}."""
+        return _table(self.dual)
+
+    @cached_property
+    def coproduct_table(self) -> dict:
+        """{c: coproduct(e_c) as a Tensor2}."""
+        return {c: Tensor2(self.n, col) for (c,), col in self.maps.cop.cols.items()}
 
     # -- algebra ----------------------------------------------------------
 
     def clifford_product(self, x: Multivector, y: Multivector) -> Multivector:
         self._check(x)
         self._check(y)
-        return self._bilinear(self.product_table, x, y)
+        return self._bilinear(self.maps.m, x, y)
 
     def dual_clifford_product(self, alpha: DualMultivector, beta: DualMultivector) -> DualMultivector:
         self._check(alpha)
         self._check(beta)
-        return self._bilinear(self.dual_product_table, alpha, beta)
+        return self._bilinear(self.dual, alpha, beta)
 
-    def _bilinear(self, table, x, y) -> Multivector:
-        out: dict = {}
-        for s, a in x.terms.items():
-            for t, b in y.terms.items():
-                ab = a * b
-                for k, c in table[(s, t)].items():
-                    out[k] = out.get(k, Fraction(0)) + ab * c
-        return Multivector(self.n, out)
+    def _bilinear(self, product: LinearMap, x, y) -> Multivector:
+        pairs = {(s, t): a * b for s, a in x.terms.items() for t, b in y.terms.items()}
+        return Multivector(self.n, {c: v for (c,), v in chain(pairs, product.at(0)).items()})
 
     # -- cogebra ----------------------------------------------------------
 
@@ -282,6 +271,10 @@ class CliffordStructure:
     def from_config(cls, data: dict) -> "CliffordStructure":
         return cls(cls.config_rank(data), Matrix.from_json(data["eta"]),
                    Matrix.from_json(data["xi"]), pairing=data.get("pairing", "inner"))
+
+
+def _table(product: LinearMap) -> dict:
+    return {st: {c: v for (c,), v in col.items()} for st, col in product.cols.items()}
 
 
 def counit(x: Multivector) -> Fraction:

@@ -61,7 +61,7 @@ class LinearMap:
             for j, v in enumerate(row):
                 if v:
                     cols[basis[j]][basis[i]] = v
-        return cls(len(basis[0]), cols)
+        return cls(len(next(iter(basis), ())), cols)
 
     @classmethod
     def of(cls, inputs: list[tuple], steps: list) -> "LinearMap":
@@ -229,14 +229,13 @@ class StructureMaps(NamedTuple):
     counit: LinearMap
 
 
-def structure_maps(product_table: dict, coproduct_table: dict, one=0) -> StructureMaps:
-    """The maps of the tables {(s, t): {c: coeff}} and {c: {(a, b): coeff}}
-    over basis elements c; ``one`` is the unit's basis element."""
+def structure_maps(m: LinearMap, cop: LinearMap, one=0) -> StructureMaps:
+    """The structure maps of a product m and a coproduct cop over the basis
+    elements of cop's columns; ``one`` is the unit's basis element."""
     return StructureMaps(
-        id=LinearMap(1, {(c,): {(c,): ONE} for c in coproduct_table}),
-        m=LinearMap(2, {st: {(c,): v for c, v in prod.items()}
-                        for st, prod in product_table.items()}),
-        cop=LinearMap(1, {(c,): t for c, t in coproduct_table.items()}),
+        id=LinearMap(1, {x: {x: ONE} for x in cop.cols}),
+        m=m,
+        cop=cop,
         unit=LinearMap(0, {(): {(one,): ONE}}),
         counit=LinearMap(1, {(one,): {(): ONE}}),
     )

@@ -273,9 +273,10 @@ def word_maps(n: int, bound: int, shuffle: bool = False) -> StructureMaps:
                           else (concat_product, deconcat_coproduct))
     elem = {w: GradedElement.word(n, bound, w)
             for k in range(bound + 1) for w in letter_words(n, k)}
-    return structure_maps({(u, v): product(elem[u], elem[v]).terms
-                           for u in elem for v in elem if len(u) + len(v) <= bound},
-                          {w: coproduct(x) for w, x in elem.items()}, one=())
+    m = LinearMap(2, {(u, v): {(w,): c for w, c in product(elem[u], elem[v]).terms.items()}
+                      for u in elem for v in elem if len(u) + len(v) <= bound})
+    cop = LinearMap(1, {(w,): coproduct(x) for w, x in elem.items()})
+    return structure_maps(m, cop, one=())
 
 
 # -- letter crossings, braid lifts and the symmetrizer ------------------------

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xcliff import braiding, hopf
 from xcliff.braiding import (antipode_scattering, braiding_report_json, check_braid_equation,
@@ -143,6 +143,58 @@ def test_quartic_fails_for_identity():
 def test_quartic_rejects_unit_composite():
     with pytest.raises(ValueError):
         check_min_polynomial(Matrix.identity(4), F(1))
+
+
+def quartic(a):
+    """Ascending coefficients of (x + 1)(x - b)(x^2 + a b x - b), b = (1 + a)/(1 - a)."""
+    b = (1 + a) / (1 - a)
+    out = [F(0)] * 5
+    for i, u in enumerate([-b, 1 - b, F(1)]):  # (x + 1)(x - b)
+        for j, v in enumerate([-b, a * b, F(1)]):
+            out[i + j] += u * v
+    return out
+
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+off_unit = small.filter(lambda a: a != 1)
+
+
+@st.composite
+def quartic_cases(draw):
+    """(4 x 4 matrix, parameter product a != 1): closed forms at their own or
+    at another product, twelve-parameter family members, diagonal matrices
+    with eigenvalues among -1, b and 0, and random rational matrices."""
+    a = draw(off_unit)
+    kind = draw(st.sampled_from(["closed", "family", "eigen", "random"]))
+    if kind == "closed":
+        i2 = draw(small.filter(bool))
+        j2 = draw(small.filter(lambda j: i2 * j != 1))
+        return closed_form_sigma(i2, j2), draw(st.sampled_from([i2 * j2, a]))
+    if kind == "family":
+        p, q = draw(small), draw(small)
+        return twelve_param_family_member(p, q, -p - q, draw(small)), a
+    if kind == "eigen":
+        b = (1 + a) / (1 - a)
+        diag = draw(st.lists(st.sampled_from([F(-1), b, F(0)]), min_size=4, max_size=4))
+        return Matrix([[diag[i] if i == j else 0 for j in range(4)] for i in range(4)]), a
+    return Matrix(draw(st.lists(st.lists(small, min_size=4, max_size=4),
+                                min_size=4, max_size=4))), a
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(quartic_cases())
+@example((closed_form_sigma(2, F(1, 3)), F(2, 3)))
+@example((closed_form_sigma(2, F(1, 3)), F(-1)))
+@example((twelve_param_family_member(1, 2, -3, F(1, 2)), F(0)))
+@example((Matrix.zeros(0, 0), F(-1)))
+def test_quartic_check_matches_dense_evaluation(case):
+    sigma, a = case
+    assert check_min_polynomial(sigma, a) == poly_eval_matrix(quartic(a), sigma).is_zero()
+
+
+def test_quartic_requires_a_square_matrix():
+    with pytest.raises(ValueError, match="square matrix required"):
+        check_min_polynomial(Matrix.zeros(4, 2), F(-1))
 
 
 def test_switch_squares_to_identity_at_zero_parameter():

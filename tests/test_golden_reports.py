@@ -6,8 +6,11 @@ replaced the hand-written product/coproduct/crossing loops (the `tables`,
 `shuffle`, straight-pairing and rank-3 generic reports and the `sigma` and
 `braided` reports on non-diagonal forms were added before solved maps were
 read back as sparse maps; the rank-2 scattering digests were added before
-both product tables were built from one cliffordization composite); when a
-report changes on purpose, record the new digest together with the reason.
+both product tables were built from one cliffordization composite; the
+rank-2 and rank-3 `tables` digests on r2_generic_straight and r3_generic and
+the `eta = xi = id` antipode/scattering digests under both pairings were
+added before the structure constants were stored only as sparse maps); when
+a report changes on purpose, record the new digest together with the reason.
 """
 
 import hashlib
@@ -33,6 +36,8 @@ CONFIGS = {
     "r2_generic_straight": (2, [["1", "1/2"], ["-1", "2"]], [["1", "-1"], ["1/2", "1"]],
                             "straight"),
     "r2_identity": (2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]),
+    # no antipode here, so the scattering takes the linear solve (dimension 240)
+    "r2_identity_straight": (2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]], "straight"),
     "r3_zero": (3, Z3, Z3),
     "r3_diagonal": (3, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "2"]],
                     [["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]),
@@ -84,6 +89,14 @@ GOLDEN = {
     ("antipode", "r2_generic"): ("28c3415ff91139bdca91c9745cf6dc77bd80321af47b425f4844b6576119ddb1", 0),
     ("verify", "r3_generic"): ("85a515ea2aa738e91f1824fbe9fc6ac08dea30fc41d3c08994cda42d2ad0066e", 0),
     ("verify", "r2_generic_straight"): ("b307201b9fe76db9dbeebb969ed6256fe0521913e2ec9fcef82272ae67558226", 0),
+    ("tables", "r2_generic_straight"): ("4c8b18239bd951ea88ae5013ff7d014589554a45537ff59f0ee72c84998d63c0", 0),
+    ("tables", "r3_generic"): ("f6ee9c3324e2fdd9d0d2fbcd58375226db37953f61a0055f312f480636e1ebad", 0),
+    ("antipode", "r2_identity"): ("7a709f6849674227f2889acccb9dbc79ee125d63f140cf47fc358912f3690b46", 0),
+    ("sigma", "r2_identity"): ("184fb5fbd4cadf64fc8a29ad764d9369acb419a04d7e575e266cdfc6d77559fe", 0),
+    ("braided", "r2_identity"): ("515b7ca29317559fd7fd09a168c996febf5a8ae6436ff97d07d474404b45867c", 0),
+    ("antipode", "r2_identity_straight"): ("91c707beae12024336deaad16203c206d1dd0da4a06e5b632986e01e6250f92c", 0),
+    ("sigma", "r2_identity_straight"): ("fe9edc4a2d967e9101954bc8013084133dbc020ced82d8b34a630d04d067896c", 0),
+    ("braided", "r2_identity_straight"): ("13a9027408728235264d34b9e78cc84567cc7a62a34cee0816fb83206c0ddad8", 0),
     ("sweep", None): ("d7ac6eb5bfec09a2e942de070140b29b34bd442a0785f5bbca17d126dafd1b2c", 0),
 }
 

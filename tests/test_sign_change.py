@@ -2,7 +2,9 @@
 e_i -> s_i e_i turns an instance into an isomorphic one, whose forms are
 s_i s_j B[i][j].  Every verdict of the report is unchanged, and the antipode
 changes exactly by the predicted signs: entry (p, a) is multiplied by
-s_p s_a, where s_C is the product of s_i over the indices i of blade C."""
+s_p s_a, where s_C is the product of s_i over the indices i of blade C.  The
+structure's tables change the same way: product entries (p, q) -> c by
+s_p s_q s_c and coproduct entries c -> (a, b) by s_a s_b s_c."""
 
 from fractions import Fraction as F
 from math import prod
@@ -69,3 +71,32 @@ def test_sign_change_keeps_every_verdict(instance):
         assert [[parse_scalar(v) for v in row] for row in flipped["antipode"]["matrix"]] == [
             [blade_sign(signs, p) * blade_sign(signs, a) * parse_scalar(v)
              for a, v in enumerate(row)] for p, row in enumerate(original)]
+
+
+@st.composite
+def table_instances(draw):
+    """(rank, eta, xi, signs) at ranks 1-3 over every form family."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    eta_kind, xi_kind = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    return (n, draw(forms(n, eta_kind)), draw(forms(n, xi_kind)),
+            draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, database=None, max_examples=24, deadline=None)
+@given(table_instances())
+@example((2, *GENERIC, [1, -1]))
+def test_sign_change_multiplies_tables_by_predicted_signs(instance):
+    """Both product tables change entry (p, q) -> c by s_p s_q s_c, and the
+    coproduct changes entry c -> (a, b) by s_a s_b s_c, under each pairing."""
+    n, eta, xi, signs = instance
+    s = {c: blade_sign(signs, c) for c in range(1 << n)}
+    for pairing in PAIRINGS:
+        base, flipped = (CliffordStructure(n, e, x, pairing=pairing)
+                         for e, x in ((eta, xi), (flip_signs(eta, signs), flip_signs(xi, signs))))
+        for table in ("product_table", "dual_product_table"):
+            assert getattr(flipped, table) == {
+                (p, q): {c: s[p] * s[q] * s[c] * v for c, v in prod.items()}
+                for (p, q), prod in getattr(base, table).items()}
+        for c, t in base.coproduct_table.items():
+            assert flipped.coproduct_table[c].terms == {
+                (a, b): s[a] * s[b] * s[c] * v for (a, b), v in t.terms.items()}
