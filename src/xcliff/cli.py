@@ -237,6 +237,34 @@ def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
     }
 
 
+# verify's names for the rank-1 checks that sweep rows name otherwise
+_VERIFY_RANK1_NAMES = {"min_poly_ok": "sigma_quartic_annihilates",
+                       "no_antipode": "antipode_absent_at_unit_composite"}
+
+
+def _rank1_checks(structure: CliffordStructure, ant: AffineSolutionSet,
+                  sol: AffineSolutionSet) -> tuple[dict, Matrix | None]:
+    """The rank-1 verdicts from the solved antipode and scattering, and the
+    closed-form scattering (None at a = 1).  At a != 1 both solutions are
+    unique and match their closed forms, and the quartic annihilates the
+    scattering; at a = 1 there is no antipode and the scattering family has
+    dimension 12."""
+    i2, j2 = structure.eta[(0, 0)], structure.xi[(0, 0)]
+    a = i2 * j2
+    if a == 1:
+        return {"no_antipode": not ant.is_consistent,
+                "sigma_family_dimension_12": sol.dimension == 12}, None
+    cf = braiding.closed_form_sigma(i2, j2)
+    return {
+        "antipode_closed_form_match": (
+            ant.is_unique and hopf.solution_to_endo(structure, ant.particular)
+            == hopf.complex_antipode_closed_form(a)),
+        "sigma_closed_form_match": (
+            sol.is_unique and braiding.solution_to_scattering(structure, sol.particular) == cf),
+        "min_poly_ok": braiding.check_min_polynomial(cf, a),
+    }, cf
+
+
 def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     n = structure.n
     eta_zero = structure.eta.is_zero()
@@ -270,19 +298,8 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     else:
         sigma = {"skipped": f"rank {n} > 2"}
     if n == 1:
-        a = structure.eta[(0, 0)] * structure.xi[(0, 0)]
-        if a != 1:
-            cf = braiding.closed_form_sigma(structure.eta[(0, 0)], structure.xi[(0, 0)])
-            match = (sigma_sol.is_unique and
-                     braiding.solution_to_scattering(structure, sigma_sol.particular) == cf)
-            hard["sigma_closed_form_match"] = match
-            hard["sigma_quartic_annihilates"] = braiding.check_min_polynomial(cf, a)
-            hard["antipode_closed_form_match"] = (
-                ant_sol.is_unique and hopf.solution_to_endo(structure, ant_sol.particular)
-                == hopf.complex_antipode_closed_form(a))
-        else:
-            hard["antipode_absent_at_unit_composite"] = not ant_sol.is_consistent
-            hard["sigma_family_dimension_12"] = sigma_sol.dimension == 12
+        checks, _ = _rank1_checks(structure, ant_sol, sigma_sol)
+        hard.update({_VERIFY_RANK1_NAMES.get(k, k): v for k, v in checks.items()})
     shuffle = _verify_shuffle(structure, min(bound, 4)) if n <= 2 else {"skipped": f"rank {n} > 2"}
     for key in SHUFFLE_HARD_KEYS:
         if key in shuffle:
@@ -408,23 +425,13 @@ def sweep_row(i2_str: str, j2_str: str) -> dict:
     row["conjecture_consistent"] = rec.conjecture_consistent
     sol = braiding.solve_sigma(structure)
     row["sigma_dim"] = sol.dimension if sol.is_consistent else None
-    if a != 1:
-        cf = braiding.closed_form_sigma(i2, j2)
-        row["antipode_closed_form_match"] = (
-            ant.is_unique and hopf.solution_to_endo(structure, ant.particular)
-            == hopf.complex_antipode_closed_form(a))
-        row["sigma_closed_form_match"] = (
-            sol.is_unique and braiding.solution_to_scattering(structure, sol.particular) == cf)
-        row["min_poly_ok"] = braiding.check_min_polynomial(cf, a)
+    checks, cf = _rank1_checks(structure, ant, sol)
+    row.update(checks)
+    row["hard_ok"] = all(checks.values())
+    if cf is not None:
         braided = braiding.check_braided(structure, cf)
         row["invertible"] = braided.invertible
         row["braid_eq"] = braided.braid_equation_holds
-        row["hard_ok"] = (row["antipode_closed_form_match"]
-                          and row["sigma_closed_form_match"] and row["min_poly_ok"])
-    else:
-        row["sigma_family_dimension_12"] = sol.dimension == 12
-        row["no_antipode"] = not ant.is_consistent
-        row["hard_ok"] = row["sigma_family_dimension_12"] and row["no_antipode"]
     return row
 
 

@@ -147,9 +147,6 @@ class Multivector:
     def scalar_part(self) -> Fraction:
         return self.terms.get(0, Fraction(0))
 
-    def grades(self) -> set:
-        return {grade(b) for b in self.terms}
-
     def is_homogeneous(self, k: int) -> bool:
         return all(grade(b) == k for b in self.terms)
 

@@ -31,8 +31,6 @@ from .exterior import Multivector
 from .linmap import LinearMap, Unknown, agree, chain, keys, linearize
 from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
 
-EndoMap = Matrix  # 2^n x 2^n over the blade basis
-
 
 def identity_endo(structure: CliffordStructure) -> Matrix:
     return Matrix.identity(1 << structure.n)

@@ -3,11 +3,14 @@ their coproducts, the word pairing, lifts between the deformed-algebra world
 and the word world, braid lifts and the permutation-summed symmetrizer.
 
 Words are tuples of letters in {0, ..., n-1}.  Elements carry a bound L and
-an explicit flag when an operation dropped terms beyond it.
+an explicit flag when an operation dropped terms beyond it.  Each of the four
+word rules (concatenation, deconcatenation, shuffle, unshuffle) is written
+once, on basis words with multiplicities; the element functions are its
+(bi)linear extension.
 
 The word layer runs on the sparse maps of :mod:`linmap`.  :func:`word_maps`
 holds either word bi-gebra as StructureMaps over word tensors (tuples of
-words), read off the product and coproduct functions below.  A letter
+words), whose columns are the rules on basis words.  A letter
 crossing is a map on letter pairs; its steps at adjacent positions of a
 letter string give the braid lifts, the symmetrizer's terms and the crossing
 of two words.  The compatibility square and the braid relation are the step
@@ -17,6 +20,7 @@ lists of :mod:`braiding`, run over these maps.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .braiding import braid_relation, square_defects
@@ -94,73 +98,68 @@ class GradedElement:
             raise ValueError("alphabet or bound mismatch")
 
 
+# -- the four word rules, each on basis words with multiplicities ------------
+
+def _concat(u: Word, v: Word) -> dict:
+    return {u + v: 1}
+
+
+def _shuffles(u: Word, v: Word) -> Counter:
+    """Every interleaving of u and v keeping each one's internal order."""
+    out: Counter = Counter()
+    for left in itertools.combinations(range(len(u) + len(v)), len(u)):
+        us, vs = iter(u), iter(v)
+        out[tuple(next(us) if i in left else next(vs) for i in range(len(u) + len(v)))] += 1
+    return out
+
+
+def _deconcat(w: Word) -> dict:
+    return {(w[:i], w[i:]): 1 for i in range(len(w) + 1)}
+
+
+def _unshuffles(w: Word) -> Counter:
+    """Every split of w over a subset of its positions: (subset, complement)."""
+    return Counter((tuple(a for i, a in enumerate(w) if mask >> i & 1),
+                    tuple(a for i, a in enumerate(w) if not mask >> i & 1))
+                   for mask in range(1 << len(w)))
+
+
+def _linear(rule, vector: dict) -> dict:
+    """The linear extension of a rule on basis keys to a sparse vector."""
+    out: dict = {}
+    for key, c in vector.items():
+        for y, k in rule(key).items():
+            out[y] = out.get(y, 0) + c * k
+    return {y: c for y, c in out.items() if c}
+
+
+def _bilinear(rule, x: GradedElement, y: GradedElement) -> GradedElement:
+    """The bilinear extension of a product rule on word pairs; pairs past the
+    bound are dropped and flagged."""
+    x._check(y)
+    pairs = {(u, v): a * b for u, a in x.terms.items() for v, b in y.terms.items()}
+    kept = {(u, v): c for (u, v), c in pairs.items() if len(u) + len(v) <= x.bound}
+    return GradedElement(x.dim, x.bound, _linear(lambda uv: rule(*uv), kept),
+                         x.truncated or y.truncated or len(kept) < len(pairs))
+
+
 def concat_product(x: GradedElement, y: GradedElement) -> GradedElement:
     """Bilinear concatenation; terms past the bound are dropped and flagged."""
-    x._check(y)
-    out: dict = {}
-    dropped = False
-    for u, a in x.terms.items():
-        for v, b in y.terms.items():
-            if len(u) + len(v) > x.bound:
-                dropped = True
-                continue
-            w = u + v
-            out[w] = out.get(w, Fraction(0)) + a * b
-    return GradedElement(x.dim, x.bound, out,
-                         x.truncated or y.truncated or dropped)
+    return _bilinear(_concat, x, y)
+
+
+def shuffle_product(x: GradedElement, y: GradedElement) -> GradedElement:
+    return _bilinear(_shuffles, x, y)
 
 
 def deconcat_coproduct(x: GradedElement) -> dict:
     """Split every word at every position: {(prefix, suffix): coeff}."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        for i in range(len(w) + 1):
-            k = (w[:i], w[i:])
-            out[k] = out.get(k, Fraction(0)) + c
-    return out
-
-
-def shuffle_product(x: GradedElement, y: GradedElement) -> GradedElement:
-    x._check(y)
-    out: dict = {}
-    dropped = False
-    for u, a in x.terms.items():
-        for v, b in y.terms.items():
-            if len(u) + len(v) > x.bound:
-                dropped = True
-                continue
-            ab = a * b
-            for w in _riffles(u, v):
-                out[w] = out.get(w, Fraction(0)) + ab
-    return GradedElement(x.dim, x.bound, out,
-                         x.truncated or y.truncated or dropped)
-
-
-def _riffles(u: Word, v: Word):
-    """All interleavings of u and v keeping each one's internal order."""
-    p, q = len(u), len(v)
-    for positions in itertools.combinations(range(p + q), p):
-        w = [None] * (p + q)
-        for a, i in zip(u, positions):
-            w[i] = a
-        it = iter(v)
-        for i in range(p + q):
-            if w[i] is None:
-                w[i] = next(it)
-        yield tuple(w)
+    return _linear(_deconcat, x.terms)
 
 
 def unshuffle_coproduct(x: GradedElement) -> dict:
     """Split every word over all subsets of positions: {(left, right): coeff}."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        k = len(w)
-        for mask in range(1 << k):
-            left = tuple(w[i] for i in range(k) if (mask >> i) & 1)
-            right = tuple(w[i] for i in range(k) if not (mask >> i) & 1)
-            key = (left, right)
-            out[key] = out.get(key, Fraction(0)) + c
-    return out
+    return _linear(_unshuffles, x.terms)
 
 
 def word_pairing(alpha: GradedElement, x: GradedElement) -> Fraction:
@@ -170,15 +169,7 @@ def word_pairing(alpha: GradedElement, x: GradedElement) -> Fraction:
 
 def pair_word_tensor(alpha: GradedElement, beta: GradedElement, t: dict) -> Fraction:
     """Pair alpha (x) beta against a word tensor {(u, v): coeff}."""
-    total = Fraction(0)
-    for (u, v), c in t.items():
-        ca = alpha.terms.get(u)
-        if not ca:
-            continue
-        cb = beta.terms.get(v)
-        if cb:
-            total += ca * cb * c
-    return total
+    return dot({(u, v): a * b for u, a in alpha.terms.items() for v, b in beta.terms.items()}, t)
 
 
 # -- lifts -------------------------------------------------------------------
@@ -224,20 +215,19 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
     """Cogebra morphism (up to truncation) from multivectors into words under
     deconcatenation: collect each iterated-coproduct layer through the letter
     map.  The layer-k contribution of x is letter_map tensored k times applied
-    to the (k-1)-fold coproduct; layer 0 is the scalar part.  The result is
-    flagged truncated when either layer just beyond the bound still
-    contributes (two layers are probed because contributions only occur at
-    every other length: letters are grade 1 and splitting preserves grade
-    parity)."""
+    to the (k-1)-fold coproduct; layer 0 is the scalar part.  Only the head
+    blade is split again, so a layer holds (head blade, partial word): each
+    layer splits the head and sends the new tail through the letter map at
+    once, and contributes its head's letter.  The result is flagged
+    truncated when either layer just beyond the bound still contributes (two
+    layers are probed because contributions only occur at every other
+    length: letters are grade 1 and splitting preserves grade parity)."""
     n = structure.n
     if letter_map.nrows != n or letter_map.ncols != (1 << n):
         raise ValueError("letter map must be n x 2^n")
 
     letter = LinearMap(1, {(b,): {(mu,): letter_map[(mu, b)] for mu in range(n)
                                   if letter_map[(mu, b)]} for b in blades(n)})
-    # only the head is split again, so a split whose tail blade has no letter
-    # can never contribute
-    keep = LinearMap(1, {key: {key: ONE} for key, col in letter.cols.items() if col})
     cop = structure.maps.cop
 
     def evaluate(x: Multivector) -> GradedElement:
@@ -245,12 +235,12 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
         terms: dict = {(): x.scalar_part()} if x.scalar_part() else {}
         layer = {(b,): c for b, c in x.terms.items()}
         for k in range(1, bound + 3):
-            contrib = chain(layer, *(letter.at(i) for i in range(k)))
+            contrib = chain(layer, letter.at(0))
             if k > bound and contrib:
                 return GradedElement(n, bound, terms, True)
             terms.update(contrib)  # words of length k, new keys
             if k < bound + 2:
-                layer = chain(layer, cop.at(0), keep.at(1))
+                layer = chain(layer, cop.at(0), letter.at(1))
         return GradedElement(n, bound, terms, False)
 
     return evaluate
@@ -267,15 +257,13 @@ def word_maps(n: int, bound: int, shuffle: bool = False) -> StructureMaps:
     """The concatenation/deconcatenation bi-gebra on words of length <= bound,
     or with shuffle=True the shuffle/unshuffle one, as linmap maps over word
     tensors (tuples of words).  The product is defined on the word pairs of
-    total length <= bound.  Each column is read off the product or coproduct
-    function on basis words, so those stay the one place each rule is written."""
-    product, coproduct = ((shuffle_product, unshuffle_coproduct) if shuffle
-                          else (concat_product, deconcat_coproduct))
-    elem = {w: GradedElement.word(n, bound, w)
-            for k in range(bound + 1) for w in letter_words(n, k)}
-    m = LinearMap(2, {(u, v): {(w,): c for w, c in product(elem[u], elem[v]).terms.items()}
-                      for u in elem for v in elem if len(u) + len(v) <= bound})
-    cop = LinearMap(1, {(w,): coproduct(x) for w, x in elem.items()})
+    total length <= bound.  Each column is read straight off the word rule
+    that the element functions extend, so each rule is written once."""
+    product, coproduct = (_shuffles, _unshuffles) if shuffle else (_concat, _deconcat)
+    words = [w for k in range(bound + 1) for w in letter_words(n, k)]
+    m = LinearMap(2, {(u, v): {(w,): c for w, c in product(u, v).items()}
+                      for u in words for v in words if len(u) + len(v) <= bound})
+    cop = LinearMap(1, {(w,): coproduct(w) for w in words})
     return structure_maps(m, cop, one=())
 
 
@@ -325,13 +313,10 @@ class WordOperator(LinearMap):
 
 
 def letter_switch(n: int, sign: int = 1) -> Matrix:
-    """The (signed) transposition on letter pairs, as an n^2 x n^2 matrix with
-    pair (c, d) at column c * n + d."""
-    entries = {}
-    for c in range(n):
-        for d in range(n):
-            entries[(d * n + c, c * n + d)] = Fraction(sign)
-    return Matrix.from_entries(n * n, n * n, entries)
+    """The (signed) transposition on letter pairs, as an n^2 x n^2 matrix in
+    letter_words(n, 2) order."""
+    pairs = letter_words(n, 2)
+    return LinearMap(2, {(c, d): {(d, c): Fraction(sign)} for c, d in pairs}).to_matrix(pairs)
 
 
 def zero_letter_crossing(n: int) -> Matrix:
