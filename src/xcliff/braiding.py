@@ -134,14 +134,16 @@ def _antipode_route(maps, s) -> list:
 
 def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
     """The only possible solution of the compatibility square, built from
-    the antipode S (see the module docstring); None when the structure has
-    no unique two-sided antipode or a bigebra law fails."""
+    the antipode S (see the module docstring); None when a bigebra law fails
+    or the structure has no antipode.  The law verdicts are the structure's
+    shared ones, and under them hopf.solve_antipode has already checked S on
+    the antipode axiom."""
+    if not hopf.bigebra_laws(structure):
+        return None
     sol = hopf.antipode_solution(structure)
     if not sol.is_unique:
         return None
     s = hopf.antipode_map(structure, sol.particular)
-    if not (hopf.bigebra_laws(structure) and hopf.is_antipode(structure, s)):
-        return None
     return LinearMap.of(keys(structure.n, 2), _antipode_route(structure.maps, s))
 
 

@@ -221,7 +221,7 @@ def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
     within_bound = LinearMap(2, {p: {p: ONE} for p in pairs})
     top = min(bound, 3)
     ranks = ts.exterior_image_dimensions(ts.letter_switch(n, -1), n, top)
-    zero_ok, _ = ts.zero_braid_bigebra_check(n, top)
+    zero_ok, _ = ts.zero_braid_bigebra_check(n, top, maps=concat)
     return {
         # concatenation pairs with deconcatenation, shuffle with unshuffle
         "pairing_dualities": all(words.m.transpose().cols == words.cop.cols

@@ -180,9 +180,10 @@ class CliffordStructure:
     ``maps.m`` and ``dual`` are built as the cliffordizations by eta and by
     xi, and ``maps.cop`` as ``dual`` transposed: the one stored copy of the
     structure constants.  The three tables are read-only views of these
-    maps, read off on first use, as is the antipode's solution set.  pairing
-    ("inner" or "straight", see the module docstring) fixes how the
-    coproduct is transposed from the dual product."""
+    maps, read off on first use, as are the antipode's solution set and
+    the verdicts of the bigebra laws.  pairing ("inner" or "straight", see
+    the module docstring) fixes how the coproduct is transposed from the
+    dual product."""
 
     def __init__(self, n: int, eta: Matrix, xi: Matrix, pairing: str = "inner"):
         if pairing not in PAIRINGS:
@@ -203,8 +204,10 @@ class CliffordStructure:
                for c, col in self.dual.transpose().cols.items()}
         self.maps = structure_maps(LinearMap.of(pairs, cliffordization(eta, every, every)),
                                    LinearMap(1, cop))
-        # the antipode's solution set, filled on first use by hopf.antipode_solution
+        # the antipode's solution set and the bigebra law verdicts {law: bool},
+        # filled on first use by hopf.antipode_solution and hopf's law checks
         self.antipode = None
+        self.laws: dict = {}
 
     @cached_property
     def product_table(self) -> dict:

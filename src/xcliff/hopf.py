@@ -3,32 +3,43 @@
 The convolution of f and g is the composite product . (f (x) g) .
 coproduct, written once as a step list over the sparse maps of
 :mod:`linmap`.  An antipode is a two-sided convolution inverse of the
-identity against unit . counit; its linear system is the linearization of
-the same two composites, S * id and id * S, in the entries of S.
+identity against unit . counit.
 
-A solution of that system is read back as the sparse map S by the same
-Unknown that numbered its entries (:func:`antipode_map`), and the axiom is
-checked on S with the same two composites (:func:`is_antipode`).  Dense
-matrices over the blade basis in ascending bitmask order (column j holds the
-image of blade j) remain only where a public function takes or returns one:
+The bigebra laws (associativity, the unit law, coassociativity and the
+counit law) are step-list identities here too.  Each is evaluated once per
+structure and kept on it (``structure.laws``), shared by the ``verify`` hard
+checks, the antipode solver and the scattering's closed form.  When they
+hold, the convolution algebra is associative with unit u . counit, so an
+antipode is unique and exists iff the constant term c_0 of the minimal
+polynomial of id is nonzero.  :func:`solve_antipode` finds that polynomial
+as a Krylov sequence: the powers P_0 = u . counit, P_1 = id,
+P_k = P_(k-1) * id until the first P_k = sum_(j<k) c_j P_j, each test one
+small solve in the coefficients c_j (:func:`id_powers`).  Then
+S = (P_(k-1) - sum_(j>=1) c_j P_(j-1)) / c_0 is substituted back into the
+axiom as a certificate, or there is no antipode when c_0 = 0.  Where a law
+fails, the antipode is solved instead from the linearization of the two
+composites S * id and id * S in the 4^n entries of S
+(:func:`solve_antipode_system`), which the tests also use as the oracle.
+
+A solution is read back as the sparse map S by the same Unknown that
+numbered its entries (:func:`antipode_map`), and the axiom is checked on S
+with the same two composites (:func:`is_antipode`).  Dense matrices over
+the blade basis in ascending bitmask order (column j holds the image of
+blade j) remain only where a public function takes or returns one:
 ``convolution``, ``apply_endo``, ``endo_from_images``, ``identity_endo``,
-``unit_counit_endo``, ``solution_to_endo`` and the closed forms.
-
-The bigebra laws the antipode argument rests on (associativity, the unit
-law, coassociativity and the counit law) are step-list identities here too,
-shared by the ``verify`` hard checks and the scattering's closed form.  The
+``unit_counit_endo``, ``solution_to_endo`` and the closed forms.  The
 antipode is solved once per structure and kept on it
 (:func:`antipode_solution`).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .clifford import CliffordStructure
 from .exterior import Multivector
-from .linmap import LinearMap, Unknown, agree, chain, keys, linearize
+from .linmap import LinearMap, Unknown, add, agree, chain, keys, linearize
 from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
 
 
@@ -86,22 +97,38 @@ def associative(m: LinearMap, n: int) -> bool:
     return agree(keys(n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
 
 
+def _kept(law):
+    """A law of a structure, evaluated on first use and kept in
+    ``structure.laws`` under its name, so that every caller shares it."""
+    @wraps(law)
+    def kept(structure: CliffordStructure) -> bool:
+        verdicts = structure.laws
+        if law.__name__ not in verdicts:
+            verdicts[law.__name__] = law(structure)
+        return verdicts[law.__name__]
+    return kept
+
+
+@_kept
 def product_associative(structure: CliffordStructure) -> bool:
     return associative(structure.maps.m, structure.n)
 
 
+@_kept
 def unital(structure: CliffordStructure) -> bool:
     """product . (unit (x) id) = id = product . (id (x) unit)."""
     unit, m = structure.maps.unit, structure.maps.m
     return all(agree(keys(structure.n, 1), [unit.at(side), m.at(0)], []) for side in (0, 1))
 
 
+@_kept
 def coassociative(structure: CliffordStructure) -> bool:
     """(coproduct (x) id) . coproduct = (id (x) coproduct) . coproduct."""
     cop = structure.maps.cop
     return agree(keys(structure.n, 1), [cop.at(0), cop.at(0)], [cop.at(0), cop.at(1)])
 
 
+@_kept
 def counital(structure: CliffordStructure) -> bool:
     """(counit (x) id) . coproduct = id = (id (x) counit) . coproduct."""
     cop, counit = structure.maps.cop, structure.maps.counit
@@ -134,14 +161,71 @@ def antipode_systems(structure: CliffordStructure) -> list[tuple[dict, dict]]:
     return [linearize(basis, lhs, rhs) for lhs, rhs in _antipode_axiom(structure.maps, s)]
 
 
-def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
-    """Exact solution set of the two-sided antipode axiom, the unknowns
-    flattened as in antipode_systems."""
+def solve_antipode_system(structure: CliffordStructure) -> AffineSolutionSet:
+    """Exact solution set of the two-sided antipode axiom, solved from
+    antipode_systems: 2 * 4^n rows in the 4^n entries of S."""
     rows, rhs = [], []
     for eq_rows, eq_rhs in antipode_systems(structure):
         rows += eq_rows.values()
         rhs += eq_rhs.values()
     return solve_sparse_system(rows, rhs, 1 << (2 * structure.n))
+
+
+def _entries(f: LinearMap) -> dict:
+    """The entries {(input, output): coefficient} of a map."""
+    return {(x, y): c for x, col in f.cols.items() for y, c in col.items()}
+
+
+def id_powers(structure: CliffordStructure) -> tuple[list[LinearMap], tuple]:
+    """The convolution powers P_0 = unit . counit, P_1 = id and
+    P_k = P_(k-1) * id, up to the first P_k that is a combination
+    sum_(j<k) c_j P_j; returns [P_0, ..., P_(k-1)] and (c_0, ..., c_(k-1)).
+    When the bigebra laws hold, P_k = id^k and x^k - sum c_j x^j is the
+    minimal polynomial of id in the convolution algebra."""
+    maps, basis = structure.maps, keys(structure.n, 1)
+    powers: list[LinearMap] = []
+    rows: dict = {}  # entry (input, output) -> {j: entry of P_j}
+    p = LinearMap.of(basis, _unit_counit(maps))
+    while True:
+        target = _entries(p)
+        # P_k is independent of the earlier powers if it has an entry none of
+        # them has; else it is solved for on the entries they have
+        if powers and target.keys() <= rows.keys():
+            sol = solve_sparse_system(list(rows.values()),
+                                      [target.get(e, 0) for e in rows], len(powers))
+            if sol.is_consistent:
+                return powers, sol.particular
+        for e, c in target.items():
+            rows.setdefault(e, {})[len(powers)] = c
+        powers.append(p)
+        p = maps.id if len(powers) == 1 else LinearMap.of(basis, _convolution(maps, p, maps.id))
+
+
+def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
+    """Exact solution set of the two-sided antipode axiom, the unknowns
+    flattened as in antipode_systems.
+
+    When the bigebra laws hold, the convolution algebra is associative and
+    unital, so S is the inverse of id: from the minimal polynomial of id
+    (id_powers), S = (P_(k-1) - sum_(j>=1) c_j P_(j-1)) / c_0 when c_0 != 0,
+    checked on the axiom by substitution, and there is no antipode when
+    c_0 = 0.  When a law fails, solve_antipode_system decides instead."""
+    if not bigebra_laws(structure):
+        return solve_antipode_system(structure)
+    powers, c = id_powers(structure)
+    if not c[0]:
+        return AffineSolutionSet(particular=None)
+    entries = _entries(powers[-1])
+    for j in range(1, len(powers)):
+        entries = add(entries, _entries(powers[j - 1]), -c[j])
+    cols: dict = {}
+    for (x, y), v in entries.items():
+        cols.setdefault(x, {})[y] = v / c[0]
+    s = LinearMap(1, cols)
+    if not is_antipode(structure, s):
+        raise ArithmeticError("the inverse of id does not satisfy the antipode axiom")
+    n = structure.n
+    return AffineSolutionSet(particular=_antipode_unknown(n).flatten(s, 1 << (2 * n)))
 
 
 def antipode_solution(structure: CliffordStructure) -> AffineSolutionSet:

@@ -405,6 +405,21 @@ def test_shuffle_checks_pass_unplanted():
     assert all(_shuffle_flags().values())
 
 
+def test_verify_shuffle_builds_each_word_bigebra_once(monkeypatch):
+    # the zero-crossing check runs on the concatenation maps built at the
+    # larger bound, not on maps of its own
+    calls = []
+    original = ts.word_maps
+
+    def counted(n, bound, shuffle=False):
+        calls.append((bound, shuffle))
+        return original(n, bound, shuffle)
+
+    monkeypatch.setattr(ts, "word_maps", counted)
+    assert all(_shuffle_flags(bound=4).values())
+    assert sorted(calls) == [(4, False), (4, True)]
+
+
 def _only_failure(flags, key):
     assert flags == {k: k != key for k in cli.SHUFFLE_HARD_KEYS}
 

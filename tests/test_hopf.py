@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xcliff.clifford import CliffordStructure
+from xcliff import cli
+from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.exterior import Multivector, blades, grade
 from xcliff.hopf import (antipode_report_json, apply_endo, complex_antipode_closed_form,
                          convolution, endo_from_images, identity_endo, solve_antipode,
@@ -242,3 +244,114 @@ def test_antipode_is_solved_once_per_structure(monkeypatch):
     assert sol == original(s)
     hopf.antipode_solution(complex_structure(2, F(1, 3)))
     assert len(calls) == 2
+
+
+# -- the antipode as the convolution inverse of id ----------------------------------------
+
+rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+# each family's (eta, xi) kinds, as in the benchmark's configs
+FAMILIES = {"generic": ("generic", "generic"), "diagonal": ("diagonal", "diagonal"),
+            "xi0": ("generic", "zero"), "eta0": ("zero", "generic"), "zero": ("zero", "zero")}
+
+
+def forms(n: int, kind: str):
+    if kind == "zero":
+        return st.just(Matrix.zeros(n, n))
+    if kind == "diagonal":
+        return st.lists(rationals, min_size=n, max_size=n).map(
+            lambda d: Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    return st.lists(st.lists(rationals, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix)
+
+
+@st.composite
+def structures(draw):
+    """A rank 1-3 structure of any family of forms, under either pairing."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    eta_kind, xi_kind = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    return CliffordStructure(n, draw(forms(n, eta_kind)), draw(forms(n, xi_kind)),
+                             pairing=draw(st.sampled_from(PAIRINGS)))
+
+
+def count_rows(monkeypatch):
+    """The row counts of the linear systems hopf solves from now on."""
+    calls = []
+    original = hopf.solve_sparse_system
+
+    def counted(rows, rhs, ncols):
+        calls.append(len(rows))
+        return original(rows, rhs, ncols)
+
+    monkeypatch.setattr(hopf, "solve_sparse_system", counted)
+    return calls
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(structures())
+def test_krylov_antipode_matches_the_linear_system(s):
+    sol = solve_antipode(s)
+    assert sol == hopf.solve_antipode_system(s)
+    assert sol.is_unique or not sol.is_consistent
+    if sol.is_consistent:
+        assert hopf.is_antipode(s, hopf.antipode_map(s, sol.particular))
+
+
+@pytest.mark.parametrize("a", [F(1), F(2), F(-1), F(1, 3)])
+def test_rank1_constant_term_is_a_minus_one(monkeypatch, a):
+    # id * id = 2 id + (a - 1) u . counit, so no antipode exactly at a = 1
+    s = complex_structure(a, 1)
+    rows = count_rows(monkeypatch)
+    assert hopf.id_powers(s)[1] == (a - 1, 2)
+    sol = solve_antipode(s)
+    assert 2 * 4 not in rows
+    assert sol.is_consistent == (a != 1)
+    assert sol == hopf.solve_antipode_system(s)
+
+
+@pytest.mark.parametrize("pairing, c, exists", [("straight", (0, 4), False),
+                                                ("inner", (4, 0), True)])
+def test_rank2_identity_forms_decided_by_the_constant_term(monkeypatch, pairing, c, exists):
+    # eta = xi = id: id * id = 4 id under "straight", a zero divisor, and
+    # id * id = 4 u . counit under "inner", so S = id/4
+    s = CliffordStructure(2, Matrix.identity(2), Matrix.identity(2), pairing=pairing)
+    rows = count_rows(monkeypatch)
+    assert hopf.id_powers(s)[1] == c
+    sol = solve_antipode(s)
+    assert 2 * 16 not in rows
+    assert sol.is_consistent == exists
+    if exists:
+        assert solution_to_endo(s, sol.particular) == identity_endo(s).scale(F(1, 4))
+    assert sol == hopf.solve_antipode_system(s)
+
+
+def test_broken_coassociativity_takes_the_linear_solve(monkeypatch):
+    # the coefficient of e2 (x) e12 in coproduct(e1), 1/2, planted as 3/2,
+    # breaks coassociativity alone; the antipode system keeps its unique
+    # solution
+    s = CliffordStructure(2, Matrix([[2, 0], [0, -1]]), Matrix([[F(-1, 3), 0], [0, F(1, 2)]]))
+    s.maps.cop.cols[(0b01,)][(0b10, 0b11)] += 1
+    rows = count_rows(monkeypatch)
+    sol = solve_antipode(s)
+    assert rows == [2 * 16]
+    assert not hopf.bigebra_laws(s)
+    assert sol.is_unique and sol == hopf.solve_antipode_system(s)
+
+
+def test_verify_evaluates_each_law_once(monkeypatch):
+    # the wedge's associativity, checked by _check_exterior_laws, is not counted
+    s = CliffordStructure(2, Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]]))
+    products = []
+    original = hopf.associative
+
+    def counted(m, n):
+        if m is s.maps.m:
+            products.append(m)
+        return original(m, n)
+
+    monkeypatch.setattr(hopf, "associative", counted)
+    report = cli.build_instance_report(s, 2)
+    assert report["hard_pass"] and report["antipode"]["unique"]
+    assert report["sigma"]["solution_space_dim"] == 0
+    assert len(products) == 1
+    assert s.laws == {"product_associative": True, "unital": True,
+                      "coassociative": True, "counital": True}

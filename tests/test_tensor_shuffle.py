@@ -512,6 +512,17 @@ def test_zero_braid_check_matches_oracle(crossing, bound):
 
 
 @ORACLE_SETTINGS
+@given(letter_crossings(), st.sampled_from([1, 2, 3]), st.sampled_from([0, 1]))
+def test_zero_braid_check_on_maps_of_a_larger_bound(crossing, bound, extra):
+    # the concatenation maps of a larger bound, restricted to the pairs
+    # within the bound, give the same verdict and witnesses, in order
+    n, sigma = crossing
+    maps = word_maps(n, bound + extra)
+    assert (zero_braid_bigebra_check(n, bound, sigma, maps=maps)
+            == zero_braid_bigebra_check(n, bound, sigma))
+
+
+@ORACLE_SETTINGS
 @given(letter_crossings(), st.sampled_from([2, 3, 4]))
 def test_symmetrizer_matches_oracle(crossing, k):
     n, sigma = crossing
