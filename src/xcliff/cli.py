@@ -18,9 +18,8 @@ from math import comb
 
 from . import braiding, hopf, tensor_shuffle as ts
 from .clifford import (CliffordStructure, check_counit_is_algebra_map,
-                       check_unit_is_cogebra_map, coproduct_grades_ok, dkp_coproduct,
-                       xi_gram_determinant)
-from .exterior import Multivector, blade_key, blade_name, blades, grade, wedge
+                       check_unit_is_cogebra_map, coproduct_grades_ok, xi_gram_determinant)
+from .exterior import Multivector, blade_key, blade_name, blades, grade
 from .linmap import ONE, LinearMap, agree, keys
 from .sampling import random_rational
 from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
@@ -114,38 +113,10 @@ def cmd_tables(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _check_exterior_laws(n: int) -> bool:
-    """The wedge product, read off exterior.wedge on basis blades, is
-    associative and graded commutative: wedge = wedge . graded switch."""
-    w = LinearMap(2, {(a, b): {(c,): v for c, v in wedge(Multivector.blade(n, a),
-                                                          Multivector.blade(n, b)).terms.items()}
-                      for a, b in keys(n, 2)})
-    return hopf.associative(w, n) and agree(keys(n, 2), [w.at(0)],
-                                            [braiding.switch_map(n).at(0), w.at(0)])
-
-
 def _inner_key(structure: CliffordStructure, a: int, b: int) -> tuple[int, int]:
     """The coproduct key holding what the inner pairing's table holds at
     (a, b): the straight pairing's table is its (a, b) -> (b, a) transpose."""
     return (a, b) if structure.pairing == "inner" else (b, a)
-
-
-def _check_duality(structure: CliffordStructure) -> bool:
-    """The coproduct is the transposed dual product: <eps_p *_xi eps_q, e_x>
-    is the coefficient of coproduct(e_x) that pairs with eps_p (x) eps_q,
-    the one at _inner_key(q, p)."""
-    return {x: {_inner_key(structure, q, p): v for (p, q), v in col.items()}
-            for x, col in structure.dual.transpose().cols.items()} == structure.maps.cop.cols
-
-
-def _check_dkp(xi_zero_structure: CliffordStructure) -> bool:
-    s = xi_zero_structure
-    for c in blades(s.n):
-        x = Multivector.blade(s.n, c)
-        expected = {_inner_key(s, a, b): v for (a, b), v in dkp_coproduct(x).terms.items()}
-        if s.coproduct(x).terms != expected:
-            return False
-    return True
 
 
 def _check_cop_unit_signs(structure: CliffordStructure) -> bool:
@@ -172,12 +143,10 @@ def _verify_antipode(structure: CliffordStructure, sol: AffineSolutionSet) -> di
         "unique": sol.is_unique if sol.is_consistent else None,
         "conjecture_consistent": record.conjecture_consistent,
         "xi_eta_is_identity": record.xi_eta_is_identity,
-        "axiom_holds": None,
         "matrix": None,
     }
     if sol.is_consistent:
         s = hopf.antipode_map(structure, sol.particular)
-        out["axiom_holds"] = hopf.is_antipode(structure, s)
         out["matrix"] = s.to_matrix(keys(structure.n, 1)).to_json()
     return out
 
@@ -198,8 +167,11 @@ def _verify_sigma(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
     if ok:  # members[0] is the particular solution
         report = braiding.braided_flags(structure, members[0])
         out["braided_flags"] = report.to_json()
-        out["braided_iff_discrepancy"] = (report.verdict_braided
-                                          != (structure.eta.is_zero() or structure.xi.is_zero()))
+        # the paper's iff, read as in criterion 08: {invertible and braid}
+        # iff a form vanishes; the two hexagons split by which one does
+        out["braided_iff_discrepancy"] = (
+            (report.invertible and report.braid_equation_holds)
+            != (structure.eta.is_zero() or structure.xi.is_zero()))
     return out
 
 
@@ -271,25 +243,24 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     xi_zero = structure.xi.is_zero()
     counit_alg, _ = check_counit_is_algebra_map(structure)
     unit_cog, _ = check_unit_is_cogebra_map(structure)
-    # _check_dkp reads only the coproduct, which does not depend on eta
-    xi_zero_structure = (structure if xi_zero else CliffordStructure(
-        n, Matrix.zeros(n, n), Matrix.zeros(n, n), pairing=structure.pairing))
+    # only facts of this instance: the wedge laws, the coproduct as the
+    # transposed dual product and the zero-xi unshuffle hold for every
+    # instance of a rank and pairing, and are proved once in the tests
     hard = {
-        "exterior_laws": _check_exterior_laws(n),
         "product_associative": hopf.product_associative(structure),
         "coassociative": hopf.coassociative(structure),
         "counit_law": hopf.counital(structure),
-        "product_coproduct_duality": _check_duality(structure),
         "coproduct_grade_pattern": coproduct_grades_ok(structure),
         "coproduct_unit_sign_pattern": _check_cop_unit_signs(structure),
-        "zero_form_coproduct_is_unshuffle": _check_dkp(xi_zero_structure),
         "counit_algebra_map_iff_eta_zero": counit_alg == eta_zero,
         "unit_cogebra_map_iff_xi_zero": unit_cog == xi_zero,
     }
     ant_sol = hopf.antipode_solution(structure)
     antipode = _verify_antipode(structure, ant_sol)
+    # solve_antipode certifies its solution on the axiom (by substitution into
+    # the same step lists on either route), so uniqueness is what is left
     if antipode["exists"]:
-        hard["antipode_unique_and_two_sided"] = bool(antipode["unique"]) and bool(antipode["axiom_holds"])
+        hard["antipode_unique_and_two_sided"] = bool(antipode["unique"])
     if n <= 2:
         sigma_sol = braiding.solve_sigma(structure)
         sigma = _verify_sigma(structure, sigma_sol)

@@ -353,7 +353,8 @@ GENERIC_FORMS = {
 def _forms(n, kind):
     eta, xi = GENERIC_FORMS[n]
     zero = [["0"] * n for _ in range(n)]
-    return {"zero": (zero, zero), "xi0": (eta, zero), "generic": (eta, xi)}[kind]
+    return {"zero": (zero, zero), "xi0": (eta, zero), "eta0": (zero, xi),
+            "generic": (eta, xi)}[kind]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -470,3 +471,64 @@ def test_couniversal_lift_check_sees_a_wrong_lift_column(monkeypatch):
 
     monkeypatch.setattr(ts, "couniversal_lift", planted)
     _only_failure(_shuffle_flags(), "couniversal_lift_comultiplicative")
+
+
+# -- verify reports facts of the instance only ------------------------------------
+
+@pytest.mark.parametrize("n, kind, pairing, discrepancy", [
+    (2, "xi0", "straight", False),
+    (2, "eta0", "straight", False),
+    (2, "xi0", "inner", True),
+    (2, "eta0", "inner", True),
+    (2, "zero", "inner", True),
+    (1, "xi0", "inner", False),
+])
+def test_braided_iff_discrepancy_reads_invertible_and_braid(n, kind, pairing, discrepancy):
+    # criterion 08's reading of the iff: {invertible and braid} iff a form
+    # vanishes.  Under "straight" (and at rank 1) a vanishing form gives
+    # flags (T, T, xi = 0, eta = 0), so the iff holds although the four-flag
+    # verdict is false; under "inner" the rank-2 flags are (T, F, F, F).
+    eta, xi = _forms(n, kind)
+    structure = CliffordStructure.from_config(
+        {"n": n, "eta": eta, "xi": xi, "pairing": pairing})
+    report = cli.build_instance_report(structure, 2)
+    assert report["hard_pass"] is True
+    assert report["sigma"]["braided_iff_discrepancy"] is discrepancy
+
+
+@pytest.mark.parametrize("pairing", ["inner", "straight"])
+@pytest.mark.parametrize("kind", ["zero", "xi0", "eta0", "generic"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_builds_one_structure(tmp_path, monkeypatch, n, kind, pairing):
+    # the config's structure is the only one: no check builds a structure of
+    # other forms (such as the zero-form one) to compare against
+    built = []
+    build = CliffordStructure.__init__
+    monkeypatch.setattr(CliffordStructure, "__init__",
+                        lambda self, *args, **kw: built.append(args) or build(self, *args, **kw))
+    eta, xi = _forms(n, kind)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": n, "eta": eta, "xi": xi, "pairing": pairing}))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v.json")]) == 0
+    assert len(built) == 1
+
+
+def test_verify_fails_on_an_antipode_family_that_is_not_unique(tmp_path, monkeypatch):
+    original = hopf.antipode_solution
+
+    def planted(structure):
+        sol = original(structure)
+        shift = tuple(int(i == 0) for i in range(len(sol.particular)))
+        return AffineSolutionSet(sol.particular, (shift,))
+
+    monkeypatch.setattr(hopf, "antipode_solution", planted)
+    eta, xi = _forms(2, "generic")
+    cfg = write_config(tmp_path, "c.json", 2, eta, xi)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["antipode"]["exists"] is True and report["antipode"]["unique"] is False
+    assert report["hard_checks"]["antipode_unique_and_two_sided"] is False
+    assert report["hard_pass"] is False
+    assert [k for k, v in report["hard_checks"].items() if not v] == [
+        "antipode_unique_and_two_sided"]

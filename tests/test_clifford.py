@@ -287,6 +287,20 @@ def test_zero_form_coproduct_equals_unshuffle(n):
         assert s.coproduct(mv(n, c)) == dkp_coproduct(mv(n, c))
 
 
+@pytest.mark.parametrize("pairing", ["inner", "straight"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_form_coproduct_is_the_pairings_signed_unshuffle(n, pairing):
+    # at zero xi the inner table is dkp_coproduct's signed unshuffle and the
+    # straight table its (A, B) -> (B, A) transpose, whatever eta is
+    rng = random.Random(620 + n)
+    for eta in (Matrix.zeros(n, n), random_form(n, rng, nonzero=True)):
+        s = CliffordStructure(n, eta, Matrix.zeros(n, n), pairing=pairing)
+        for c in blades(n):
+            expected = {((a, b) if pairing == "inner" else (b, a)): v
+                        for (a, b), v in dkp_coproduct(mv(n, c)).terms.items()}
+            assert s.coproduct(mv(n, c)).terms == expected
+
+
 def test_dkp_examples():
     assert dkp_coproduct(Multivector.scalar(2, 1)) == Tensor2(2, {(0, 0): F(1)})
     assert dkp_coproduct(mv(2, 0b01)) == Tensor2(2, {(0, 0b01): F(1), (0b01, 0): F(1)})

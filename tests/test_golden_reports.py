@@ -11,6 +11,15 @@ rank-2 and rank-3 `tables` digests on r2_generic_straight and r3_generic and
 the `eta = xi = id` antipode/scattering digests under both pairings were
 added before the structure constants were stored only as sparse maps); when
 a report changes on purpose, record the new digest together with the reason.
+
+The 13 `verify` digests were re-recorded when `verify` stopped reporting
+facts that are not of the instance: the hard checks `exterior_laws` (rank
+only), `product_coproduct_duality` (true by construction of the coproduct)
+and `zero_form_coproduct_is_unshuffle` (rank and pairing only), and the
+antipode's `axiom_holds` (certified by the solver), were removed, and
+`braided_iff_discrepancy` now compares {invertible and braid} with "a form
+vanishes", as criterion 08 reads the iff.  Each new report is the old one
+with exactly those keys deleted; no value of these 13 reports changed.
 """
 
 import hashlib
@@ -49,17 +58,17 @@ SWEEP = ["sweep", "--samples", "40", "--seed", "7", "--a-values=-1,0,1"]
 
 # (command, config name or None for the sweep) -> (sha256 of the report, exit code)
 GOLDEN = {
-    ("verify", "r1_a1"): ("a6deb6bdf66b3ec6f2eda2afc6c2ebd5b8b9fd1307a15cfcf7b3711a7a0f8d15", 0),
-    ("verify", "r1_complex"): ("7b3a4aa36571e94f1c7b801e71a6912ffe614ceb85437bba06e3731d29d475d0", 0),
-    ("verify", "r1_2_third"): ("3d6a8171b4db73cf0b7aa84ce61cb1be960620d800fd74a4fbd8745a0f2ee645", 0),
-    ("verify", "r2_zero"): ("9ee9f4a75cf4621d21f068da57efd40cd87106d8686e33673ffdad6ef9d1ef2e", 0),
-    ("verify", "r2_diagonal"): ("477d0bfcc1aa6903fb9a1e1d0969fb08fec8c68a916a981f615bbab86462f24e", 0),
-    ("verify", "r2_xi0"): ("42a280776381ed42ab80926b545fabd16500c78b7873e3c5be19995933c7c879", 0),
-    ("verify", "r2_eta0"): ("10d09abbe5cfd47a8a706bd5175f8cb418c7d6579173cb9c76bf345925b1321c", 0),
-    ("verify", "r2_generic"): ("73af8ec2fb28c2d95887557dd8dc54fb54f22a2b292172a339ef6acbe5b1509c", 0),
-    ("verify", "r2_identity"): ("db3af22b4f87717e25cfff84de63df5db7f8e59a9c4d7340a8839782f5adf24f", 0),
-    ("verify", "r3_zero"): ("a1fe488c0a8169ff7ef4bc686c5bef586987574a4e68bd1d4b752bcf467c799a", 0),
-    ("verify", "r3_diagonal"): ("42a8d3b74ad69d61f403b1bd8ea9930e4b8645bfda55d8b75977f36a611f856e", 0),
+    ("verify", "r1_a1"): ("166739613b9c314285efe0a1e6fd321ba0841d822ebc575f37f749a1aa348a69", 0),
+    ("verify", "r1_complex"): ("a5d1860b398ed380b1dfda6f934577a3dfdc8b9561fa1aaef632b3116650ba99", 0),
+    ("verify", "r1_2_third"): ("27fc9916a17b4f3a1995949eb3f3d8eb2a36786ff4ba0ecd97b19f66e51e2e33", 0),
+    ("verify", "r2_zero"): ("024f125641a1d0b14e842c0cf5e65fdd40e9149eed634f63241f431118f5caa0", 0),
+    ("verify", "r2_diagonal"): ("d509cd1b16ea1024f694e1f38cf3435dee6288cac868715abd5f7ded05f468af", 0),
+    ("verify", "r2_xi0"): ("c543f4c2d7f93a8bd1b27bce7464289341ecc65f9c432d70461e841a8dc6f74f", 0),
+    ("verify", "r2_eta0"): ("e3328a9301d4290a34b2d3f99382177c12728429ea531f58bbda902b6331d865", 0),
+    ("verify", "r2_generic"): ("421ad53edbeeafa5bf63c3a8c9bc8bec52729b26c2037aea19e97fb61f956e88", 0),
+    ("verify", "r2_identity"): ("1f9cb51bd59d8d718e1c84a3044e41f8fd5b8edb251d6de9590ecd094e7dfcd0", 0),
+    ("verify", "r3_zero"): ("eccb1cfff284d96abff2992b36ef9a6e0538135b6c9b49fe02db44ffad81ec20", 0),
+    ("verify", "r3_diagonal"): ("753ef4d1e6a1421b6d98a6e742b908b953cc5c632042a5be0d2c17b9a9e8cabb", 0),
     ("sigma", "r1_a1"): ("d5159b1dcd06074f80ebf0fc8db58ac056f088e1081d94937d3e1fc197eb73a9", 0),
     ("sigma", "r1_complex"): ("2a18436d7bef17b62d6aa622fcc58a9f1511323beac57fd4494ab3bdf563a0d1", 0),
     ("sigma", "r1_2_third"): ("924278ac4cbb8d1e8abe9ad8e79e8ea7e8f540d47986e20abacd43d58bec9ed6", 0),
@@ -87,8 +96,8 @@ GOLDEN = {
     ("braided", "r2_xi0"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
     ("braided", "r2_eta0"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
     ("antipode", "r2_generic"): ("28c3415ff91139bdca91c9745cf6dc77bd80321af47b425f4844b6576119ddb1", 0),
-    ("verify", "r3_generic"): ("85a515ea2aa738e91f1824fbe9fc6ac08dea30fc41d3c08994cda42d2ad0066e", 0),
-    ("verify", "r2_generic_straight"): ("b307201b9fe76db9dbeebb969ed6256fe0521913e2ec9fcef82272ae67558226", 0),
+    ("verify", "r3_generic"): ("bebcb854750246a89e7120a63a5dae10b164212bca451083f3f1772c227cb6c9", 0),
+    ("verify", "r2_generic_straight"): ("ad05951c30cd7fcb3f83fd9656ea1a2010f12b31527085022a07a02a74e274e5", 0),
     ("tables", "r2_generic_straight"): ("4c8b18239bd951ea88ae5013ff7d014589554a45537ff59f0ee72c84998d63c0", 0),
     ("tables", "r3_generic"): ("f6ee9c3324e2fdd9d0d2fbcd58375226db37953f61a0055f312f480636e1ebad", 0),
     ("antipode", "r2_identity"): ("7a709f6849674227f2889acccb9dbc79ee125d63f140cf47fc358912f3690b46", 0),

@@ -338,7 +338,7 @@ def test_broken_coassociativity_takes_the_linear_solve(monkeypatch):
 
 
 def test_verify_evaluates_each_law_once(monkeypatch):
-    # the wedge's associativity, checked by _check_exterior_laws, is not counted
+    # only associativity checks of this structure's product map are counted
     s = CliffordStructure(2, Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]]))
     products = []
     original = hopf.associative
