@@ -26,12 +26,11 @@ square's routed side in its 16^n entries (:func:`scattering_system`).
 
 A solution is read back as the sparse map it solves for by the same Unknown
 that numbered its entries (:func:`scattering_map`), and
-:func:`braided_flags` checks such a map directly.  A dense 4^n x 4^n matrix
-over the blade-pair basis of the tensor square (pair (a, b) flattened as
-a * 2^n + b) remains only where a public function takes or returns one: the
-closed forms, the switches, ``solution_to_scattering``, ``sigma_matrix`` and
-``check_min_polynomial``.  The public checks also accept a LinearMap, which
-they use as it is; a matrix is converted once per call.
+:func:`braided_flags` checks such a map directly.  Every scattering, solved,
+closed-form or switch, is a LinearMap on blade pairs, which the public checks
+use as it is once its keys are checked against the rank; a dense 4^n x 4^n
+matrix over the pair basis (pair (a, b) flattened as a * 2^n + b) is written
+only for JSON, by ``to_matrix(keys(n, 2))``.
 """
 
 from __future__ import annotations
@@ -43,27 +42,16 @@ from . import hopf
 from .clifford import CliffordStructure, Tensor2
 from .exterior import Multivector, grade
 from .linmap import LinearMap, Unknown, add, agree, chain, differences, keys, linearize
-from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
-
-Scattering = Matrix | LinearMap  # over blade pairs: 4^n x 4^n dense, or sparse
+from .scalars import AffineSolutionSet, format_scalar, solve_sparse_system
 
 
 def pair_index(n: int, a: int, b: int) -> int:
     return (a << n) | b
 
 
-def _sigma_map(sigma: Scattering, n: int) -> LinearMap:
-    if isinstance(sigma, LinearMap):
-        return sigma
-    dim2 = 1 << (2 * n)
-    if sigma.nrows != dim2 or sigma.ncols != dim2:
-        raise ValueError(f"scattering must be {dim2} x {dim2} for rank {n}")
-    return LinearMap.from_matrix(sigma, keys(n, 2))
-
-
-def scattering_from_images(n: int, images: dict) -> Matrix:
-    """Build a scattering matrix from {(a, b): {(u, v): coeff}} images."""
-    return LinearMap(2, images).to_matrix(keys(n, 2))
+def _check_scattering(sigma: LinearMap, n: int) -> None:
+    if not sigma.fits(2, 1 << n):
+        raise ValueError(f"scattering must be a map on pairs of rank-{n} blades")
 
 
 def switch_map(n: int, graded: bool = True) -> LinearMap:
@@ -71,10 +59,6 @@ def switch_map(n: int, graded: bool = True) -> LinearMap:
     pairs pick up a minus sign."""
     return LinearMap(2, {(a, b): {(b, a): Fraction(-1 if graded and grade(a) & grade(b) & 1
                                                    else 1)} for a, b in keys(n, 2)})
-
-
-def switch_scattering(n: int, graded: bool = True) -> Matrix:
-    return switch_map(n, graded).to_matrix(keys(n, 2))
 
 
 def _direct(maps) -> list:
@@ -99,7 +83,7 @@ def square_defects(maps, sigma, inputs: list[tuple]):
     return differences(inputs, _direct(maps), _routed(maps, sigma))
 
 
-def compatibility_defect(structure: CliffordStructure, sigma: Scattering) -> dict:
+def compatibility_defect(structure: CliffordStructure, sigma: LinearMap) -> dict:
     """Defect of the compatibility square per input blade pair.
 
     For blades (x, y) the defect is coproduct(x *_eta y) minus the route
@@ -108,8 +92,8 @@ def compatibility_defect(structure: CliffordStructure, sigma: Scattering) -> dic
     empty dict means the triple (product, coproduct, sigma) is compatible.
     """
     n = structure.n
-    return {x: Tensor2(n, d) for x, d in
-            square_defects(structure.maps, _sigma_map(sigma, n), keys(n, 2))}
+    _check_scattering(sigma, n)
+    return {x: Tensor2(n, d) for x, d in square_defects(structure.maps, sigma, keys(n, 2))}
 
 
 def _scattering_unknown(n: int) -> Unknown:
@@ -167,21 +151,11 @@ def scattering_map(structure: CliffordStructure, flat: tuple) -> LinearMap:
     return _scattering_unknown(structure.n).read(flat, keys(structure.n, 2))
 
 
-def solution_to_scattering(structure: CliffordStructure, flat: tuple) -> Matrix:
-    return scattering_map(structure, flat).to_matrix(keys(structure.n, 2))
-
-
-def sigma_matrix(structure: CliffordStructure) -> Matrix | None:
-    sol = solve_sigma(structure)
-    if not sol.is_consistent:
-        return None
-    return solution_to_scattering(structure, sol.particular)
-
-
-def closed_form_sigma(i2, j2) -> Matrix:
+def closed_form_sigma(i2, j2) -> LinearMap:
     """The unique rank-1 scattering when the parameter product is not 1.
 
-    Pair basis order: (1,1), (1,i), (i,1), (i,i).
+    The blade pairs (0, 0), (0, 1), (1, 0), (1, 1) stand for 1(x)1, 1(x)i,
+    i(x)1, i(x)i.
     """
     i2, j2 = Fraction(i2), Fraction(j2)
     a = i2 * j2
@@ -194,10 +168,10 @@ def closed_form_sigma(i2, j2) -> Matrix:
         (0, 1): {(1, 0): s, (0, 1): a * s},
         (1, 0): {(0, 1): s, (1, 0): a * s},
     }
-    return scattering_from_images(1, images)
+    return LinearMap(2, images)
 
 
-def twelve_param_family_member(p, q, r, i2) -> Matrix:
+def twelve_param_family_member(p, q, r, i2) -> LinearMap:
     """A member of the compatible-scattering family at parameter product 1,
     defined for p + q + r = 0."""
     p, q, r, i2 = Fraction(p), Fraction(q), Fraction(r), Fraction(i2)
@@ -209,26 +183,27 @@ def twelve_param_family_member(p, q, r, i2) -> Matrix:
         (1, 0): {(0, 1): Fraction(1), (1, 0): q},
         (1, 1): {(1, 1): r, (0, 0): -i2},
     }
-    return scattering_from_images(1, images)
+    return LinearMap(2, images)
 
 
-def check_min_polynomial(sigma: Matrix, a) -> bool:
+def check_min_polynomial(sigma: LinearMap, a) -> bool:
     """Evaluate the quartic (x + 1)(x - b)(x^2 + a b x - b) with
     b = (1 + a)/(1 - a) at the scattering; true iff it vanishes exactly.
-    The three factors are applied in turn by Horner's rule to every basis
-    vector at once, each tagged by its index in a second tensor factor."""
+    sigma acts on the span of its inputs, the keys of its columns (a zero
+    image is an empty column), so each of its outputs must be one of them.
+    The three factors are applied in turn by Horner's rule to every input at
+    once, each tagged by a copy of itself in the factors after it."""
     a = Fraction(a)
     if a == 1:
         raise ValueError("quartic undefined at parameter product 1")
-    if not sigma.is_square():
-        raise ValueError("square matrix required")
+    if any(y not in sigma.cols for col in sigma.cols.values() for y in col):
+        raise ValueError("square matrix required: each output must be an input")
     b = (1 + a) / (1 - a)
-    f = LinearMap.from_matrix(sigma, [(i,) for i in range(sigma.nrows)])
-    v = {(i, i): 1 for i in range(sigma.nrows)}
+    v = {x + x: 1 for x in sigma.cols}
     for coeffs in ([1, 1], [1, -b], [1, a * b, -b]):  # descending coefficients
         out: dict = {}
         for c in coeffs:
-            out = add(chain(out, f.at(0)), v, c)
+            out = add(chain(out, sigma.at(0)), v, c)
         v = out
     return not v
 
@@ -239,12 +214,13 @@ def braid_relation(s) -> tuple[list, list]:
     return [s.at(0), s.at(1), s.at(0)], [s.at(1), s.at(0), s.at(1)]
 
 
-def check_braid_equation(sigma: Scattering, n: int) -> tuple[bool, int]:
+def check_braid_equation(sigma: LinearMap, n: int) -> tuple[bool, int]:
     """Evaluate both braid-relation composites on the tensor cube exactly.
 
     Returns (equal, number of basis triples where the two sides differ).
     """
-    bad = sum(1 for _ in differences(keys(n, 3), *braid_relation(_sigma_map(sigma, n))))
+    _check_scattering(sigma, n)
+    bad = sum(1 for _ in differences(keys(n, 3), *braid_relation(sigma)))
     return bad == 0, bad
 
 
@@ -272,14 +248,13 @@ class BraidedReport:
         }
 
 
-def check_braided(structure: CliffordStructure, sigma: Scattering) -> BraidedReport:
+def check_braided(structure: CliffordStructure, sigma: LinearMap) -> BraidedReport:
     """Braidedness of a compatible scattering: invertibility, the braid
     equation, and both naturality hexagons, all exact.  Raises if sigma does
     not solve the compatibility square in the first place."""
-    s = _sigma_map(sigma, structure.n)
-    if compatibility_defect(structure, s):
+    if compatibility_defect(structure, sigma):
         raise ValueError("scattering does not solve the compatibility square")
-    return braided_flags(structure, s)
+    return braided_flags(structure, sigma)
 
 
 def braided_flags(structure: CliffordStructure, s: LinearMap) -> BraidedReport:
@@ -299,16 +274,16 @@ def braided_flags(structure: CliffordStructure, s: LinearMap) -> BraidedReport:
     )
 
 
-def module_action(structure: CliffordStructure, sigma: Scattering,
+def module_action(structure: CliffordStructure, sigma: LinearMap,
                   x: Multivector, t: Tensor2) -> Tensor2:
     """Action of x on a tensor pair: coproduct on the acting element, middle
     crossing by sigma, then pairwise products."""
     structure._check(x)
     if t.dim != structure.n:
         raise ValueError("rank mismatch")
+    _check_scattering(sigma, structure.n)
     vector = {(c, *k): cx * ct for c, cx in x.terms.items() for k, ct in t.terms.items()}
-    steps = _action(structure.maps, _sigma_map(sigma, structure.n))
-    return Tensor2(structure.n, chain(vector, *steps))
+    return Tensor2(structure.n, chain(vector, *_action(structure.maps, sigma)))
 
 
 def braiding_report_json(structure: CliffordStructure, a=None) -> dict:
@@ -331,7 +306,7 @@ def braiding_report_json(structure: CliffordStructure, a=None) -> dict:
     report["braided_verdict"] = braided.verdict_braided
     report["braided_flags"] = braided.to_json()
     if a is not None and Fraction(a) != 1:
-        report["min_poly_ok"] = check_min_polynomial(s.to_matrix(keys(structure.n, 2)), a)
+        report["min_poly_ok"] = check_min_polynomial(s, a)
     else:
         report["min_poly_ok"] = None
     return report

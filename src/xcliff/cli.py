@@ -215,7 +215,7 @@ _VERIFY_RANK1_NAMES = {"min_poly_ok": "sigma_quartic_annihilates",
 
 
 def _rank1_checks(structure: CliffordStructure, ant: AffineSolutionSet,
-                  sol: AffineSolutionSet) -> tuple[dict, Matrix | None]:
+                  sol: AffineSolutionSet) -> tuple[dict, LinearMap | None]:
     """The rank-1 verdicts from the solved antipode and scattering, and the
     closed-form scattering (None at a = 1).  At a != 1 both solutions are
     unique and match their closed forms, and the quartic annihilates the
@@ -229,10 +229,10 @@ def _rank1_checks(structure: CliffordStructure, ant: AffineSolutionSet,
     cf = braiding.closed_form_sigma(i2, j2)
     return {
         "antipode_closed_form_match": (
-            ant.is_unique and hopf.solution_to_endo(structure, ant.particular)
+            ant.is_unique and hopf.antipode_map(structure, ant.particular)
             == hopf.complex_antipode_closed_form(a)),
         "sigma_closed_form_match": (
-            sol.is_unique and braiding.solution_to_scattering(structure, sol.particular) == cf),
+            sol.is_unique and braiding.scattering_map(structure, sol.particular) == cf),
         "min_poly_ok": braiding.check_min_polynomial(cf, a),
     }, cf
 
@@ -400,7 +400,9 @@ def sweep_row(i2_str: str, j2_str: str) -> dict:
     row.update(checks)
     row["hard_ok"] = all(checks.values())
     if cf is not None:
-        braided = braiding.check_braided(structure, cf)
+        # solve_sigma has checked the square on the solved map, and
+        # sigma_closed_form_match compares cf with it
+        braided = braiding.braided_flags(structure, cf)
         row["invertible"] = braided.invertible
         row["braid_eq"] = braided.braid_equation_holds
     return row

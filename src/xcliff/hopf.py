@@ -23,12 +23,11 @@ composites S * id and id * S in the 4^n entries of S
 
 A solution is read back as the sparse map S by the same Unknown that
 numbered its entries (:func:`antipode_map`), and the axiom is checked on S
-with the same two composites (:func:`is_antipode`).  Dense matrices over
-the blade basis in ascending bitmask order (column j holds the image of
-blade j) remain only where a public function takes or returns one:
-``convolution``, ``apply_endo``, ``endo_from_images``, ``identity_endo``,
-``unit_counit_endo``, ``solution_to_endo`` and the closed forms.  The
-antipode is solved once per structure and kept on it
+with the same two composites (:func:`is_antipode`).  Every endomorphism,
+the closed form included, is a LinearMap of arity 1 over the blades; a dense
+matrix over the blade basis in ascending bitmask order (column j holds the
+image of blade j) is written only for JSON, by ``to_matrix(keys(n, 1))``.
+The antipode is solved once per structure and kept on it
 (:func:`antipode_solution`).
 """
 from __future__ import annotations
@@ -43,27 +42,25 @@ from .linmap import LinearMap, Unknown, add, agree, chain, keys, linearize
 from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
 
 
-def identity_endo(structure: CliffordStructure) -> Matrix:
-    return Matrix.identity(1 << structure.n)
-
-
-def apply_endo(f: Matrix, x: Multivector) -> Multivector:
-    basis = keys(x.dim, 1)
-    if f.ncols != len(basis):
+def _check_endo(f: LinearMap, n: int) -> None:
+    if not f.fits(1, 1 << n):
         raise ValueError("endomorphism shape does not match rank")
-    image = chain({(b,): c for b, c in x.terms.items()}, LinearMap.from_matrix(f, basis).at(0))
+
+
+def apply_endo(f: LinearMap, x: Multivector) -> Multivector:
+    _check_endo(f, x.dim)
+    image = chain({(b,): c for b, c in x.terms.items()}, f.at(0))
     return Multivector(x.dim, {b: c for (b,), c in image.items()})
 
 
-def endo_from_images(structure: CliffordStructure, images: list[Multivector]) -> Matrix:
-    """Matrix of the endomorphism sending blade j to images[j]."""
-    basis = keys(structure.n, 1)
-    if len(images) != len(basis):
+def endo_from_images(structure: CliffordStructure, images: list[Multivector]) -> LinearMap:
+    """The endomorphism sending blade j to images[j]."""
+    if len(images) != 1 << structure.n:
         raise ValueError("need one image per blade")
     for img in images:
         structure._check(img)
     return LinearMap(1, {(j,): {(b,): c for b, c in img.terms.items()}
-                         for j, img in enumerate(images)}).to_matrix(basis)
+                         for j, img in enumerate(images)})
 
 
 def _convolution(maps, f, g) -> list:
@@ -75,21 +72,16 @@ def _unit_counit(maps) -> list:
     return [maps.counit.at(0), maps.unit.at(0)]
 
 
-def unit_counit_endo(structure: CliffordStructure) -> Matrix:
+def unit_counit_endo(structure: CliffordStructure) -> LinearMap:
     """u . counit: kills positive grades, fixes the scalar blade."""
-    basis = keys(structure.n, 1)
-    return LinearMap.of(basis, _unit_counit(structure.maps)).to_matrix(basis)
+    return LinearMap.of(keys(structure.n, 1), _unit_counit(structure.maps))
 
 
-def convolution(f: Matrix, g: Matrix, structure: CliffordStructure) -> Matrix:
+def convolution(f: LinearMap, g: LinearMap, structure: CliffordStructure) -> LinearMap:
     """(f * g)(x) = product . (f (x) g) . coproduct, extended bilinearly."""
-    dim = 1 << structure.n
-    if f.nrows != dim or f.ncols != dim or g.nrows != dim or g.ncols != dim:
-        raise ValueError("endomorphism shape does not match rank")
-    basis = keys(structure.n, 1)
-    steps = _convolution(structure.maps, LinearMap.from_matrix(f, basis),
-                         LinearMap.from_matrix(g, basis))
-    return LinearMap.of(basis, steps).to_matrix(basis)
+    _check_endo(f, structure.n)
+    _check_endo(g, structure.n)
+    return LinearMap.of(keys(structure.n, 1), _convolution(structure.maps, f, g))
 
 
 def associative(m: LinearMap, n: int) -> bool:
@@ -171,23 +163,17 @@ def solve_antipode_system(structure: CliffordStructure) -> AffineSolutionSet:
     return solve_sparse_system(rows, rhs, 1 << (2 * structure.n))
 
 
-def _entries(f: LinearMap) -> dict:
-    """The entries {(input, output): coefficient} of a map."""
-    return {(x, y): c for x, col in f.cols.items() for y, c in col.items()}
-
-
 def id_powers(structure: CliffordStructure) -> tuple[list[LinearMap], tuple]:
     """The convolution powers P_0 = unit . counit, P_1 = id and
     P_k = P_(k-1) * id, up to the first P_k that is a combination
     sum_(j<k) c_j P_j; returns [P_0, ..., P_(k-1)] and (c_0, ..., c_(k-1)).
     When the bigebra laws hold, P_k = id^k and x^k - sum c_j x^j is the
     minimal polynomial of id in the convolution algebra."""
-    maps, basis = structure.maps, keys(structure.n, 1)
     powers: list[LinearMap] = []
     rows: dict = {}  # entry (input, output) -> {j: entry of P_j}
-    p = LinearMap.of(basis, _unit_counit(maps))
+    p = unit_counit_endo(structure)
     while True:
-        target = _entries(p)
+        target = p.entries()
         # P_k is independent of the earlier powers if it has an entry none of
         # them has; else it is solved for on the entries they have
         if powers and target.keys() <= rows.keys():
@@ -198,7 +184,7 @@ def id_powers(structure: CliffordStructure) -> tuple[list[LinearMap], tuple]:
         for e, c in target.items():
             rows.setdefault(e, {})[len(powers)] = c
         powers.append(p)
-        p = maps.id if len(powers) == 1 else LinearMap.of(basis, _convolution(maps, p, maps.id))
+        p = structure.maps.id if len(powers) == 1 else convolution(p, structure.maps.id, structure)
 
 
 def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
@@ -215,9 +201,9 @@ def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
     powers, c = id_powers(structure)
     if not c[0]:
         return AffineSolutionSet(particular=None)
-    entries = _entries(powers[-1])
+    entries = powers[-1].entries()
     for j in range(1, len(powers)):
-        entries = add(entries, _entries(powers[j - 1]), -c[j])
+        entries = add(entries, powers[j - 1].entries(), -c[j])
     cols: dict = {}
     for (x, y), v in entries.items():
         cols.setdefault(x, {})[y] = v / c[0]
@@ -247,11 +233,7 @@ def is_antipode(structure: CliffordStructure, s: LinearMap) -> bool:
                for lhs, rhs in _antipode_axiom(structure.maps, s))
 
 
-def solution_to_endo(structure: CliffordStructure, flat: tuple) -> Matrix:
-    return antipode_map(structure, flat).to_matrix(keys(structure.n, 1))
-
-
-def complex_antipode_closed_form(a) -> Matrix:
+def complex_antipode_closed_form(a) -> LinearMap:
     """Rank-1 antipode in closed form: fixes the scalar blade up to 1/(1-a),
     negates the vector the same way.  Domain error at a = 1, mirroring
     nonexistence."""
@@ -259,7 +241,7 @@ def complex_antipode_closed_form(a) -> Matrix:
     if a == 1:
         raise ValueError("no antipode exists when the composite form is the identity (a = 1)")
     s = 1 / (1 - a)
-    return Matrix([[s, 0], [0, -s]])
+    return LinearMap(1, {(0,): {(0,): s}, (1,): {(1,): -s}})
 
 
 @dataclass
@@ -292,8 +274,8 @@ def antipode_report_json(structure: CliffordStructure, a=None) -> dict:
     sol = antipode_solution(structure)
     rec = conjecture_record(structure, sol)
     report = {
-        "antipode": (solution_to_endo(structure, sol.particular).to_json()
-                     if sol.is_consistent else None),
+        "antipode": (antipode_map(structure, sol.particular).to_matrix(
+            keys(structure.n, 1)).to_json() if sol.is_consistent else None),
         "conjecture_consistent": rec.conjecture_consistent,
     }
     if a is not None:

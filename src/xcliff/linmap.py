@@ -22,6 +22,12 @@ output has the one denominator D = d_0 d_1 ... d_k (d_0 clears the input).
 Exact values appear only at the edges: :func:`chain` and :func:`linearize`
 divide by D once, and :func:`differences` compares two sides by
 cross-multiplying their denominators, building Fractions only for a witness.
+
+A LinearMap is the program's one operator type: structure maps, antipodes,
+scatterings, switches and letter crossings alike.  Maps compare by value
+(``==``), and :meth:`LinearMap.to_matrix` is the one dense exit, for JSON
+and for the tests' dense oracles; :class:`scalars.Matrix` otherwise holds
+only the bilinear forms.
 """
 
 from __future__ import annotations
@@ -54,24 +60,41 @@ class LinearMap:
         self._ints = None
 
     @classmethod
-    def from_matrix(cls, matrix: Matrix, basis: list[tuple]) -> "LinearMap":
-        """The map of a square matrix whose index i stands for basis[i]."""
-        cols: dict = {x: {} for x in basis}
-        for i, row in enumerate(matrix.rows):
-            for j, v in enumerate(row):
-                if v:
-                    cols[basis[j]][basis[i]] = v
-        return cls(len(next(iter(basis), ())), cols)
-
-    @classmethod
     def of(cls, inputs: list[tuple], steps: list) -> "LinearMap":
         """The composite of ``steps`` as a map, from its images of ``inputs``."""
         return cls(len(inputs[0]), {x: chain({x: 1}, *steps) for x in inputs})
 
+    def entries(self) -> dict:
+        """The nonzero entries {(input, output): coefficient}."""
+        return {(x, y): c for x, col in self.cols.items() for y, c in col.items() if c}
+
+    def __eq__(self, other):
+        """Value equality: the same arity and the same nonzero entries, so
+        empty columns, explicit zeros and int against Fraction do not count."""
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return self.arity == other.arity and self.entries() == other.entries()
+
     def to_matrix(self, basis: list[tuple]) -> Matrix:
+        """The dense matrix whose index i stands for basis[i] (column j holds
+        the image of basis[j]): the one dense exit, for JSON and for dense
+        oracles."""
         index = {x: i for i, x in enumerate(basis)}
         return Matrix.from_entries(len(basis), len(basis), {
             (index[y], index[x]): c for x, col in self.cols.items() for y, c in col.items()})
+
+    def fits(self, arity: int, size: int, out_size: int | None = None) -> bool:
+        """Whether this is a map of the given arity whose input keys are
+        arity-tuples over range(size) and whose output keys are arity-tuples
+        over range(out_size), by default range(size)."""
+        out_size = size if out_size is None else out_size
+
+        def within(key: tuple, bound: int) -> bool:
+            return len(key) == arity and all(0 <= a < bound for a in key)
+
+        return self.arity == arity and all(
+            within(x, size) and all(within(y, out_size) for y in col)
+            for x, col in self.cols.items())
 
     def rank(self) -> int:
         """The exact rank: the dimension of the span of the columns."""

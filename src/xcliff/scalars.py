@@ -102,9 +102,6 @@ class Matrix:
         self._same_shape(other)
         return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
-
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
         return Matrix([[c * a for a in r] for r in self.rows])
@@ -120,9 +117,6 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * Fraction(x) for a, x in zip(row, vec) if a) for row in self.rows)
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
 
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)

@@ -10,11 +10,13 @@ once, on basis words with multiplicities; the element functions are its
 
 The word layer runs on the sparse maps of :mod:`linmap`.  :func:`word_maps`
 holds either word bi-gebra as StructureMaps over word tensors (tuples of
-words), whose columns are the rules on basis words.  A letter
-crossing is a map on letter pairs; its steps at adjacent positions of a
-letter string give the braid lifts, the symmetrizer's terms and the crossing
-of two words.  The compatibility square and the braid relation are the step
-lists of :mod:`braiding`, run over these maps.
+words), whose columns are the rules on basis words.  A letter crossing is a
+map on letter pairs, used as it is once its letters are checked against the
+alphabet; its steps at adjacent positions of a letter string give the braid
+lifts, the symmetrizer's terms and the crossing of two words.  The letter
+map of the co-universal lift is a map from blades to letters.  The
+compatibility square and the braid relation are the step lists of
+:mod:`braiding`, run over these maps.  No operator here is dense.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from fractions import Fraction
 
 from .braiding import braid_relation, square_defects
 from .clifford import CliffordStructure
-from .exterior import Multivector, blades
+from .exterior import Multivector
 from .linmap import ONE, LinearMap, StructureMaps, add, agree, chain, dot, structure_maps
-from .scalars import Matrix
 
 Word = tuple
 
@@ -204,14 +205,12 @@ def letter_inclusion(structure: CliffordStructure) -> list[Multivector]:
     return [Multivector.basis_vector(structure.n, i) for i in range(structure.n)]
 
 
-def grade1_projection(structure: CliffordStructure) -> Matrix:
-    """The letter map keeping only vector blades, as an n x 2^n matrix."""
-    n = structure.n
-    entries = {(mu, 1 << mu): Fraction(1) for mu in range(n)}
-    return Matrix.from_entries(n, 1 << n, entries)
+def grade1_projection(structure: CliffordStructure) -> LinearMap:
+    """The letter map keeping only vector blades: blade e_mu to letter mu."""
+    return LinearMap(1, {(1 << mu,): {(mu,): ONE} for mu in range(structure.n)})
 
 
-def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: int):
+def couniversal_lift(letter_map: LinearMap, structure: CliffordStructure, bound: int):
     """Cogebra morphism (up to truncation) from multivectors into words under
     deconcatenation: collect each iterated-coproduct layer through the letter
     map.  The layer-k contribution of x is letter_map tensored k times applied
@@ -223,11 +222,8 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
     layers are probed because contributions only occur at every other
     length: letters are grade 1 and splitting preserves grade parity)."""
     n = structure.n
-    if letter_map.nrows != n or letter_map.ncols != (1 << n):
-        raise ValueError("letter map must be n x 2^n")
-
-    letter = LinearMap(1, {(b,): {(mu,): letter_map[(mu, b)] for mu in range(n)
-                                  if letter_map[(mu, b)]} for b in blades(n)})
+    if not letter_map.fits(1, 1 << n, n):
+        raise ValueError("letter map must send rank-n blades to letters below n")
     cop = structure.maps.cop
 
     def evaluate(x: Multivector) -> GradedElement:
@@ -235,12 +231,12 @@ def couniversal_lift(letter_map: Matrix, structure: CliffordStructure, bound: in
         terms: dict = {(): x.scalar_part()} if x.scalar_part() else {}
         layer = {(b,): c for b, c in x.terms.items()}
         for k in range(1, bound + 3):
-            contrib = chain(layer, letter.at(0))
+            contrib = chain(layer, letter_map.at(0))
             if k > bound and contrib:
                 return GradedElement(n, bound, terms, True)
             terms.update(contrib)  # words of length k, new keys
             if k < bound + 2:
-                layer = chain(layer, cop.at(0), letter.at(1))
+                layer = chain(layer, cop.at(0), letter_map.at(1))
         return GradedElement(n, bound, terms, False)
 
     return evaluate
@@ -292,10 +288,6 @@ class WordOperator(LinearMap):
     def zero(cls, dim: int, k: int) -> "WordOperator":
         return cls(dim, k, {w: {} for w in letter_words(dim, k)})
 
-    def __eq__(self, other):
-        return (isinstance(other, WordOperator)
-                and (self.dim, self.arity, self.cols) == (other.dim, other.arity, other.cols))
-
     def __add__(self, other: "WordOperator") -> "WordOperator":
         return WordOperator(self.dim, self.arity,
                             {w: add(col, other.cols[w]) for w, col in self.cols.items()})
@@ -307,38 +299,31 @@ class WordOperator(LinearMap):
     def apply_word(self, w: Word) -> dict:
         return dict(self.cols[tuple(w)])
 
-    def to_matrix(self) -> Matrix:
-        """Dense matrix in lexicographic word order."""
-        return super().to_matrix(letter_words(self.dim, self.arity))
+
+def letter_switch(n: int, sign: int = 1) -> LinearMap:
+    """The (signed) transposition on letter pairs."""
+    return LinearMap(2, {(c, d): {(d, c): Fraction(sign)} for c, d in letter_words(n, 2)})
 
 
-def letter_switch(n: int, sign: int = 1) -> Matrix:
-    """The (signed) transposition on letter pairs, as an n^2 x n^2 matrix in
-    letter_words(n, 2) order."""
-    pairs = letter_words(n, 2)
-    return LinearMap(2, {(c, d): {(d, c): Fraction(sign)} for c, d in pairs}).to_matrix(pairs)
+def zero_letter_crossing(n: int) -> LinearMap:
+    return LinearMap(2, {pair: {} for pair in letter_words(n, 2)})
 
 
-def zero_letter_crossing(n: int) -> Matrix:
-    return Matrix.zeros(n * n, n * n)
+def _check_crossing(sigma: LinearMap, n: int) -> None:
+    if not sigma.fits(2, n):
+        raise ValueError(f"letter crossing must be a map on pairs of letters below {n}")
 
 
-def letter_crossing(sigma: Matrix, n: int) -> LinearMap:
-    """The n^2 x n^2 letter crossing matrix as a map on letter pairs."""
-    if sigma.nrows != n * n or sigma.ncols != n * n:
-        raise ValueError(f"letter crossing must be {n * n} x {n * n}")
-    return LinearMap.from_matrix(sigma, letter_words(n, 2))
-
-
-def braid_lift(sigma: Matrix, k: int, n: int) -> list[WordOperator]:
+def braid_lift(sigma: LinearMap, k: int, n: int) -> list[WordOperator]:
     """Operators acting with the letter crossing on adjacent positions
     (i, i+1), identity elsewhere; returned for i = 1 .. k-1."""
-    crossing = letter_crossing(sigma, n)
-    return [WordOperator.of_steps(n, k, [crossing.at(i)]) for i in range(k - 1)]
+    _check_crossing(sigma, n)
+    return [WordOperator.of_steps(n, k, [sigma.at(i)]) for i in range(k - 1)]
 
 
-def check_letter_braid_equation(sigma: Matrix, n: int) -> bool:
-    return agree(letter_words(n, 3), *braid_relation(letter_crossing(sigma, n)))
+def check_letter_braid_equation(sigma: LinearMap, n: int) -> bool:
+    _check_crossing(sigma, n)
+    return agree(letter_words(n, 3), *braid_relation(sigma))
 
 
 def _reduced_word(perm: tuple) -> list[int]:
@@ -358,7 +343,7 @@ def _reduced_word(perm: tuple) -> list[int]:
     return word
 
 
-def quantum_symmetrizer(sigma: Matrix, k: int, n: int) -> WordOperator:
+def quantum_symmetrizer(sigma: LinearMap, k: int, n: int) -> WordOperator:
     """Sum over all permutations of the braid-lifted reduced words.
 
     Well-defined only when the letter crossing satisfies the braid equation
@@ -368,16 +353,15 @@ def quantum_symmetrizer(sigma: Matrix, k: int, n: int) -> WordOperator:
         return WordOperator.identity(n, k)
     if not check_letter_braid_equation(sigma, n):
         raise ValueError("letter crossing does not satisfy the braid equation")
-    crossing = letter_crossing(sigma, n)
     total = WordOperator.zero(n, k)
     for perm in itertools.permutations(range(k)):
         # the product s_i1 ... s_im of the reduced word acts rightmost first
-        steps = [crossing.at(i - 1) for i in reversed(_reduced_word(perm))]
+        steps = [sigma.at(i - 1) for i in reversed(_reduced_word(perm))]
         total = total + WordOperator.of_steps(n, k, steps)
     return total
 
 
-def exterior_image_dimensions(sigma: Matrix, n: int, up_to: int) -> list[int]:
+def exterior_image_dimensions(sigma: LinearMap, n: int, up_to: int) -> list[int]:
     """Exact rank of the symmetrizer on each word length 0 .. up_to."""
     return [quantum_symmetrizer(sigma, k, n).rank() for k in range(up_to + 1)]
 
@@ -394,7 +378,7 @@ def cross_words(crossing: LinearMap, u: Word, v: Word) -> dict:
     return {(s[:len(v)], s[len(v):]): c for s, c in chain({u + v: ONE}, *steps).items()}
 
 
-def zero_braid_bigebra_check(n: int, bound: int, letter_sigma: Matrix | None = None,
+def zero_braid_bigebra_check(n: int, bound: int, letter_sigma: LinearMap | None = None,
                              maps: StructureMaps | None = None):
     """Compatibility square of concatenation and deconcatenation with the
     crossing extended by unit-strand transparency; the default letter crossing
@@ -402,8 +386,8 @@ def zero_braid_bigebra_check(n: int, bound: int, letter_sigma: Matrix | None = N
     ``maps`` is the concatenation bi-gebra word_maps(n, B) at some B >= bound,
     built here at B = bound when not given.  Returns (all compatible,
     witnesses) with each witness (x, y, defect {(u, v): coeff})."""
-    sigma = letter_sigma if letter_sigma is not None else zero_letter_crossing(n)
-    crossing = letter_crossing(sigma, n)
+    crossing = letter_sigma if letter_sigma is not None else zero_letter_crossing(n)
+    _check_crossing(crossing, n)
     if maps is None:
         maps = word_maps(n, bound)
     pairs = [(u, v) for u, v in maps.m.cols if len(u) + len(v) <= bound]

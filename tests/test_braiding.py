@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from xcliff import braiding, hopf
 from xcliff.braiding import (antipode_scattering, braiding_report_json, check_braid_equation,
                              check_braided, check_min_polynomial, closed_form_sigma,
-                             compatibility_defect, module_action, pair_index,
-                             scattering_from_images, scattering_map, scattering_system,
-                             sigma_matrix, solve_sigma, solution_to_scattering,
-                             switch_scattering, twelve_param_family_member)
+                             compatibility_defect, module_action, scattering_map,
+                             scattering_system, solve_sigma, switch_map,
+                             twelve_param_family_member)
 from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
+from xcliff.linmap import LinearMap, keys
 from xcliff.sampling import random_form, random_nonzero_rational
 from xcliff.scalars import (Matrix, is_invertible, minimal_polynomial,
                             poly_eval_matrix, solve_linear_system, solve_sparse_system)
@@ -26,9 +26,23 @@ def mv(n, bits, c=1):
     return Multivector.blade(n, bits, c)
 
 
+def pair_identity(n):
+    return LinearMap(2, {x: {x: F(1)} for x in keys(n, 2)})
+
+
+def map_of_rows(rows, basis):
+    """The map whose image of basis[j] has coefficient rows[i][j] at basis[i]."""
+    return LinearMap(len(basis[0]), {x: {y: rows[i][j] for i, y in enumerate(basis) if rows[i][j]}
+                                     for j, x in enumerate(basis)})
+
+
+def solved_sigma(structure):
+    return scattering_map(structure, solve_sigma(structure).particular)
+
+
 def sigma_closed_form_minus_one():
     h = F(1, 2)
-    return scattering_from_images(1, {
+    return LinearMap(2, {
         (0, 0): {(0, 0): h, (1, 1): -h},
         (1, 1): {(0, 0): h, (1, 1): -h},
         (0, 1): {(1, 0): h, (0, 1): -h},
@@ -40,7 +54,7 @@ def sigma_closed_form_minus_one():
 
 def test_graded_switch_compatible_with_zero_forms_rank1():
     s = complex_structure(0, 0)
-    assert not compatibility_defect(s, switch_scattering(1, graded=True))
+    assert not compatibility_defect(s, switch_map(1, graded=True))
 
 
 def test_closed_form_solves_compatibility():
@@ -50,7 +64,7 @@ def test_closed_form_solves_compatibility():
 
 def test_identity_scattering_leaves_defect():
     s = complex_structure(-1, 1)
-    defects = compatibility_defect(s, Matrix.identity(4))
+    defects = compatibility_defect(s, pair_identity(1))
     assert defects
     assert (1, 1) in defects  # the odd-odd input pair witnesses the failure
 
@@ -58,7 +72,7 @@ def test_identity_scattering_leaves_defect():
 def test_compatibility_shape_mismatch():
     s = complex_structure(-1, 1)
     with pytest.raises(ValueError):
-        compatibility_defect(s, Matrix.identity(8))
+        compatibility_defect(s, LinearMap(3, {x: {x: F(1)} for x in keys(1, 3)}))
 
 
 # -- solving ----------------------------------------------------------------------
@@ -67,7 +81,7 @@ def test_solver_reproduces_closed_form_minus_one():
     s = complex_structure(-1, 1)
     sol = solve_sigma(s)
     assert sol.is_unique
-    sigma = solution_to_scattering(s, sol.particular)
+    sigma = scattering_map(s, sol.particular)
     assert sigma == closed_form_sigma(-1, 1)
     assert sigma == sigma_closed_form_minus_one()
 
@@ -91,28 +105,27 @@ def test_solver_unique_matches_closed_form_sampled():
         s = complex_structure(i2, j2)
         sol = solve_sigma(s)
         assert sol.is_unique
-        assert solution_to_scattering(s, sol.particular) == closed_form_sigma(i2, j2)
+        assert scattering_map(s, sol.particular) == closed_form_sigma(i2, j2)
 
 
 def test_every_solution_member_solves_square():
     s = complex_structure(1, 1)
     sol = solve_sigma(s)
     for member in sol.members():
-        sigma = solution_to_scattering(s, member)
+        sigma = scattering_map(s, member)
         assert not compatibility_defect(s, sigma)
 
 
 # -- closed form -------------------------------------------------------------------
 
 def test_closed_form_limit_is_graded_switch():
-    assert closed_form_sigma(0, 0) == switch_scattering(1, graded=True)
+    assert closed_form_sigma(0, 0) == switch_map(1, graded=True)
 
 
 def test_closed_form_odd_odd_with_half_parameter():
-    sigma = closed_form_sigma(1, F(1, 2))
-    col = pair_index(1, 1, 1)
-    assert sigma[(pair_index(1, 1, 1), col)] == F(-2)
-    assert sigma[(pair_index(1, 0, 0), col)] == F(-2)
+    col = closed_form_sigma(1, F(1, 2)).cols[(1, 1)]
+    assert col[(1, 1)] == F(-2)
+    assert col[(0, 0)] == F(-2)
 
 
 def test_closed_form_rejects_unit_composite():
@@ -137,12 +150,12 @@ def test_quartic_annihilates_closed_form():
 
 
 def test_quartic_fails_for_identity():
-    assert not check_min_polynomial(Matrix.identity(4), F(-1))
+    assert not check_min_polynomial(pair_identity(1), F(-1))
 
 
 def test_quartic_rejects_unit_composite():
     with pytest.raises(ValueError):
-        check_min_polynomial(Matrix.identity(4), F(1))
+        check_min_polynomial(pair_identity(1), F(1))
 
 
 def quartic(a):
@@ -161,9 +174,10 @@ off_unit = small.filter(lambda a: a != 1)
 
 @st.composite
 def quartic_cases(draw):
-    """(4 x 4 matrix, parameter product a != 1): closed forms at their own or
-    at another product, twelve-parameter family members, diagonal matrices
-    with eigenvalues among -1, b and 0, and random rational matrices."""
+    """(map on rank-1 blade pairs, parameter product a != 1): closed forms at
+    their own or at another product, twelve-parameter family members,
+    diagonal maps with eigenvalues among -1, b and 0, and random rational
+    maps."""
     a = draw(off_unit)
     kind = draw(st.sampled_from(["closed", "family", "eigen", "random"]))
     if kind == "closed":
@@ -176,9 +190,9 @@ def quartic_cases(draw):
     if kind == "eigen":
         b = (1 + a) / (1 - a)
         diag = draw(st.lists(st.sampled_from([F(-1), b, F(0)]), min_size=4, max_size=4))
-        return Matrix([[diag[i] if i == j else 0 for j in range(4)] for i in range(4)]), a
-    return Matrix(draw(st.lists(st.lists(small, min_size=4, max_size=4),
-                                min_size=4, max_size=4))), a
+        return LinearMap(2, {x: {x: diag[i]} for i, x in enumerate(keys(1, 2))}), a
+    return map_of_rows(draw(st.lists(st.lists(small, min_size=4, max_size=4),
+                                     min_size=4, max_size=4)), keys(1, 2)), a
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -186,19 +200,20 @@ def quartic_cases(draw):
 @example((closed_form_sigma(2, F(1, 3)), F(2, 3)))
 @example((closed_form_sigma(2, F(1, 3)), F(-1)))
 @example((twelve_param_family_member(1, 2, -3, F(1, 2)), F(0)))
-@example((Matrix.zeros(0, 0), F(-1)))
+@example((LinearMap(2, {}), F(-1)))
 def test_quartic_check_matches_dense_evaluation(case):
     sigma, a = case
-    assert check_min_polynomial(sigma, a) == poly_eval_matrix(quartic(a), sigma).is_zero()
+    dense = sigma.to_matrix(list(sigma.cols))
+    assert check_min_polynomial(sigma, a) == poly_eval_matrix(quartic(a), dense).is_zero()
 
 
 def test_quartic_requires_a_square_matrix():
     with pytest.raises(ValueError, match="square matrix required"):
-        check_min_polynomial(Matrix.zeros(4, 2), F(-1))
+        check_min_polynomial(LinearMap(2, {(0, 0): {(1, 1): F(1)}, (0, 1): {}}), F(-1))
 
 
 def test_switch_squares_to_identity_at_zero_parameter():
-    sigma = closed_form_sigma(0, 0)
+    sigma = closed_form_sigma(0, 0).to_matrix(keys(1, 2))
     assert sigma @ sigma == Matrix.identity(4)
 
 
@@ -220,7 +235,7 @@ def _poly_divides(d, p):
 
 def test_minimal_polynomial_divides_displayed_quartic_at_minus_one():
     # at parameter product -1 the quartic factors as x^3 (x + 1)
-    sigma = closed_form_sigma(-1, 1)
+    sigma = closed_form_sigma(-1, 1).to_matrix(keys(1, 2))
     mp = minimal_polynomial(sigma)
     quartic = [F(0), F(0), F(0), F(1), F(1)]  # x^3 + x^4 = x^3 (x + 1)
     assert _poly_divides(mp, quartic)
@@ -230,9 +245,9 @@ def test_minimal_polynomial_divides_displayed_quartic_at_minus_one():
 # -- braid equation ------------------------------------------------------------------
 
 def test_plain_switch_satisfies_braid_equation():
-    ok, bad = check_braid_equation(switch_scattering(1, graded=False), 1)
+    ok, bad = check_braid_equation(switch_map(1, graded=False), 1)
     assert ok and bad == 0
-    ok, _ = check_braid_equation(switch_scattering(2, graded=True), 2)
+    ok, _ = check_braid_equation(switch_map(2, graded=True), 2)
     assert ok
 
 
@@ -257,7 +272,7 @@ def test_braid_equation_status_recorded_away_from_zero():
 
 def test_braided_verdict_true_when_both_forms_vanish_rank1():
     s = complex_structure(0, 0)
-    report = check_braided(s, switch_scattering(1, graded=True))
+    report = check_braided(s, switch_map(1, graded=True))
     assert report.invertible and report.braid_equation_holds
     assert report.product_naturality_holds and report.coproduct_naturality_holds
     assert report.verdict_braided
@@ -274,12 +289,12 @@ def test_braided_hexagons_split_by_vanishing_form():
     # with only the co-vector form zero the product hexagon holds and the
     # coproduct hexagon fails; dually with only the vector form zero
     s = complex_structure(2, 0)
-    sigma = sigma_matrix(s)
+    sigma = solved_sigma(s)
     rep = check_braided(s, sigma)
     assert rep.invertible and rep.braid_equation_holds
     assert rep.product_naturality_holds and not rep.coproduct_naturality_holds
     s = complex_structure(0, 3)
-    rep = check_braided(s, sigma_matrix(s))
+    rep = check_braided(s, solved_sigma(s))
     assert rep.invertible and rep.braid_equation_holds
     assert not rep.product_naturality_holds and rep.coproduct_naturality_holds
 
@@ -287,7 +302,7 @@ def test_braided_hexagons_split_by_vanishing_form():
 def test_braided_requires_compatible_scattering():
     s = complex_structure(-1, 1)
     with pytest.raises(ValueError):
-        check_braided(s, Matrix.identity(4))
+        check_braided(s, pair_identity(1))
 
 
 def test_unique_scattering_at_rank2_zero_forms_is_not_a_braid():
@@ -296,10 +311,10 @@ def test_unique_scattering_at_rank2_zero_forms_is_not_a_braid():
     s = CliffordStructure(2, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
     sol = solve_sigma(s)
     assert sol.is_unique
-    sigma = solution_to_scattering(s, sol.particular)
-    col = pair_index(2, 0b01, 0b10)
-    assert sigma[(pair_index(2, 0b01, 0b10), col)] == F(-2)
-    assert sigma[(pair_index(2, 0b10, 0b01), col)] == F(1)
+    sigma = scattering_map(s, sol.particular)
+    col = sigma.cols[(0b01, 0b10)]
+    assert col[(0b01, 0b10)] == F(-2)
+    assert col[(0b10, 0b01)] == F(1)
     ok, _ = check_braid_equation(sigma, 2)
     assert not ok
 
@@ -308,10 +323,10 @@ def test_unique_scattering_at_rank2_zero_forms_is_not_a_braid():
 
 def test_family_member_images():
     m = twelve_param_family_member(0, 0, 0, 1)
-    col = pair_index(1, 1, 1)
-    assert m[(pair_index(1, 0, 0), col)] == F(-1)
-    assert m[(pair_index(1, 1, 1), col)] == F(0)
-    assert m.column(pair_index(1, 0, 0)) == (F(1), F(0), F(0), F(0))
+    col = m.cols[(1, 1)]
+    assert col.get((0, 0), 0) == F(-1)
+    assert col.get((1, 1), 0) == F(0)
+    assert m.cols[(0, 0)] == {(0, 0): F(1)}
 
 
 @pytest.mark.parametrize("pqr", [(0, 0, 0), (1, -1, 0), (F(1, 2), F(1, 3), F(-5, 6))])
@@ -330,7 +345,7 @@ def test_family_members_lie_in_solution_set():
     basis_cols = Matrix(list(zip(*sol.nullspace_basis)))
     for pqr in [(0, 0, 0), (1, -1, 0), (F(1, 2), F(1, 3), F(-5, 6))]:
         member = twelve_param_family_member(*pqr, 1)
-        flat = tuple(x for row in member.rows for x in row)
+        flat = tuple(x for row in member.to_matrix(keys(1, 2)).rows for x in row)
         diff = [a - b for a, b in zip(flat, sol.particular)]
         assert solve_linear_system(basis_cols, diff).is_consistent
 
@@ -346,21 +361,21 @@ def test_closed_form_invertible_iff_parameter_not_unit():
     cases = {F(-1): False, F(-1, 2): True, F(0): True, F(1, 2): True, F(2): True}
     for a, expected in cases.items():
         sigma = closed_form_sigma(a, 1)
-        assert is_invertible(sigma) == expected
+        assert is_invertible(sigma.to_matrix(keys(1, 2))) == expected
 
 
 # -- module action -----------------------------------------------------------------------
 
 def test_action_of_unit_is_identity():
     s = complex_structure(0, 0)
-    sigma = switch_scattering(1, graded=True)
+    sigma = switch_map(1, graded=True)
     t = Tensor2(1, {(0, 1): F(2), (1, 1): F(-1)})
     assert module_action(s, sigma, s.unit(1), t) == t
 
 
 def test_action_of_primitive_distributes():
     s = complex_structure(0, 0)
-    sigma = switch_scattering(1, graded=True)
+    sigma = switch_map(1, graded=True)
     t = Tensor2.outer(s.unit(1), s.unit(1))
     e0 = Multivector.basis_vector(1, 0)
     assert module_action(s, sigma, e0, t) == Tensor2(1, {(1, 0): F(1), (0, 1): F(1)})
@@ -370,7 +385,7 @@ def test_action_associativity_probe_recorded():
     # exact comparison of acting by a product versus acting twice, on the
     # rank-1 basis with zero forms and the graded switch: recorded outcome
     s = complex_structure(0, 0)
-    sigma = switch_scattering(1, graded=True)
+    sigma = switch_map(1, graded=True)
     table = {}
     basis = [s.unit(1), Multivector.basis_vector(1, 0)]
     for xi, x in enumerate(basis):

@@ -236,6 +236,23 @@ def test_sweep_row_solves_and_checks_braid_once(monkeypatch):
     assert (len(antipode), len(braid)) == (1, 1)
 
 
+def test_sweep_reports_a_wrong_closed_form_as_a_hard_failure(tmp_path, monkeypatch):
+    # entry (0, 0) of the closed form planted one too large: the row records
+    # the mismatch and the report is written, with the hard-failure exit code
+    original = braiding.closed_form_sigma
+
+    def planted(i2, j2):
+        sigma = original(i2, j2)
+        sigma.cols[(0, 0)][(0, 0)] += 1
+        return sigma
+
+    monkeypatch.setattr(braiding, "closed_form_sigma", planted)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--a-values=2", "--out", str(out)]) == 1
+    [row] = json.loads(out.read_text())["rows"]
+    assert row["sigma_closed_form_match"] is False and row["hard_ok"] is False
+
+
 @pytest.mark.parametrize("i2, j2", [("2", "1/3"), ("1", "1")])
 def test_sweep_row_shares_the_antipode_with_the_scattering(monkeypatch, i2, j2):
     antipode = _count_calls(monkeypatch, hopf, "solve_antipode")

@@ -30,6 +30,7 @@ import pytest
 from xcliff import braiding
 from xcliff.clifford import CliffordStructure
 from xcliff.cli import main
+from xcliff.linmap import keys
 
 Z2 = [["0", "0"], ["0", "0"]]
 Z3 = [["0", "0", "0"]] * 3
@@ -132,7 +133,8 @@ def config_data(name):
 
 @pytest.mark.parametrize("name", list(SCATTERING))
 def test_scattering_matches_golden_digest(name):
-    sigma = braiding.sigma_matrix(CliffordStructure.from_config(config_data(name)))
+    s = CliffordStructure.from_config(config_data(name))
+    sigma = braiding.scattering_map(s, braiding.solve_sigma(s).particular).to_matrix(keys(s.n, 2))
     assert hashlib.sha256(json.dumps(sigma.to_json()).encode()).hexdigest() == SCATTERING[name]
 
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from xcliff import cli
 from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.exterior import Multivector, blades, grade
-from xcliff.hopf import (antipode_report_json, apply_endo, complex_antipode_closed_form,
-                         convolution, endo_from_images, identity_endo, solve_antipode,
-                         solution_to_endo, unit_counit_endo)
+from xcliff.hopf import (antipode_map, antipode_report_json, apply_endo,
+                         complex_antipode_closed_form, convolution, endo_from_images,
+                         solve_antipode, unit_counit_endo)
 from xcliff import hopf
+from xcliff.linmap import LinearMap, keys
 from xcliff.sampling import random_form, random_nonzero_rational
 from xcliff.scalars import Matrix
 
@@ -26,7 +27,7 @@ def complex_structure(i2, j2):
 
 def test_convolution_of_identity_doubles_primitives():
     s = CliffordStructure(1, Matrix.zeros(1, 1), Matrix.zeros(1, 1))
-    idm = identity_endo(s)
+    idm = s.maps.id
     conv = convolution(idm, idm, s)
     assert apply_endo(conv, Multivector.basis_vector(1, 0)) == Multivector(1, {1: F(2)})
 
@@ -40,7 +41,7 @@ def test_convolution_unit_on_group_like():
 def test_convolution_identity_on_unit_with_nonzero_forms():
     i2, j2 = F(-1), F(1)
     s = complex_structure(i2, j2)
-    conv = convolution(identity_endo(s), identity_endo(s), s)
+    conv = convolution(s.maps.id, s.maps.id, s)
     expected = 1 + j2 * i2  # unit splits as 1x1 plus the form-weighted i x i
     assert apply_endo(conv, s.unit(1)) == Multivector(1, {0: expected})
 
@@ -80,9 +81,12 @@ def test_convolution_associative_sampled_rank2():
 
 
 def test_antipode_closed_form_values():
-    assert complex_antipode_closed_form(F(-1)) == Matrix([[F(1, 2), 0], [0, F(-1, 2)]])
-    assert complex_antipode_closed_form(F(0)) == Matrix([[1, 0], [0, -1]])
-    assert complex_antipode_closed_form(F(2)) == Matrix([[-1, 0], [0, 1]])
+    def closed_form(a):
+        return complex_antipode_closed_form(a).to_matrix(keys(1, 1))
+
+    assert closed_form(F(-1)) == Matrix([[F(1, 2), 0], [0, F(-1, 2)]])
+    assert closed_form(F(0)) == Matrix([[1, 0], [0, -1]])
+    assert closed_form(F(2)) == Matrix([[-1, 0], [0, 1]])
     with pytest.raises(ValueError):
         complex_antipode_closed_form(F(1))
 
@@ -91,7 +95,7 @@ def test_antipode_solver_matches_closed_form():
     s = complex_structure(-1, 1)
     sol = solve_antipode(s)
     assert sol.is_unique
-    assert solution_to_endo(s, sol.particular) == complex_antipode_closed_form(F(-1))
+    assert antipode_map(s, sol.particular) == complex_antipode_closed_form(F(-1))
 
 
 def test_antipode_absent_when_composite_is_identity():
@@ -113,7 +117,7 @@ def test_antipode_sampled_parameters_match_closed_form():
         s = complex_structure(i2, j2)
         sol = solve_antipode(s)
         assert sol.is_unique
-        assert solution_to_endo(s, sol.particular) == complex_antipode_closed_form(a)
+        assert antipode_map(s, sol.particular) == complex_antipode_closed_form(a)
 
 
 def test_antipode_uniqueness_whenever_it_exists():
@@ -134,9 +138,9 @@ def test_antipode_two_sided_axiom_resubstitutes():
             sol = solve_antipode(s)
             if not sol.is_consistent:
                 continue
-            m = solution_to_endo(s, sol.particular)
+            m = antipode_map(s, sol.particular)
             ue = unit_counit_endo(s)
-            idm = identity_endo(s)
+            idm = s.maps.id
             assert convolution(m, idm, s) == ue
             assert convolution(idm, m, s) == ue
 
@@ -152,7 +156,7 @@ def test_zero_xi_antipode_low_grades():
             s = CliffordStructure(n, eta, Matrix.zeros(n, n))
             sol = solve_antipode(s)
             assert sol.is_unique
-            m = solution_to_endo(s, sol.particular)
+            m = antipode_map(s, sol.particular)
             assert apply_endo(m, s.unit(1)) == s.unit(1)
             for i in range(n):
                 v = Multivector.basis_vector(n, i)
@@ -175,7 +179,7 @@ def test_zero_xi_antipode_grade2_straight_pairing():
             s = CliffordStructure(n, eta, Matrix.zeros(n, n), pairing="straight")
             sol = solve_antipode(s)
             assert sol.is_unique
-            m = solution_to_endo(s, sol.particular)
+            m = antipode_map(s, sol.particular)
             assert apply_endo(m, s.unit(1)) == s.unit(1)
             for i in range(n):
                 v = Multivector.basis_vector(n, i)
@@ -320,7 +324,8 @@ def test_rank2_identity_forms_decided_by_the_constant_term(monkeypatch, pairing,
     assert 2 * 16 not in rows
     assert sol.is_consistent == exists
     if exists:
-        assert solution_to_endo(s, sol.particular) == identity_endo(s).scale(F(1, 4))
+        assert antipode_map(s, sol.particular) == LinearMap(1, {x: {x: F(1, 4)}
+                                                                for x in keys(2, 1)})
     assert sol == hopf.solve_antipode_system(s)
 
 

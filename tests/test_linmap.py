@@ -12,6 +12,7 @@ from xcliff import braiding, hopf
 from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.linmap import LinearMap, Unknown, agree, chain, differences, keys, linearize
 from xcliff.scalars import Matrix
+from xcliff.tensor_shuffle import WordOperator, letter_switch
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
 
@@ -22,6 +23,17 @@ sparse_rationals = st.one_of(st.just(F(0)), rationals)
 def matrices(size, entries=rationals):
     return st.lists(st.lists(entries, min_size=size, max_size=size),
                     min_size=size, max_size=size).map(Matrix)
+
+
+def square_maps(basis, entries):
+    """Maps over basis drawn as dense squares: rows[i][j] is the coefficient
+    of basis[i] in the image of basis[j]."""
+    size = len(basis)
+    return st.lists(st.lists(entries, min_size=size, max_size=size),
+                    min_size=size, max_size=size).map(
+        lambda rows: LinearMap(len(basis[0]), {x: {y: rows[i][j] for i, y in enumerate(basis)
+                                                   if rows[i][j]}
+                                               for j, x in enumerate(basis)}))
 
 
 @st.composite
@@ -49,6 +61,16 @@ def test_step_acts_on_its_slice_only():
     assert chain({(0, 0, 1): F(1)}, swap.at(0)) == {}
 
 
+def test_maps_compare_by_value():
+    f = LinearMap(1, {(0,): {(1,): F(2)}, (1,): {(0,): F(1, 2)}})
+    # an empty column, an explicit zero and an int entry do not count
+    assert f == LinearMap(1, {(0,): {(1,): 2, (0,): 0}, (1,): {(0,): F(1, 2)}, (2,): {}})
+    assert f != LinearMap(2, f.cols)
+    assert f != LinearMap(1, {(0,): {(1,): F(2)}, (1,): {(0,): F(1, 3)}})
+    op = WordOperator.of_steps(2, 3, [letter_switch(2).at(1)])
+    assert op == WordOperator.of_steps(2, 3, [op.at(0)])
+
+
 def test_linearize_rows_are_the_coefficients_of_the_unknown():
     # f . g with g known and f unknown: (f g)[y, x] = sum_k f[y, k] g[k, x]
     g = LinearMap(1, {(0,): {(0,): F(2), (1,): F(3)}, (1,): {(1,): F(5)}})
@@ -61,28 +83,28 @@ def test_linearize_rows_are_the_coefficients_of_the_unknown():
 @SETTINGS
 @given(structures(), st.data())
 def test_scattering_residual_is_minus_the_defect(structure, data):
-    dim2 = 1 << (2 * structure.n)
-    sigma = data.draw(matrices(dim2, sparse_rationals))
+    basis = keys(structure.n, 2)
+    sigma = data.draw(square_maps(basis, sparse_rationals))
     rows, rhs = braiding.scattering_system(structure)
     defect = braiding.compatibility_defect(structure, sigma)
-    assert residuals(rows, rhs, sigma) == {
+    assert residuals(rows, rhs, sigma.to_matrix(basis)) == {
         x: {y: -c for y, c in t.terms.items()} for x, t in defect.items()}
 
 
 @SETTINGS
 @given(structures(), st.data())
 def test_antipode_residuals_are_the_convolution_defects(structure, data):
-    dim = 1 << structure.n
-    s = data.draw(matrices(dim, sparse_rationals))
-    idm, ue = hopf.identity_endo(structure), hopf.unit_counit_endo(structure)
+    dim, basis = 1 << structure.n, keys(structure.n, 1)
+    s = data.draw(square_maps(basis, sparse_rationals))
+    idm, ue = structure.maps.id, hopf.unit_counit_endo(structure)
     for (rows, rhs), (f, g) in zip(hopf.antipode_systems(structure), ((s, idm), (idm, s))):
-        defect = hopf.convolution(f, g, structure) - ue
+        defect = hopf.convolution(f, g, structure).to_matrix(basis) - ue.to_matrix(basis)
         expected: dict = {}
         for d in range(dim):
             for c in range(dim):
                 if defect[(d, c)]:
                     expected.setdefault((c,), {})[(d,)] = defect[(d, c)]
-        assert residuals(rows, rhs, s) == expected
+        assert residuals(rows, rhs, s.to_matrix(basis)) == expected
 
 
 # -- differential tests against the step over Fractions ----------------------

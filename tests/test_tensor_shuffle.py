@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector, blades
-from xcliff.linmap import agree
+from xcliff.linmap import LinearMap, agree
 from xcliff.sampling import random_form
 from xcliff.scalars import Matrix
 from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
@@ -19,7 +19,7 @@ from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
                                    quantum_symmetrizer, shuffle_product,
                                    unshuffle_coproduct, universal_lift, word_maps,
                                    word_pairing, zero_braid_bigebra_check,
-                                   zero_letter_crossing, letter_crossing)
+                                   zero_letter_crossing, letter_words)
 
 N, L = 2, 4
 
@@ -210,7 +210,7 @@ def _naive_couniversal_lift(letter_map, s, bound, x):
     """The co-universal lift with every split-off blade kept: iterated
     coproducts as full blade tuples, each layer read through the letter map."""
     n = s.n
-    letters = [[(mu, letter_map[(mu, b)]) for mu in range(n) if letter_map[(mu, b)]]
+    letters = [[(mu, c) for (mu,), c in letter_map.cols.get((b,), {}).items() if c]
                for b in blades(n)]
     terms = {(): x.scalar_part()} if x.scalar_part() else {}
     layer = {(b,): c for b, c in x.terms.items()}
@@ -251,8 +251,10 @@ def test_couniversal_lift_matches_naive_expansion(n, kind):
     s = CliffordStructure(n, form(), form())
     # a letter map on every blade as well, so splits are pruned only where
     # a blade has no letter
+    rows = [[rng.choice([0, 1, F(-1, 2)]) for _ in blades(n)] for _ in range(n)]
     maps = [grade1_projection(s),
-            Matrix([[rng.choice([0, 1, F(-1, 2)]) for _ in blades(n)] for _ in range(n)])]
+            LinearMap(1, {(b,): {(mu,): rows[mu][b] for mu in range(n) if rows[mu][b]}
+                          for b in blades(n)})]
     # the naive expansion takes about 11 s per letter map at rank 3, bound 4
     for letter_map in maps:
         for bound in (2, 3, 4) if n < 3 else (2, 3):
@@ -283,7 +285,7 @@ def test_braid_lift_negative_switch_sign():
 
 def test_braid_lift_shape_check():
     with pytest.raises(ValueError):
-        braid_lift(Matrix.identity(3), 2, 2)
+        braid_lift(LinearMap(2, {x: {x: F(1)} for x in letter_words(3, 2)}), 2, 2)
 
 
 def test_reduced_word_independence_longest_element():
@@ -306,7 +308,7 @@ def test_symmetrizer_small_cases():
 
 
 def test_symmetrizer_rejects_non_braid():
-    bad = Matrix.from_entries(4, 4, {(0, 0): F(1), (1, 0): F(1), (2, 3): F(1)})
+    bad = LinearMap(2, {(0, 0): {(0, 0): F(1), (0, 1): F(1)}, (1, 1): {(1, 0): F(1)}})
     assert not check_letter_braid_equation(bad, 2)
     with pytest.raises(ValueError):
         quantum_symmetrizer(bad, 3, 2)
@@ -326,7 +328,7 @@ def test_antisymmetrizer_ranks_are_binomial(n):
 
 def test_operator_matrix_lex_order():
     s1 = braid_lift(letter_switch(2), 2, 2)[0]
-    m = s1.to_matrix()
+    m = s1.to_matrix(letter_words(2, 2))
     # lexicographic word order (0,0),(0,1),(1,0),(1,1): transposition swaps the middle
     assert m == Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
@@ -334,7 +336,7 @@ def test_operator_matrix_lex_order():
 # -- word bi-gebra compatibility ----------------------------------------------------
 
 def test_empty_word_crossing_transparent():
-    cols = letter_crossing(zero_letter_crossing(2), 2)
+    cols = zero_letter_crossing(2)
     assert cross_words(cols, (), (0, 1)) == {((0, 1), ()): F(1)}
     assert cross_words(cols, (0, 1), ()) == {((), (0, 1)): F(1)}
     assert cross_words(cols, (0,), (1,)) == {}
@@ -368,7 +370,8 @@ def test_graded_element_validation():
 # the compatibility square's two sides as explicit loops, and operators
 # composed column by column.
 
-def _oracle_columns(sigma, n):
+def _oracle_columns(crossing, n):
+    sigma = crossing.to_matrix(letter_words(n, 2))
     cols = {}
     for c in range(n):
         for d in range(n):
@@ -485,19 +488,22 @@ rationals = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integer
 
 def square(size):
     return st.lists(st.lists(rationals, min_size=size, max_size=size),
-                    min_size=size, max_size=size).map(Matrix)
+                    min_size=size, max_size=size)
 
 
 @st.composite
 def letter_crossings(draw):
-    """(n, crossing): a random n^2 x n^2 matrix, or a diagonal braiding
-    (c, d) -> q[c][d] (d, c), which satisfies the braid equation."""
+    """(n, crossing): a map with random rational entries on letter pairs, or
+    a diagonal braiding (c, d) -> q[c][d] (d, c), which satisfies the braid
+    equation."""
     n = draw(st.sampled_from([1, 2]))
+    pairs = letter_words(n, 2)
     if draw(st.booleans()):
-        return n, draw(square(n * n))
+        rows = draw(square(n * n))
+        return n, LinearMap(2, {x: {y: rows[i][j] for i, y in enumerate(pairs) if rows[i][j]}
+                                for j, x in enumerate(pairs)})
     q = draw(square(n))
-    return n, Matrix.from_entries(n * n, n * n, {(d * n + c, c * n + d): q[(c, d)]
-                                                 for c in range(n) for d in range(n)})
+    return n, LinearMap(2, {(c, d): {(d, c): q[c][d]} for c, d in pairs})
 
 
 @ORACLE_SETTINGS
@@ -505,10 +511,10 @@ def letter_crossings(draw):
 def test_zero_braid_check_matches_oracle(crossing, bound):
     n, sigma = crossing
     assert zero_braid_bigebra_check(n, bound, sigma) == _oracle_zero_braid_check(n, bound, sigma)
-    crossing_map, oracle_cols = letter_crossing(sigma, n), _oracle_columns(sigma, n)
+    oracle_cols = _oracle_columns(sigma, n)
     for u in all_words(n, 2):
         for v in all_words(n, 2):
-            assert cross_words(crossing_map, u, v) == _oracle_cross_words(oracle_cols, u, v)
+            assert cross_words(sigma, u, v) == _oracle_cross_words(oracle_cols, u, v)
 
 
 @ORACLE_SETTINGS
