@@ -188,18 +188,17 @@ def twelve_param_family_member(p, q, r, i2) -> LinearMap:
 
 def check_min_polynomial(sigma: LinearMap, a) -> bool:
     """Evaluate the quartic (x + 1)(x - b)(x^2 + a b x - b) with
-    b = (1 + a)/(1 - a) at the scattering; true iff it vanishes exactly.
-    sigma acts on the span of its inputs, the keys of its columns (a zero
-    image is an empty column), so each of its outputs must be one of them.
-    The three factors are applied in turn by Horner's rule to every input at
-    once, each tagged by a copy of itself in the factors after it."""
+    b = (1 + a)/(1 - a) at the rank-1 scattering sigma, on the span of every
+    rank-1 blade pair (a pair without a column goes to zero); true iff it
+    vanishes exactly.  The three factors are applied in turn by Horner's rule
+    to every pair at once, each tagged by a copy of itself in the factors
+    after it."""
     a = Fraction(a)
     if a == 1:
         raise ValueError("quartic undefined at parameter product 1")
-    if any(y not in sigma.cols for col in sigma.cols.values() for y in col):
-        raise ValueError("square matrix required: each output must be an input")
+    _check_scattering(sigma, 1)
     b = (1 + a) / (1 - a)
-    v = {x + x: 1 for x in sigma.cols}
+    v = {x + x: 1 for x in keys(1, 2)}
     for coeffs in ([1, 1], [1, -b], [1, a * b, -b]):  # descending coefficients
         out: dict = {}
         for c in coeffs:
@@ -214,14 +213,13 @@ def braid_relation(s) -> tuple[list, list]:
     return [s.at(0), s.at(1), s.at(0)], [s.at(1), s.at(0), s.at(1)]
 
 
-def check_braid_equation(sigma: LinearMap, n: int) -> tuple[bool, int]:
-    """Evaluate both braid-relation composites on the tensor cube exactly.
-
-    Returns (equal, number of basis triples where the two sides differ).
-    """
+def check_braid_equation(sigma: LinearMap, n: int) -> tuple[bool, tuple | None]:
+    """True iff both braid-relation composites agree on the tensor cube,
+    exactly; returns (flag, first blade triple where they differ or None)."""
     _check_scattering(sigma, n)
-    bad = sum(1 for _ in differences(keys(n, 3), *braid_relation(sigma)))
-    return bad == 0, bad
+    for triple, _ in differences(keys(n, 3), *braid_relation(sigma)):
+        return False, triple
+    return True, None
 
 
 @dataclass
@@ -299,8 +297,9 @@ def braiding_report_json(structure: CliffordStructure, a=None) -> dict:
         report.update({"min_poly_ok": None, "invertible": None, "braid_eq": None,
                        "braided_verdict": None, "braided_flags": None})
         return report
+    # solve_sigma has certified the solution on the compatibility square
     s = scattering_map(structure, sol.particular)
-    braided = check_braided(structure, s)
+    braided = braided_flags(structure, s)
     report["invertible"] = braided.invertible
     report["braid_eq"] = braided.braid_equation_holds
     report["braided_verdict"] = braided.verdict_braided

@@ -14,7 +14,6 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import comb
 
 from . import braiding, hopf, tensor_shuffle as ts
 from .clifford import (CliffordStructure, check_counit_is_algebra_map,
@@ -25,10 +24,6 @@ from .sampling import random_rational
 from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
 
 VERIFY_MAX_RANK = 3
-# the word-algebra checks that gate the exit code; zero_crossing_compatible
-# is only recorded
-SHUFFLE_HARD_KEYS = ("pairing_dualities", "universal_lift_multiplicative",
-                     "couniversal_lift_comultiplicative", "antisymmetrizer_ranks_binomial")
 
 
 class ConfigError(Exception):
@@ -152,26 +147,25 @@ def _verify_antipode(structure: CliffordStructure, sol: AffineSolutionSet) -> di
 
 
 def _verify_sigma(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
+    """The solution space and the braided flags of its particular solution.
+    solve_sigma has certified every member on the compatibility square: the
+    closed form by substitution, the linear solve by substituting the
+    particular solution and each nullspace vector into rows linearized from
+    the same step lists."""
     out: dict = {
         "consistent": sol.is_consistent,
         "solution_space_dim": sol.dimension if sol.is_consistent else None,
-        "defect_zero_on_members": None,
         "braided_flags": None,
     }
     if not sol.is_consistent:
         return out
-    members = [braiding.scattering_map(structure, m) for m in sol.members()]
-    ok = not any(braiding.compatibility_defect(structure, s) for s in members)
-    out["defect_zero_on_members"] = ok
-    out["braided_iff_discrepancy"] = None
-    if ok:  # members[0] is the particular solution
-        report = braiding.braided_flags(structure, members[0])
-        out["braided_flags"] = report.to_json()
-        # the paper's iff, read as in criterion 08: {invertible and braid}
-        # iff a form vanishes; the two hexagons split by which one does
-        out["braided_iff_discrepancy"] = (
-            (report.invertible and report.braid_equation_holds)
-            != (structure.eta.is_zero() or structure.xi.is_zero()))
+    report = braiding.braided_flags(structure, braiding.scattering_map(structure, sol.particular))
+    out["braided_flags"] = report.to_json()
+    # the paper's iff, read as in criterion 08: {invertible and braid} iff a
+    # form vanishes; the two hexagons split by which one does
+    out["braided_iff_discrepancy"] = (
+        (report.invertible and report.braid_equation_holds)
+        != (structure.eta.is_zero() or structure.xi.is_zero()))
     return out
 
 
@@ -181,8 +175,12 @@ def _as_map(inputs: list, image) -> LinearMap:
 
 
 def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
+    """The lifts of the structure through the concatenation word bi-gebra.
+    The word facts fixed by the rank and the bound (the pairing dualities,
+    the exterior symmetrizer ranks, the zero-crossing square) are proved in
+    the tests."""
     n, maps = structure.n, structure.maps
-    concat, shuffle = ts.word_maps(n, bound), ts.word_maps(n, bound, shuffle=True)
+    concat = ts.word_maps(n, bound)
     pairs = list(concat.m.cols)
     lift = ts.universal_lift(ts.letter_inclusion(structure), structure)
     lifted = _as_map([w for (w,) in concat.id.cols],
@@ -191,27 +189,14 @@ def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
     colifted = _as_map(blades(n), lambda c: colift(Multivector.blade(n, c)))
     # the co-universal lift is comultiplicative up to the bound
     within_bound = LinearMap(2, {p: {p: ONE} for p in pairs})
-    top = min(bound, 3)
-    ranks = ts.exterior_image_dimensions(ts.letter_switch(n, -1), n, top)
-    zero_ok, _ = ts.zero_braid_bigebra_check(n, top, maps=concat)
     return {
-        # concatenation pairs with deconcatenation, shuffle with unshuffle
-        "pairing_dualities": all(words.m.transpose().cols == words.cop.cols
-                                 for words in (concat, shuffle)),
         "universal_lift_multiplicative": agree(
             pairs, [concat.m.at(0), lifted.at(0)],
             [lifted.at(0), lifted.at(1), maps.m.at(0)]),
         "couniversal_lift_comultiplicative": agree(
             keys(n, 1), [colifted.at(0), concat.cop.at(0)],
             [maps.cop.at(0), colifted.at(0), colifted.at(1), within_bound.at(0)]),
-        "antisymmetrizer_ranks_binomial": ranks == [comb(n, k) for k in range(top + 1)],
-        "zero_crossing_compatible": zero_ok,  # recorded; extension rule is an interpretation
     }
-
-
-# verify's names for the rank-1 checks that sweep rows name otherwise
-_VERIFY_RANK1_NAMES = {"min_poly_ok": "sigma_quartic_annihilates",
-                       "no_antipode": "antipode_absent_at_unit_composite"}
 
 
 def _rank1_checks(structure: CliffordStructure, ant: AffineSolutionSet,
@@ -264,17 +249,13 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     if n <= 2:
         sigma_sol = braiding.solve_sigma(structure)
         sigma = _verify_sigma(structure, sigma_sol)
-        if sigma["consistent"]:
-            hard["sigma_members_solve_square"] = bool(sigma["defect_zero_on_members"])
+        shuffle = _verify_shuffle(structure, min(bound, 4))
+        hard.update({f"shuffle_{k}": v for k, v in shuffle.items()})
     else:
-        sigma = {"skipped": f"rank {n} > 2"}
+        sigma = shuffle = {"skipped": f"rank {n} > 2"}
     if n == 1:
         checks, _ = _rank1_checks(structure, ant_sol, sigma_sol)
-        hard.update({_VERIFY_RANK1_NAMES.get(k, k): v for k, v in checks.items()})
-    shuffle = _verify_shuffle(structure, min(bound, 4)) if n <= 2 else {"skipped": f"rank {n} > 2"}
-    for key in SHUFFLE_HARD_KEYS:
-        if key in shuffle:
-            hard[f"shuffle_{key}"] = shuffle[key]
+        hard.update(checks)
     report = {
         "structure": structure.to_config(),
         "coproduct_table": {blade_key(c): structure.coproduct_table[c].to_json()
@@ -367,7 +348,8 @@ def cmd_braided(args) -> int:
     if not sol.is_consistent:
         write_out({"consistent": False}, args.out)
         return 0
-    report = braiding.check_braided(structure,
+    # solve_sigma has certified the solution on the compatibility square
+    report = braiding.braided_flags(structure,
                                     braiding.scattering_map(structure, sol.particular)).to_json()
     report["solution_space_dim"] = sol.dimension
     write_out(report, args.out)
@@ -379,7 +361,7 @@ def cmd_shuffle(args) -> int:
     bound = _truncation(args, options)
     report = _verify_shuffle(structure, bound)
     write_out(report, args.out)
-    return 0 if all(report[k] for k in SHUFFLE_HARD_KEYS) else 1
+    return 0 if all(report.values()) else 1
 
 
 # -- sweep ---------------------------------------------------------------------

@@ -378,19 +378,16 @@ def cross_words(crossing: LinearMap, u: Word, v: Word) -> dict:
     return {(s[:len(v)], s[len(v):]): c for s, c in chain({u + v: ONE}, *steps).items()}
 
 
-def zero_braid_bigebra_check(n: int, bound: int, letter_sigma: LinearMap | None = None,
-                             maps: StructureMaps | None = None):
+def zero_braid_bigebra_check(n: int, bound: int, letter_sigma: LinearMap | None = None):
     """Compatibility square of concatenation and deconcatenation with the
     crossing extended by unit-strand transparency; the default letter crossing
     is zero.  Exhaustive over word pairs with combined length <= bound.
-    ``maps`` is the concatenation bi-gebra word_maps(n, B) at some B >= bound,
-    built here at B = bound when not given.  Returns (all compatible,
-    witnesses) with each witness (x, y, defect {(u, v): coeff})."""
+    Returns (all compatible, witnesses) with each witness (x, y, defect
+    {(u, v): coeff})."""
     crossing = letter_sigma if letter_sigma is not None else zero_letter_crossing(n)
     _check_crossing(crossing, n)
-    if maps is None:
-        maps = word_maps(n, bound)
-    pairs = [(u, v) for u, v in maps.m.cols if len(u) + len(v) <= bound]
+    maps = word_maps(n, bound)
+    pairs = list(maps.m.cols)
     words_crossing = LinearMap(2, {(u, v): cross_words(crossing, u, v) for u, v in pairs})
     witnesses = [(x, y, defect)
                  for (x, y), defect in square_defects(maps, words_crossing, pairs)]

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xcliff import braiding, hopf
-from xcliff.braiding import (antipode_scattering, braiding_report_json, check_braid_equation,
-                             check_braided, check_min_polynomial, closed_form_sigma,
-                             compatibility_defect, module_action, scattering_map,
-                             scattering_system, solve_sigma, switch_map,
+from xcliff.braiding import (antipode_scattering, braid_relation, braiding_report_json,
+                             check_braid_equation, check_braided, check_min_polynomial,
+                             closed_form_sigma, compatibility_defect, module_action,
+                             scattering_map, scattering_system, solve_sigma, switch_map,
                              twelve_param_family_member)
 from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
-from xcliff.linmap import LinearMap, keys
+from xcliff.linmap import LinearMap, chain, keys
 from xcliff.sampling import random_form, random_nonzero_rational
 from xcliff.scalars import (Matrix, is_invertible, minimal_polynomial,
                             poly_eval_matrix, solve_linear_system, solve_sparse_system)
@@ -203,13 +203,22 @@ def quartic_cases(draw):
 @example((LinearMap(2, {}), F(-1)))
 def test_quartic_check_matches_dense_evaluation(case):
     sigma, a = case
-    dense = sigma.to_matrix(list(sigma.cols))
+    dense = sigma.to_matrix(keys(1, 2))
     assert check_min_polynomial(sigma, a) == poly_eval_matrix(quartic(a), dense).is_zero()
 
 
 def test_quartic_requires_a_square_matrix():
-    with pytest.raises(ValueError, match="square matrix required"):
-        check_min_polynomial(LinearMap(2, {(0, 0): {(1, 1): F(1)}, (0, 1): {}}), F(-1))
+    with pytest.raises(ValueError, match="rank-1 blades"):
+        check_min_polynomial(LinearMap(2, {(0, 0): {(1, 2): F(1)}}), F(-1))
+
+
+def test_quartic_verdict_depends_on_the_map_only():
+    # the zero map with no columns and with every pair's column listed (and
+    # empty) are equal maps; at a = 0 the quartic leaves b^2 = 1 on each pair
+    listed = LinearMap(2, {x: {} for x in keys(1, 2)})
+    assert LinearMap(2, {}) == listed
+    assert check_min_polynomial(LinearMap(2, {}), 0) is False
+    assert check_min_polynomial(listed, 0) is False
 
 
 def test_switch_squares_to_identity_at_zero_parameter():
@@ -246,7 +255,7 @@ def test_minimal_polynomial_divides_displayed_quartic_at_minus_one():
 
 def test_plain_switch_satisfies_braid_equation():
     ok, bad = check_braid_equation(switch_map(1, graded=False), 1)
-    assert ok and bad == 0
+    assert ok and bad is None
     ok, _ = check_braid_equation(switch_map(2, graded=True), 2)
     assert ok
 
@@ -254,7 +263,7 @@ def test_plain_switch_satisfies_braid_equation():
 def test_braid_equation_at_zero_parameter():
     for i2, j2 in [(0, 0), (1, 0), (0, 1), (2, 0)]:
         ok, bad = check_braid_equation(closed_form_sigma(i2, j2), 1)
-        assert ok and bad == 0
+        assert ok and bad is None
 
 
 def test_braid_equation_status_recorded_away_from_zero():
@@ -266,6 +275,28 @@ def test_braid_equation_status_recorded_away_from_zero():
         assert isinstance(ok, bool)
     # every sampled nonzero parameter failed the relation in exact arithmetic
     assert all(not ok for ok, _ in outcomes.values())
+
+
+def _braid_maps():
+    """Switch maps and closed-form scatterings at ranks 1 and 2."""
+    out = [(switch_map(n, graded), n) for n in (1, 2) for graded in (False, True)]
+    out += [(closed_form_sigma(i2, j2), 1)
+            for i2, j2 in [(0, 0), (2, 0), (-1, 1), (1, F(1, 2)), (F(1, 3), 1)]]
+    for eta, xi in [(Matrix.zeros(2, 2), Matrix.zeros(2, 2)),
+                    (Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]]))]:
+        s = CliffordStructure(2, eta, xi)
+        out.append((antipode_scattering(s), 2))
+    return out
+
+
+@pytest.mark.parametrize("sigma, n", _braid_maps())
+def test_braid_equation_witness_is_a_differing_triple(sigma, n):
+    ok, triple = check_braid_equation(sigma, n)
+    lhs, rhs = braid_relation(sigma)
+    count = sum(chain({x: 1}, *lhs) != chain({x: 1}, *rhs) for x in keys(n, 3))
+    assert ok is (count == 0) and (triple is None) is (count == 0)
+    if triple is not None:
+        assert chain({triple: 1}, *lhs) != chain({triple: 1}, *rhs)
 
 
 # -- braidedness ----------------------------------------------------------------------
