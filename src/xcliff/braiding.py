@@ -24,9 +24,9 @@ it does not, the square has none.  Where there is no antipode, or a law
 fails, the scattering is solved instead from the linearization of the
 square's routed side in its 16^n entries (:func:`scattering_system`).
 
-A solution is read back as the sparse map it solves for by the same Unknown
-that numbered its entries (:func:`scattering_map`), and
-:func:`braided_flags` checks such a map directly.  Every scattering, solved,
+A solution is read back as the sparse map it solves for by an Unknown over
+the blade pairs, which numbers the entries alike (:func:`scattering_map`),
+and :func:`braided_flags` checks such a map directly.  Every scattering, solved,
 closed-form or switch, is a LinearMap on blade pairs, which the public checks
 use as it is once its keys are checked against the rank; a dense 4^n x 4^n
 matrix over the pair basis (pair (a, b) flattened as a * 2^n + b) is written
@@ -43,10 +43,6 @@ from .clifford import CliffordStructure, Tensor2
 from .exterior import Multivector, grade
 from .linmap import LinearMap, Unknown, add, agree, chain, differences, keys, linearize
 from .scalars import AffineSolutionSet, format_scalar, solve_sparse_system
-
-
-def pair_index(n: int, a: int, b: int) -> int:
-    return (a << n) | b
 
 
 def _check_scattering(sigma: LinearMap, n: int) -> None:
@@ -96,17 +92,11 @@ def compatibility_defect(structure: CliffordStructure, sigma: LinearMap) -> dict
     return {x: Tensor2(n, d) for x, d in square_defects(structure.maps, sigma, keys(n, 2))}
 
 
-def _scattering_unknown(n: int) -> Unknown:
-    """The scattering solved for: its entry (u, v) <- (p, q) is unknown
-    number pair_index(u, v) * 4^n + pair_index(p, q)."""
-    return Unknown(2, keys(n, 2), lambda x, y: (pair_index(n, *y) << 2 * n) + pair_index(n, *x))
-
-
 def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
     """The rows and right-hand sides (see linmap.linearize) of the
     compatibility square, linear in the 16^n scattering entries."""
-    sigma = _scattering_unknown(structure.n)
-    return linearize(keys(structure.n, 2), _routed(structure.maps, sigma), _direct(structure.maps))
+    pairs = keys(structure.n, 2)
+    return linearize(pairs, _routed(structure.maps, Unknown(pairs)), _direct(structure.maps))
 
 
 def _antipode_route(maps, s) -> list:
@@ -136,19 +126,19 @@ def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:
     flattened as in scattering_system: the antipode's closed form when it
     applies (unique, or no solution when it fails the square), else the
     solve of scattering_system."""
-    n, unknowns = structure.n, 1 << (4 * structure.n)
-    sigma = antipode_scattering(structure)
+    pairs = keys(structure.n, 2)
+    unknown, sigma = Unknown(pairs), antipode_scattering(structure)
     if sigma is None:
         rows, rhs = scattering_system(structure)
-        return solve_sparse_system(list(rows.values()), list(rhs.values()), unknowns)
-    if next(square_defects(structure.maps, sigma, keys(n, 2)), None):
+        return solve_sparse_system(list(rows.values()), list(rhs.values()), unknown.size)
+    if next(square_defects(structure.maps, sigma, pairs), None):
         return AffineSolutionSet(particular=None)
-    return AffineSolutionSet(particular=_scattering_unknown(n).flatten(sigma, unknowns))
+    return AffineSolutionSet(particular=unknown.flatten(sigma))
 
 
 def scattering_map(structure: CliffordStructure, flat: tuple) -> LinearMap:
     """The scattering of a solution of scattering_system, as a map."""
-    return _scattering_unknown(structure.n).read(flat, keys(structure.n, 2))
+    return Unknown(keys(structure.n, 2)).read(flat)
 
 
 def closed_form_sigma(i2, j2) -> LinearMap:
@@ -284,15 +274,18 @@ def module_action(structure: CliffordStructure, sigma: LinearMap,
     return Tensor2(structure.n, chain(vector, *_action(structure.maps, sigma)))
 
 
-def braiding_report_json(structure: CliffordStructure, a=None) -> dict:
-    """Per-instance scattering report used by the command-line front end."""
+def braiding_report_json(structure: CliffordStructure) -> dict:
+    """Per-instance scattering report used by the command-line front end;
+    at rank 1 it adds the parameter a = eta_00 xi_00 and, at a != 1, the
+    quartic check."""
     sol = solve_sigma(structure)
     report: dict = {
         "sigma_unique": sol.is_unique,
         "solution_space_dim": sol.dimension if sol.is_consistent else None,
     }
+    a = structure.eta[(0, 0)] * structure.xi[(0, 0)] if structure.n == 1 else None
     if a is not None:
-        report["a"] = format_scalar(Fraction(a))
+        report["a"] = format_scalar(a)
     if not sol.is_consistent:
         report.update({"min_poly_ok": None, "invertible": None, "braid_eq": None,
                        "braided_verdict": None, "braided_flags": None})
@@ -304,7 +297,7 @@ def braiding_report_json(structure: CliffordStructure, a=None) -> dict:
     report["braid_eq"] = braided.braid_equation_holds
     report["braided_verdict"] = braided.verdict_braided
     report["braided_flags"] = braided.to_json()
-    if a is not None and Fraction(a) != 1:
+    if a is not None and a != 1:
         report["min_poly_ok"] = check_min_polynomial(s, a)
     else:
         report["min_poly_ok"] = None

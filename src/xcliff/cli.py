@@ -24,6 +24,9 @@ from .sampling import random_rational
 from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
 
 VERIFY_MAX_RANK = 3
+# the word-length budget of verify and shuffle: a rank-2 shuffle at bound 8
+# takes about 1 s, and each further length multiplies its time and memory
+MAX_WORD_BOUND = 8
 
 
 class ConfigError(Exception):
@@ -249,7 +252,7 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     if n <= 2:
         sigma_sol = braiding.solve_sigma(structure)
         sigma = _verify_sigma(structure, sigma_sol)
-        shuffle = _verify_shuffle(structure, min(bound, 4))
+        shuffle = _verify_shuffle(structure, bound)
         hard.update({f"shuffle_{k}": v for k, v in shuffle.items()})
     else:
         sigma = shuffle = {"skipped": f"rank {n} > 2"}
@@ -298,19 +301,22 @@ def render_markdown(report: dict) -> str:
 
 def _truncation(args, options: dict) -> int:
     """The word-length bound: --l when given, else the config's
-    "truncation", else 4."""
+    "truncation", else 4; refused above MAX_WORD_BOUND."""
     if args.truncation is not None:
-        if args.truncation < 0:
-            raise ConfigError(f"--l must be a non-negative integer, got {args.truncation}")
-        return args.truncation
-    raw = options.get("truncation", 4)
-    try:
-        bound = int(raw)
+        bound, source = args.truncation, "--l"
         if bound < 0:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError("bad config: truncation must be a non-negative integer, "
-                          f"got {raw!r}") from None
+            raise ConfigError(f"--l must be a non-negative integer, got {bound}")
+    else:
+        raw, source = options.get("truncation", 4), "truncation"
+        try:
+            bound = int(raw)
+            if bound < 0:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError("bad config: truncation must be a non-negative integer, "
+                              f"got {raw!r}") from None
+    if bound > MAX_WORD_BOUND:
+        raise ConfigError(f"{source} {bound} is over the word-length budget of {MAX_WORD_BOUND}")
     return bound
 
 
@@ -326,19 +332,13 @@ def cmd_verify(args) -> int:
 
 def cmd_antipode(args) -> int:
     structure, _ = load_config(args.config)
-    a = None
-    if structure.n == 1:
-        a = structure.eta[(0, 0)] * structure.xi[(0, 0)]
-    report = hopf.antipode_report_json(structure, a)
-    write_out(report, args.out)
+    write_out(hopf.antipode_report_json(structure), args.out)
     return 0
 
 
 def cmd_sigma(args) -> int:
     structure, _ = load_config(args.config)
-    a = structure.eta[(0, 0)] * structure.xi[(0, 0)] if structure.n == 1 else None
-    report = braiding.braiding_report_json(structure, a)
-    write_out(report, args.out)
+    write_out(braiding.braiding_report_json(structure), args.out)
     return 0
 
 
@@ -391,13 +391,15 @@ def sweep_row(i2_str: str, j2_str: str) -> dict:
 
 
 def _sweep_pairs(args) -> list[tuple[str, str]]:
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be a non-negative integer, got {args.samples}")
     pairs: list[tuple[str, str]] = []
     if args.a_values:
         for part in args.a_values.split(","):
             a = parse_scalar(part)
             pairs.append((format_scalar(a), "1"))
     rng = random.Random(args.seed)
-    for _ in range(args.samples or 0):
+    for _ in range(args.samples):
         i2 = random_rational(rng)
         j2 = random_rational(rng)
         pairs.append((format_scalar(i2), format_scalar(j2)))
@@ -421,7 +423,7 @@ def cmd_sweep(args) -> int:
         "hard_ok": all(r["hard_ok"] for r in rows) if rows else True,
     }
     report = {"rows": rows, "aggregate": aggregate, "seed": args.seed,
-              "samples": args.samples or 0}
+              "samples": args.samples}
     write_out(report, args.out)
     if args.markdown:
         lines = ["# Sweep", "", f"{len(rows)} rows; "

@@ -103,9 +103,6 @@ class Tensor2:
 
     __mul__ = __rmul__
 
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self.terms.get((a, b), Fraction(0))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -141,49 +138,36 @@ def pair_tensor2(alpha: DualMultivector, beta: DualMultivector, t: Tensor2) -> F
     return total
 
 
-def _parts(n: int, cs) -> list[int]:
-    """The blades contained in some blade of cs, ascending."""
-    return [a for a in blades(n) if any(a & c == a for c in cs)]
-
-
-def cliffordization(form: Matrix, lefts, rights) -> list:
-    """The product deformed by the bilinear form B as a step list on blade
-    pairs (S, T) with S in lefts and T in rights: split both blades, contract
-    the inner pair (S2, T1) and wedge the outer pair (S1, T2).  Its maps are
-    built on what those pairs reach: split is the exterior unshuffle
-    coproduct e_S -> sum of wedge_sign(S1, S2) e_S1 (x) e_S2 over the splits
-    S = S1 + S2, gram contracts a grade-k pair (S2, T1) to
+def cliffordization(form: Matrix) -> LinearMap:
+    """The product deformed by the bilinear form B, as a map on blade pairs
+    (S, T): the composite that splits both blades, contracts the inner pair
+    (S2, T1) and wedges the outer pair (S1, T2).  split is the exterior
+    unshuffle coproduct e_S -> sum of wedge_sign(S1, S2) e_S1 (x) e_S2 over
+    the splits S = S1 + S2, gram contracts a grade-k pair (S2, T1) to
     (-1)^floor(k/2) det[B(s2_i, t1_j)], and wedge is
     e_S (x) e_T -> wedge_sign(S, T) e_(S+T)."""
     n = form.nrows
-    split = LinearMap(1, {(c,): {(a, c ^ a): wedge_sign(a, c ^ a) for a in _parts(n, [c])}
-                          for c in {*lefts, *rights}})
-    left_parts, right_parts = _parts(n, lefts), _parts(n, rights)
+    every = blades(n)
+    split = LinearMap(1, {(c,): {(a, c ^ a): wedge_sign(a, c ^ a) for a in every if a & c == a}
+                          for c in every})
     gram = LinearMap(2, {(s, t): {(): -g if grade(s) % 4 > 1 else g}
-                         for s in left_parts for t in right_parts
+                         for s in every for t in every
                          if grade(s) == grade(t) and (g := xi_gram_determinant(form, s, t))})
     wedge = LinearMap(2, {(s, t): {(s | t,): wedge_sign(s, t)}
-                          for s in left_parts for t in right_parts if not s & t})
-    return [split.at(0), split.at(2), gram.at(1), wedge.at(0)]
-
-
-def deformed_blade_product(form: Matrix, s_bits: int, t_bits: int) -> dict:
-    """Product e_S *_B e_T in the algebra deformed by the bilinear form B,
-    as a sparse {blade: coeff} dict: the cliffordization run on one pair,
-    with its maps built only on the blades contained in S and in T."""
-    prod = chain({(s_bits, t_bits): 1}, *cliffordization(form, [s_bits], [t_bits]))
-    return {c: v for (c,), v in prod.items()}
+                          for s in every for t in every if not s & t})
+    return LinearMap.of(keys(n, 2), [split.at(0), split.at(2), gram.at(1), wedge.at(0)])
 
 
 class CliffordStructure:
     """A rank, a form on vectors and a form on co-vectors.  On construction
-    ``maps.m`` and ``dual`` are built as the cliffordizations by eta and by
-    xi, and ``maps.cop`` as ``dual`` transposed: the one stored copy of the
-    structure constants.  The three tables are read-only views of these
-    maps, read off on first use, as are the antipode's solution set and
-    the verdicts of the bigebra laws.  pairing ("inner" or "straight", see
-    the module docstring) fixes how the coproduct is transposed from the
-    dual product."""
+    ``maps.m`` is built as the cliffordization by eta, and ``maps.cop`` as
+    the cliffordization by xi (the dual product) transposed: the one stored
+    copy of the structure constants.  The dual product is the product of
+    the structure with xi in the place of eta.  The two tables are read-only
+    views of these maps, read off on first use, as are the antipode's
+    solution set and the verdicts of the bigebra laws.  pairing ("inner" or
+    "straight", see the module docstring) fixes how the coproduct is
+    transposed from the dual product."""
 
     def __init__(self, n: int, eta: Matrix, xi: Matrix, pairing: str = "inner"):
         if pairing not in PAIRINGS:
@@ -196,14 +180,12 @@ class CliffordStructure:
         self.eta = eta
         self.xi = xi
         self.pairing = pairing
-        every, pairs = blades(n), keys(n, 2)
-        self.dual = LinearMap.of(pairs, cliffordization(xi, every, every))
+        dual = cliffordization(xi)
         # (eps_p *_xi eps_q)[C] lands on (q, p) inner, on (p, q) straight; the
         # columns come out in blade order, as 1 *_xi eps_c = eps_c comes first
         cop = {c: {(q, p) if pairing == "inner" else (p, q): v for (p, q), v in col.items()}
-               for c, col in self.dual.transpose().cols.items()}
-        self.maps = structure_maps(LinearMap.of(pairs, cliffordization(eta, every, every)),
-                                   LinearMap(1, cop))
+               for c, col in dual.transpose().cols.items()}
+        self.maps = structure_maps(cliffordization(eta), LinearMap(1, cop))
         # the antipode's solution set and the bigebra law verdicts {law: bool},
         # filled on first use by hopf.antipode_solution and hopf's law checks
         self.antipode = None
@@ -212,12 +194,7 @@ class CliffordStructure:
     @cached_property
     def product_table(self) -> dict:
         """{(s, t): e_s *_eta e_t as a sparse {blade: coeff} dict}."""
-        return _table(self.maps.m)
-
-    @cached_property
-    def dual_product_table(self) -> dict:
-        """{(p, q): eps_p *_xi eps_q as a sparse {blade: coeff} dict}."""
-        return _table(self.dual)
+        return {st: {c: v for (c,), v in col.items()} for st, col in self.maps.m.cols.items()}
 
     @cached_property
     def coproduct_table(self) -> dict:
@@ -229,16 +206,8 @@ class CliffordStructure:
     def clifford_product(self, x: Multivector, y: Multivector) -> Multivector:
         self._check(x)
         self._check(y)
-        return self._bilinear(self.maps.m, x, y)
-
-    def dual_clifford_product(self, alpha: DualMultivector, beta: DualMultivector) -> DualMultivector:
-        self._check(alpha)
-        self._check(beta)
-        return self._bilinear(self.dual, alpha, beta)
-
-    def _bilinear(self, product: LinearMap, x, y) -> Multivector:
         pairs = {(s, t): a * b for s, a in x.terms.items() for t, b in y.terms.items()}
-        return Multivector(self.n, {c: v for (c,), v in chain(pairs, product.at(0)).items()})
+        return Multivector(self.n, {c: v for (c,), v in chain(pairs, self.maps.m.at(0)).items()})
 
     # -- cogebra ----------------------------------------------------------
 
@@ -274,19 +243,6 @@ class CliffordStructure:
     def from_config(cls, data: dict) -> "CliffordStructure":
         return cls(cls.config_rank(data), Matrix.from_json(data["eta"]),
                    Matrix.from_json(data["xi"]), pairing=data.get("pairing", "inner"))
-
-
-def _table(product: LinearMap) -> dict:
-    return {st: {c: v for (c,), v in col.items()} for st, col in product.cols.items()}
-
-
-def counit(x: Multivector) -> Fraction:
-    """Grade projection onto scalars."""
-    return x.scalar_part()
-
-
-def unit(dim: int, c) -> Multivector:
-    return Multivector.scalar(dim, c)
 
 
 def dkp_coproduct(x: Multivector) -> Tensor2:

@@ -141,17 +141,11 @@ class Multivector:
 
     __mul__ = __rmul__
 
-    def coefficient(self, bits: int) -> Fraction:
-        return self.terms.get(bits, Fraction(0))
-
     def scalar_part(self) -> Fraction:
         return self.terms.get(0, Fraction(0))
 
     def is_homogeneous(self, k: int) -> bool:
         return all(grade(b) == k for b in self.terms)
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
 
     def __repr__(self):
         if not self.terms:

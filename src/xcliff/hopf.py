@@ -21,9 +21,9 @@ fails, the antipode is solved instead from the linearization of the two
 composites S * id and id * S in the 4^n entries of S
 (:func:`solve_antipode_system`), which the tests also use as the oracle.
 
-A solution is read back as the sparse map S by the same Unknown that
-numbered its entries (:func:`antipode_map`), and the axiom is checked on S
-with the same two composites (:func:`is_antipode`).  Every endomorphism,
+A solution is read back as the sparse map S by an Unknown over the blades,
+which numbers the entries alike (:func:`antipode_map`), and the axiom is
+checked on S with the same two composites (:func:`is_antipode`).  Every endomorphism,
 the closed form included, is a LinearMap of arity 1 over the blades; a dense
 matrix over the blade basis in ascending bitmask order (column j holds the
 image of blade j) is written only for JSON, by ``to_matrix(keys(n, 1))``.
@@ -140,17 +140,12 @@ def _antipode_axiom(maps, s) -> list[tuple[list, list]]:
             for f, g in ((s, maps.id), (maps.id, s))]
 
 
-def _antipode_unknown(n: int) -> Unknown:
-    """S solved for: its entry s[p, a] (p output blade, a input blade) is
-    unknown number p * 2^n + a."""
-    return Unknown(1, keys(n, 1), lambda a, p: (p[0] << n) + a[0])
-
-
 def antipode_systems(structure: CliffordStructure) -> list[tuple[dict, dict]]:
     """The rows and right-hand sides (see linmap.linearize) of the two sides
     of the antipode axiom, in the unknown entries of S."""
-    basis, s = keys(structure.n, 1), _antipode_unknown(structure.n)
-    return [linearize(basis, lhs, rhs) for lhs, rhs in _antipode_axiom(structure.maps, s)]
+    basis = keys(structure.n, 1)
+    return [linearize(basis, lhs, rhs)
+            for lhs, rhs in _antipode_axiom(structure.maps, Unknown(basis))]
 
 
 def solve_antipode_system(structure: CliffordStructure) -> AffineSolutionSet:
@@ -160,7 +155,7 @@ def solve_antipode_system(structure: CliffordStructure) -> AffineSolutionSet:
     for eq_rows, eq_rhs in antipode_systems(structure):
         rows += eq_rows.values()
         rhs += eq_rhs.values()
-    return solve_sparse_system(rows, rhs, 1 << (2 * structure.n))
+    return solve_sparse_system(rows, rhs, Unknown(keys(structure.n, 1)).size)
 
 
 def id_powers(structure: CliffordStructure) -> tuple[list[LinearMap], tuple]:
@@ -210,8 +205,7 @@ def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
     s = LinearMap(1, cols)
     if not is_antipode(structure, s):
         raise ArithmeticError("the inverse of id does not satisfy the antipode axiom")
-    n = structure.n
-    return AffineSolutionSet(particular=_antipode_unknown(n).flatten(s, 1 << (2 * n)))
+    return AffineSolutionSet(particular=Unknown(keys(structure.n, 1)).flatten(s))
 
 
 def antipode_solution(structure: CliffordStructure) -> AffineSolutionSet:
@@ -224,7 +218,7 @@ def antipode_solution(structure: CliffordStructure) -> AffineSolutionSet:
 
 def antipode_map(structure: CliffordStructure, flat: tuple) -> LinearMap:
     """The map S of a solution of antipode_systems."""
-    return _antipode_unknown(structure.n).read(flat, keys(structure.n, 1))
+    return Unknown(keys(structure.n, 1)).read(flat)
 
 
 def is_antipode(structure: CliffordStructure, s: LinearMap) -> bool:
@@ -268,9 +262,10 @@ def conjecture_record(structure: CliffordStructure,
     )
 
 
-def antipode_report_json(structure: CliffordStructure, a=None) -> dict:
-    """Per-instance report: closed-form parameter when given, the solved
-    antipode matrix or null, and the conjecture consistency flag."""
+def antipode_report_json(structure: CliffordStructure) -> dict:
+    """Per-instance report: the solved antipode matrix or null, the
+    conjecture consistency flag and, at rank 1, the closed-form parameter
+    a = eta_00 xi_00."""
     sol = antipode_solution(structure)
     rec = conjecture_record(structure, sol)
     report = {
@@ -278,6 +273,6 @@ def antipode_report_json(structure: CliffordStructure, a=None) -> dict:
             keys(structure.n, 1)).to_json() if sol.is_consistent else None),
         "conjecture_consistent": rec.conjecture_consistent,
     }
-    if a is not None:
-        report["a"] = format_scalar(Fraction(a))
+    if structure.n == 1:
+        report["a"] = format_scalar(structure.eta[(0, 0)] * structure.xi[(0, 0)])
     return report

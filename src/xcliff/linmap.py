@@ -141,28 +141,36 @@ class LinearMap:
 
 
 class Unknown:
-    """The map solved for.  Acting on a key it branches into every output in
-    ``outputs`` and appends ``column(input, output)``, the number of that
-    entry among the unknowns, to the key, where later steps leave it alone."""
+    """The map solved for, over a basis of k-tuples: its entry (input x,
+    output y) is unknown number ``column(x, y)`` = index(y) * len(basis) +
+    index(x), the row-major flattening of ``to_matrix(basis)``, so there are
+    ``size`` = len(basis)^2 unknowns.  Acting on a key it branches into
+    every output in ``outputs`` (the basis) and appends the number of that
+    entry to the key, where later steps leave it alone."""
 
-    __slots__ = ("arity", "outputs", "column")
+    __slots__ = ("arity", "outputs", "size", "_index")
 
-    def __init__(self, arity: int, outputs: list[tuple], column):
-        self.arity = arity
-        self.outputs = outputs
-        self.column = column
+    def __init__(self, basis: list[tuple]):
+        self.arity = len(basis[0])
+        self.outputs = basis
+        self.size = len(basis) ** 2
+        self._index = {x: i for i, x in enumerate(basis)}
 
     at = LinearMap.at
 
-    def read(self, flat, inputs: list[tuple]) -> LinearMap:
+    def column(self, x: tuple, y: tuple) -> int:
+        return self._index[y] * len(self.outputs) + self._index[x]
+
+    def read(self, flat) -> LinearMap:
         """The map whose entry (input x, output y) is flat[column(x, y)]."""
         return LinearMap(self.arity, {x: {y: v for y in self.outputs
-                                          if (v := flat[self.column(x, y)])} for x in inputs})
+                                          if (v := flat[self.column(x, y)])}
+                                      for x in self.outputs})
 
-    def flatten(self, f: LinearMap, size: int) -> tuple:
-        """The solution vector of ``size`` unknowns that :meth:`read` reads
-        back as f: entry (x, y) of f at column(x, y), zero elsewhere."""
-        flat = [Fraction(0)] * size
+    def flatten(self, f: LinearMap) -> tuple:
+        """The solution vector that :meth:`read` reads back as f: entry
+        (x, y) of f at column(x, y), zero elsewhere."""
+        flat = [Fraction(0)] * self.size
         for x, col in f.cols.items():
             for y, c in col.items():
                 flat[self.column(x, y)] = Fraction(c)
@@ -170,11 +178,11 @@ class Unknown:
 
     def act(self, vector: dict, pos: int) -> tuple[dict, int]:
         out: dict = {}
-        end = pos + self.arity
+        end, width = pos + self.arity, len(self.outputs)
         for key, c in vector.items():
-            x, head, tail = key[pos:end], key[:pos], key[end:]
-            for y in self.outputs:
-                out[head + y + tail + (self.column(x, y),)] = c
+            x, head, tail = self._index[key[pos:end]], key[:pos], key[end:]
+            for i, y in enumerate(self.outputs):  # column(x, y), inlined
+                out[head + y + tail + (i * width + x,)] = c
         return out, 1
 
 

@@ -59,10 +59,6 @@ class GradedElement:
     def word(cls, dim: int, bound: int, letters) -> "GradedElement":
         return cls(dim, bound, {tuple(letters): Fraction(1)})
 
-    @classmethod
-    def empty_word(cls, dim: int, bound: int) -> "GradedElement":
-        return cls(dim, bound, {(): Fraction(1)})
-
     def __eq__(self, other):
         return (isinstance(other, GradedElement) and self.dim == other.dim
                 and self.terms == other.terms)
@@ -295,9 +291,6 @@ class WordOperator(LinearMap):
     def compose(self, other: "WordOperator") -> "WordOperator":
         """self after other."""
         return WordOperator.of_steps(self.dim, self.arity, [other.at(0), self.at(0)])
-
-    def apply_word(self, w: Word) -> dict:
-        return dict(self.cols[tuple(w)])
 
 
 def letter_switch(n: int, sign: int = 1) -> LinearMap:

@@ -433,14 +433,14 @@ def test_action_associativity_probe_recorded():
 # -- report ------------------------------------------------------------------------------
 
 def test_braiding_report_shape():
-    report = braiding_report_json(complex_structure(-1, 1), a=F(-1))
+    report = braiding_report_json(complex_structure(-1, 1))
     assert report["sigma_unique"] is True
     assert report["solution_space_dim"] == 0
     assert report["min_poly_ok"] is True
     assert report["invertible"] is False
     assert report["braid_eq"] is False
     assert report["braided_verdict"] is False
-    report = braiding_report_json(complex_structure(1, 1), a=F(1))
+    report = braiding_report_json(complex_structure(1, 1))
     assert report["solution_space_dim"] == 12
     assert report["min_poly_ok"] is None
 

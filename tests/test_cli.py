@@ -334,8 +334,9 @@ def test_bad_truncation_in_config_is_a_parse_error(tmp_path, capsys, command, tr
     assert err.startswith("error: bad config:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["verify", "shuffle"])
-def test_zero_truncation_flag_is_read_as_zero(complex_config, tmp_path, monkeypatch, command):
+@pytest.fixture
+def recorded_bounds(monkeypatch):
+    """The word-length bounds _verify_shuffle is called with."""
     bounds = []
     original = cli._verify_shuffle
 
@@ -344,9 +345,14 @@ def test_zero_truncation_flag_is_read_as_zero(complex_config, tmp_path, monkeypa
         return original(structure, bound)
 
     monkeypatch.setattr(cli, "_verify_shuffle", recording)
+    return bounds
+
+
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+def test_zero_truncation_flag_is_read_as_zero(complex_config, tmp_path, recorded_bounds, command):
     out = tmp_path / "o.json"
     assert main([command, "--config", complex_config, "--l", "0", "--out", str(out)]) == 0
-    assert bounds == [0]
+    assert recorded_bounds == [0]
 
 
 def test_zero_truncation_passes_every_shuffle_flag(complex_config):
@@ -359,6 +365,39 @@ def test_negative_truncation_flag_is_a_usage_error(complex_config, capsys, comma
     assert main([command, "--config", complex_config, "--l", "-2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--l" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+def test_bound_is_passed_through_up_to_the_budget(complex_config, tmp_path, recorded_bounds,
+                                                  command):
+    out = tmp_path / "o.json"
+    assert main([command, "--config", complex_config, "--l", str(cli.MAX_WORD_BOUND),
+                 "--out", str(out)]) == 0
+    assert recorded_bounds == [cli.MAX_WORD_BOUND]
+
+
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bound_over_the_budget_is_refused(tmp_path, capsys, command, source):
+    over = cli.MAX_WORD_BOUND + 1
+    options = {"truncation": over} if source == "config" else None
+    cfg = write_config(tmp_path, "c.json", 2, [["1", "1/2"], ["-1", "2"]],
+                       [["1", "-1"], ["1/2", "1"]], options=options)
+    out = tmp_path / "o.json"
+    flag = ["--l", str(over)] if source == "flag" else []
+    assert main([command, "--config", cfg, "--out", str(out)] + flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"budget of {cli.MAX_WORD_BOUND}" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_sample_count_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--samples", "-5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--samples" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n, size", [(1.9, 1), (True, 1), ("2", 2), (-1, 1), (17, 1)])

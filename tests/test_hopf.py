@@ -205,11 +205,11 @@ def test_conjecture_records():
 
 
 def test_antipode_report_json_shape():
-    report = antipode_report_json(complex_structure(-1, 1), a=F(-1))
+    report = antipode_report_json(complex_structure(-1, 1))
     assert report["a"] == "-1"
     assert report["antipode"] == [["1/2", "0"], ["0", "-1/2"]]
     assert report["conjecture_consistent"] is True
-    report = antipode_report_json(complex_structure(1, 1), a=F(1))
+    report = antipode_report_json(complex_structure(1, 1))
     assert report["antipode"] is None
 
 

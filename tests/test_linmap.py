@@ -74,10 +74,21 @@ def test_maps_compare_by_value():
 def test_linearize_rows_are_the_coefficients_of_the_unknown():
     # f . g with g known and f unknown: (f g)[y, x] = sum_k f[y, k] g[k, x]
     g = LinearMap(1, {(0,): {(0,): F(2), (1,): F(3)}, (1,): {(1,): F(5)}})
-    f = Unknown(1, keys(1, 1), lambda x, y: 2 * y[0] + x[0])
+    f = Unknown(keys(1, 1))
     rows, rhs = linearize(keys(1, 1), [g.at(0), f.at(0)], [])
     assert rows[((0,), (1,))] == {2: F(2), 3: F(3)}
     assert rhs == {label: (1 if label[0] == label[1] else 0) for label in rows}
+
+
+@SETTINGS
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.data())
+def test_unknown_numbers_entries_row_major_over_its_basis(n, arity, data):
+    basis = keys(n, arity)
+    f = data.draw(square_maps(basis, sparse_rationals))
+    unknown = Unknown(basis)
+    flat = unknown.flatten(f)
+    assert unknown.read(flat) == f
+    assert list(flat) == [v for row in f.to_matrix(basis).rows for v in row]
 
 
 @SETTINGS
@@ -187,8 +198,7 @@ def maps(draw, arity: int, out_arity: int) -> LinearMap:
 
 
 def unknown(arity: int) -> Unknown:
-    ins, outs = tuples(arity), tuples(arity)
-    return Unknown(arity, outs, lambda x, y: ins.index(x) * len(outs) + outs.index(y))
+    return Unknown(tuples(arity))
 
 
 @st.composite

@@ -93,10 +93,12 @@ def test_sign_change_multiplies_tables_by_predicted_signs(instance):
     for pairing in PAIRINGS:
         base, flipped = (CliffordStructure(n, e, x, pairing=pairing)
                          for e, x in ((eta, xi), (flip_signs(eta, signs), flip_signs(xi, signs))))
-        for table in ("product_table", "dual_product_table"):
-            assert getattr(flipped, table) == {
+        # the dual product is the product with xi in the place of eta
+        duals = tuple(CliffordStructure(n, t.xi, t.eta) for t in (base, flipped))
+        for b, f in ((base, flipped), duals):
+            assert f.product_table == {
                 (p, q): {c: s[p] * s[q] * s[c] * v for c, v in prod.items()}
-                for (p, q), prod in getattr(base, table).items()}
+                for (p, q), prod in b.product_table.items()}
         for c, t in base.coproduct_table.items():
             assert flipped.coproduct_table[c].terms == {
                 (a, b): s[a] * s[b] * s[c] * v for (a, b), v in t.terms.items()}
