@@ -16,7 +16,11 @@ form:
     sigma(a (x) b) = S(a1) (a2 b1)_(1) (x) (a2 b1)_(2) S(b2),
 
 that is sigma = (product (x) product) . (S (x) coproduct . product (x) S)
-. (coproduct (x) coproduct).  Any solution equals it: put the square's
+. (coproduct (x) coproduct).  S is folded into the two outer coproducts:
+the maps a -> S(a1) (x) a2 and b -> b1 (x) S(b2) are built once over the
+blades, and the route applies them, then the middle product, the middle
+coproduct and the two outer products, so S never acts on the four-factor
+intermediate.  Any solution equals it: put the square's
 routed side in for coproduct(a2 b1) and contract S(a1) a2 and b2 S(b3) to
 counits by S * id = unit . counit = id * S.  So the closed form is certified
 by substitution: if it solves the square it is the unique solution, and if
@@ -99,11 +103,15 @@ def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
     return linearize(pairs, _routed(structure.maps, Unknown(pairs)), _direct(structure.maps))
 
 
-def _antipode_route(maps, s) -> list:
+def _antipode_route(maps, s, n: int) -> list:
     """(product (x) product) . (S (x) coproduct . product (x) S)
-    . (coproduct (x) coproduct) on a blade pair."""
-    return [maps.cop.at(1), maps.cop.at(0), maps.m.at(1), maps.cop.at(1),
-            s.at(0), s.at(3), maps.m.at(0), maps.m.at(1)]
+    . (coproduct (x) coproduct) on a blade pair, with S applied before the
+    middle product: a -> S(a1) (x) a2 and b -> b1 (x) S(b2) are built once
+    over the blades, so S never acts on the four-factor intermediate."""
+    blades = keys(n, 1)
+    left = LinearMap.of(blades, [maps.cop.at(0), s.at(0)])
+    right = LinearMap.of(blades, [maps.cop.at(0), s.at(1)])
+    return [right.at(1), left.at(0), maps.m.at(1), maps.cop.at(1), maps.m.at(0), maps.m.at(1)]
 
 
 def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
@@ -118,7 +126,7 @@ def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
     if not sol.is_unique:
         return None
     s = hopf.antipode_map(structure, sol.particular)
-    return LinearMap.of(keys(structure.n, 2), _antipode_route(structure.maps, s))
+    return LinearMap.of(keys(structure.n, 2), _antipode_route(structure.maps, s, structure.n))
 
 
 def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:

@@ -8,6 +8,7 @@ Conjecture-style checks are recorded in reports but never gate the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -307,14 +308,10 @@ def _truncation(args, options: dict) -> int:
         if bound < 0:
             raise ConfigError(f"--l must be a non-negative integer, got {bound}")
     else:
-        raw, source = options.get("truncation", 4), "truncation"
-        try:
-            bound = int(raw)
-            if bound < 0:
-                raise ValueError
-        except (TypeError, ValueError):
+        bound, source = options.get("truncation", 4), "truncation"
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
             raise ConfigError("bad config: truncation must be a non-negative integer, "
-                              f"got {raw!r}") from None
+                              f"got {bound!r}")
     if bound > MAX_WORD_BOUND:
         raise ConfigError(f"{source} {bound} is over the word-length budget of {MAX_WORD_BOUND}")
     return bound
@@ -407,8 +404,10 @@ def _sweep_pairs(args) -> list[tuple[str, str]]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     pairs = _sweep_pairs(args)
-    jobs = min(args.jobs or 1, os.cpu_count() or 1)
+    jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row_star, pairs))
@@ -440,7 +439,10 @@ def _sweep_row_star(pair: tuple[str, str]) -> dict:
 
 # -- entry ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each subcommand binds only its
+    cmd_* function, which reads the module's helpers when it runs."""
     parser = argparse.ArgumentParser(prog="xcliff",
                                      description="exact engine for deformed exterior algebras")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,6 +23,15 @@ Exact values appear only at the edges: :func:`chain` and :func:`linearize`
 divide by D once, and :func:`differences` compares two sides by
 cross-multiplying their denominators, building Fractions only for a witness.
 
+A step acts on a batch of vectors in one call, and D does not depend on the
+vector, so a composite runs on a whole block of inputs at once, one call per
+step, with each image and exact value what one run per input would give.
+:meth:`LinearMap.of` runs all its inputs in one block; :func:`differences`
+runs blocks of doubling size (1, 2, 4, ...), so that a check which stops at
+its first failing input has run fewer than twice the inputs up to it.
+:func:`linearize` runs one input at a time: an Unknown step branches every
+term into a row per entry, and a block would hold all those rows at once.
+
 A LinearMap is the program's one operator type: structure maps, antipodes,
 scatterings, switches and letter crossings alike.  Maps compare by value
 (``==``), and :meth:`LinearMap.to_matrix` is the one dense exit, for JSON
@@ -61,8 +70,11 @@ class LinearMap:
 
     @classmethod
     def of(cls, inputs: list[tuple], steps: list) -> "LinearMap":
-        """The composite of ``steps`` as a map, from its images of ``inputs``."""
-        return cls(len(inputs[0]), {x: chain({x: 1}, *steps) for x in inputs})
+        """The composite of ``steps`` as a map, from its images of ``inputs``,
+        all run in one batch."""
+        images, den = _run([{x: 1} for x in inputs], steps)
+        return cls(len(inputs[0]), {x: {k: Fraction(c, den) for k, c in image.items() if c}
+                                    for x, image in zip(inputs, images)})
 
     def entries(self) -> dict:
         """The nonzero entries {(input, output): coefficient}."""
@@ -124,20 +136,23 @@ class LinearMap:
                            for x, col in self.cols.items()}, d)
         return self._ints
 
-    def act(self, vector: dict, pos: int) -> tuple[dict, int]:
-        """The integer image of an integer vector and its denominator: the
-        exact image of vector / D is out / (D * d)."""
+    def act(self, vectors: list[dict], pos: int) -> tuple[list[dict], int]:
+        """The integer images of a batch of integer vectors and their one
+        denominator: the exact image of vector / D is out / (D * d)."""
         cols, d = self._integer_form()
-        out: dict = {}
         end = pos + self.arity
-        for key, c in vector.items():
-            col = cols.get(key[pos:end])
-            if col:
-                head, tail = key[:pos], key[end:]
-                for y, w in col.items():
-                    k = head + y + tail
-                    out[k] = out.get(k, 0) + c * w
-        return out, d
+        outs = []
+        for vector in vectors:
+            out: dict = {}
+            for key, c in vector.items():
+                col = cols.get(key[pos:end])
+                if col:
+                    head, tail = key[:pos], key[end:]
+                    for y, w in col.items():
+                        k = head + y + tail
+                        out[k] = out.get(k, 0) + c * w
+            outs.append(out)
+        return outs, d
 
 
 class Unknown:
@@ -176,31 +191,35 @@ class Unknown:
                 flat[self.column(x, y)] = Fraction(c)
         return tuple(flat)
 
-    def act(self, vector: dict, pos: int) -> tuple[dict, int]:
-        out: dict = {}
+    def act(self, vectors: list[dict], pos: int) -> tuple[list[dict], int]:
         end, width = pos + self.arity, len(self.outputs)
-        for key, c in vector.items():
-            x, head, tail = self._index[key[pos:end]], key[:pos], key[end:]
-            for i, y in enumerate(self.outputs):  # column(x, y), inlined
-                out[head + y + tail + (i * width + x,)] = c
-        return out, 1
+        outs = []
+        for vector in vectors:
+            out: dict = {}
+            for key, c in vector.items():
+                x, head, tail = self._index[key[pos:end]], key[:pos], key[end:]
+                for i, y in enumerate(self.outputs):  # column(x, y), inlined
+                    out[head + y + tail + (i * width + x,)] = c
+            outs.append(out)
+        return outs, 1
 
 
-def _run(vector: dict, steps) -> tuple[dict, int]:
-    """(integer vector, D) whose quotient is the composite of the steps at
-    the exact vector; entries may be zero."""
-    den = lcm(*(c.denominator for c in vector.values()))
-    out = {k: c.numerator * (den // c.denominator) for k, c in vector.items()}
+def _run(vectors: list[dict], steps) -> tuple[list[dict], int]:
+    """(integer vectors, D): the composite of the steps at each integer
+    vector, over the one denominator D of the batch; entries may be zero.
+    Each step acts on the whole batch in one call."""
+    den = 1
     for f, pos in steps:
-        out, d = f.act(out, pos)
+        vectors, d = f.act(vectors, pos)
         den *= d
-    return out, den
+    return vectors, den
 
 
 def chain(vector: dict, *steps) -> dict:
     """Run a composite: apply each (map, position) step in turn."""
-    out, den = _run(vector, steps)
-    return {k: Fraction(c, den) for k, c in out.items() if c}
+    d0 = lcm(*(c.denominator for c in vector.values()))
+    outs, den = _run([{k: c.numerator * (d0 // c.denominator) for k, c in vector.items()}], steps)
+    return {k: Fraction(c, d0 * den) for k, c in outs[0].items() if c}
 
 
 def add(u: dict, v: dict, scale=ONE) -> dict:
@@ -220,14 +239,21 @@ def dot(u: dict, v: dict) -> Fraction:
 
 def differences(inputs: list[tuple], lhs: list, rhs: list):
     """(x, lhs(x) - rhs(x)) for each input key x on which the two composites
-    differ, lazily."""
-    for x in inputs:
-        (left, dl), (right, dr) = _run({x: 1}, lhs), _run({x: 1}, rhs)
-        diff = {k: c * dr for k, c in left.items() if c}
-        for k, c in right.items():
-            diff[k] = diff.get(k, 0) - c * dl
-        if any(diff.values()):
-            yield x, {k: Fraction(c, dl * dr) for k, c in diff.items() if c}
+    differ, in input order, lazily: the inputs run in blocks of doubling
+    size (1, 2, 4, ...), so a caller that stops at the first difference
+    has run fewer than twice the inputs up to it."""
+    start, size = 0, 1
+    while start < len(inputs):
+        block = inputs[start:start + size]
+        start, size = start + size, 2 * size
+        lefts, dl = _run([{x: 1} for x in block], lhs)
+        rights, dr = _run([{x: 1} for x in block], rhs)
+        for x, left, right in zip(block, lefts, rights):
+            diff = {k: c * dr for k, c in left.items() if c}
+            for k, c in right.items():
+                diff[k] = diff.get(k, 0) - c * dl
+            if any(diff.values()):
+                yield x, {k: Fraction(c, dl * dr) for k, c in diff.items() if c}
 
 
 def agree(inputs: list[tuple], lhs: list, rhs: list) -> bool:

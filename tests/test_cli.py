@@ -325,7 +325,7 @@ def test_sweep_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "shuffle"])
-@pytest.mark.parametrize("truncation", [[1], "x", -1])
+@pytest.mark.parametrize("truncation", [[1], "x", -1, 2.9, True, "3"])
 def test_bad_truncation_in_config_is_a_parse_error(tmp_path, capsys, command, truncation):
     cfg = write_config(tmp_path, "c.json", 1, [["-1"]], [["1"]],
                        options={"truncation": truncation})
@@ -397,6 +397,15 @@ def test_negative_sample_count_is_a_usage_error(tmp_path, capsys):
     assert main(["sweep", "--samples", "-5", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--samples" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_job_count_is_a_usage_error(tmp_path, capsys, jobs):
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--jobs", jobs, "--a-values=2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --jobs") and err.count("\n") == 1
     assert not out.exists()
 
 

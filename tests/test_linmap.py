@@ -6,11 +6,13 @@ are checked against the same steps run in Fractions."""
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xcliff import braiding, hopf
 from xcliff.clifford import PAIRINGS, CliffordStructure
-from xcliff.linmap import LinearMap, Unknown, agree, chain, differences, keys, linearize
+from xcliff.linmap import (LinearMap, Unknown, add, agree, chain, differences, keys,
+                           linearize)
 from xcliff.scalars import Matrix
 from xcliff.tensor_shuffle import WordOperator, letter_switch
 
@@ -271,3 +273,79 @@ def test_integer_layer_matches_fraction_steps(case):
         want = {x: fraction_chain({x: F(1)}, *lhs) for x in inputs}
         assert ordered(LinearMap.of(inputs, lhs).cols) == ordered(want)
 
+
+# -- the batched runs against one run per input ------------------------------
+
+def per_input_differences(inputs, lhs, rhs) -> list:
+    """The differences of two composites, one chain per input: the oracle
+    of the batched runs."""
+    out = []
+    for x in inputs:
+        diff = add(chain({x: 1}, *lhs), chain({x: 1}, *rhs), -1)
+        if diff:
+            out.append((x, diff))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cases(), st.data())
+def test_batched_runs_match_one_run_per_input(case, data):
+    factors, lhs, rhs, _ = case
+    # a permutation of the inputs, so that the order of the witnesses is seen
+    inputs = data.draw(st.permutations(tuples(factors)))
+    assert (ordered(list(differences(inputs, lhs, rhs)))
+            == ordered(per_input_differences(inputs, lhs, rhs)))
+    if not any(isinstance(f, Unknown) for f, _ in lhs):
+        assert ordered(LinearMap.of(inputs, lhs).cols) == ordered(
+            {x: chain({x: 1}, *lhs) for x in inputs})
+
+
+class CountingMap(LinearMap):
+    """A map that records how many vectors its steps are given."""
+
+    __slots__ = ("inputs",)
+
+    def __init__(self, arity, cols):
+        super().__init__(arity, cols)
+        self.inputs = 0
+
+    def act(self, vectors, pos):
+        self.inputs += len(vectors)
+        return super().act(vectors, pos)
+
+
+@pytest.mark.parametrize("first", [0, 1, 5])
+def test_agree_stops_near_the_first_differing_input(first):
+    inputs = keys(2, 2)
+    ident = CountingMap(2, {x: {x: 1} for x in inputs})
+    # a map that differs from the identity on inputs[first:] only
+    other = LinearMap(2, {x: {x: 1 if i < first else 2} for i, x in enumerate(inputs)})
+    assert not agree(inputs, [ident.at(0)], [other.at(0)])
+    # blocks of 1, 2, 4, ...: the block holding inputs[first] ends before 2 * first + 2
+    assert first < ident.inputs < min(2 * first + 2, len(inputs))
+    assert next(differences(inputs, [ident.at(0)], [other.at(0)]))[0] == inputs[first]
+
+
+def eight_step_antipode_route(maps, s) -> list:
+    """(product (x) product) . (S (x) coproduct . product (x) S)
+    . (coproduct (x) coproduct) in eight steps, with S acting on the
+    four-factor intermediate: a second spelling of the closed form, which
+    the program builds with S folded into the outer coproducts."""
+    return [maps.cop.at(1), maps.cop.at(0), maps.m.at(1), maps.cop.at(1),
+            s.at(0), s.at(3), maps.m.at(0), maps.m.at(1)]
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("n, eta, xi", [
+    (1, [[2]], [[F(3, 2)]]),
+    (1, [[-1]], [[0]]),
+    (2, [[1, F(1, 2)], [-1, 2]], [[1, -1], [F(1, 2), 1]]),
+    (2, [[2, 0], [0, -1]], [[F(1, 3), 0], [0, 3]]),
+    (2, [[0, 1], [-2, 0]], [[0, 0], [0, 0]]),
+])
+def test_factored_antipode_route_matches_the_eight_step_route(pairing, n, eta, xi):
+    structure = CliffordStructure(n, Matrix(eta), Matrix(xi), pairing=pairing)
+    sigma = braiding.antipode_scattering(structure)
+    assert sigma is not None
+    s = hopf.antipode_map(structure, hopf.antipode_solution(structure).particular)
+    assert sigma == LinearMap.of(keys(n, 2), eight_step_antipode_route(structure.maps, s))
