@@ -30,11 +30,15 @@ square's routed side in its 16^n entries (:func:`scattering_system`).
 
 A solution is read back as the sparse map it solves for by an Unknown over
 the blade pairs, which numbers the entries alike (:func:`scattering_map`),
-and :func:`braided_flags` checks such a map directly.  Every scattering, solved,
-closed-form or switch, is a LinearMap on blade pairs, which the public checks
-use as it is once its keys are checked against the rank; a dense 4^n x 4^n
-matrix over the pair basis (pair (a, b) flattened as a * 2^n + b) is written
-only for JSON, by ``to_matrix(keys(n, 2))``.
+and :func:`braided_flags` checks such a map directly, returning a
+:class:`BraidedReport` of four flags and their verdict.  Every scattering,
+solved, closed-form or switch, is a LinearMap on blade pairs, which the
+public checks use as it is once its keys are checked against the rank; its
+dense 4^n x 4^n matrix over the pair basis (pair (a, b) flattened as
+a * 2^n + b) is ``to_matrix(keys(n, 2))``.
+
+This module returns mathematical values only; the reports, with their JSON
+key names, are built by :mod:`xcliff.cli`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from . import hopf
 from .clifford import CliffordStructure, Tensor2
 from .exterior import Multivector, grade
 from .linmap import LinearMap, Unknown, add, agree, chain, differences, keys, linearize
-from .scalars import AffineSolutionSet, format_scalar, solve_sparse_system
+from .scalars import AffineSolutionSet, solve_sparse_system
 
 
 def _check_scattering(sigma: LinearMap, n: int) -> None:
@@ -234,15 +238,6 @@ class BraidedReport:
         return (self.invertible and self.braid_equation_holds
                 and self.product_naturality_holds and self.coproduct_naturality_holds)
 
-    def to_json(self) -> dict:
-        return {
-            "invertible": self.invertible,
-            "braid_equation": self.braid_equation_holds,
-            "product_naturality": self.product_naturality_holds,
-            "coproduct_naturality": self.coproduct_naturality_holds,
-            "verdict_braided": self.verdict_braided,
-        }
-
 
 def check_braided(structure: CliffordStructure, sigma: LinearMap) -> BraidedReport:
     """Braidedness of a compatible scattering: invertibility, the braid
@@ -280,33 +275,3 @@ def module_action(structure: CliffordStructure, sigma: LinearMap,
     _check_scattering(sigma, structure.n)
     vector = {(c, *k): cx * ct for c, cx in x.terms.items() for k, ct in t.terms.items()}
     return Tensor2(structure.n, chain(vector, *_action(structure.maps, sigma)))
-
-
-def braiding_report_json(structure: CliffordStructure) -> dict:
-    """Per-instance scattering report used by the command-line front end;
-    at rank 1 it adds the parameter a = eta_00 xi_00 and, at a != 1, the
-    quartic check."""
-    sol = solve_sigma(structure)
-    report: dict = {
-        "sigma_unique": sol.is_unique,
-        "solution_space_dim": sol.dimension if sol.is_consistent else None,
-    }
-    a = structure.eta[(0, 0)] * structure.xi[(0, 0)] if structure.n == 1 else None
-    if a is not None:
-        report["a"] = format_scalar(a)
-    if not sol.is_consistent:
-        report.update({"min_poly_ok": None, "invertible": None, "braid_eq": None,
-                       "braided_verdict": None, "braided_flags": None})
-        return report
-    # solve_sigma has certified the solution on the compatibility square
-    s = scattering_map(structure, sol.particular)
-    braided = braided_flags(structure, s)
-    report["invertible"] = braided.invertible
-    report["braid_eq"] = braided.braid_equation_holds
-    report["braided_verdict"] = braided.verdict_braided
-    report["braided_flags"] = braided.to_json()
-    if a is not None and a != 1:
-        report["min_poly_ok"] = check_min_polynomial(s, a)
-    else:
-        report["min_poly_ok"] = None
-    return report

@@ -1,6 +1,13 @@
 """Command-line front end: load an (n, eta, xi) instance from JSON, run the
 analyses, emit deterministic machine-readable reports and optional markdown.
 
+This is the one module that builds reports; hopf, braiding and clifford
+return mathematical values only.  Each reading that several reports share
+is made in one place: the scattering (solve_sigma, then scattering_map, then
+braided_flags) in _scattering, the antipode's JSON matrix in
+_antipode_matrix, the rank-1 parameter a = eta_00 xi_00 in _parameter and
+the existence-conjecture flag in conjecture_record.
+
 Exit codes: 0 pass, 1 hard-invariant failure, 2 usage or parse error.
 Conjecture-style checks are recorded in reports but never gate the exit code.
 """
@@ -14,14 +21,14 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import braiding, hopf, tensor_shuffle as ts
 from .clifford import (CliffordStructure, check_counit_is_algebra_map,
-                       check_unit_is_cogebra_map, coproduct_grades_ok, xi_gram_determinant)
-from .exterior import Multivector, blade_key, blade_name, blades, grade
+                       check_unit_is_cogebra_map, coproduct_grades_ok, coproduct_unit_signs_ok)
+from .exterior import Multivector, blade_key, blade_name, blades
 from .linmap import ONE, LinearMap, agree, keys
-from .sampling import random_rational
 from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
 
 VERIFY_MAX_RANK = 3
@@ -65,8 +72,11 @@ def dump_json(obj) -> str:
 def write_out(report: dict, out: str | None):
     text = dump_json(report)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -110,65 +120,94 @@ def cmd_tables(args) -> int:
     return 0
 
 
+# -- the reports' shared readings -------------------------------------------------
+
+@dataclass
+class ConjectureRecord:
+    """Evidence row for the antipode-existence criterion; never an assertion."""
+
+    xi_eta_is_identity: bool
+    antipode_exists: bool
+    conjecture_consistent: bool
+
+
+def conjecture_record(structure: CliffordStructure,
+                      sol: AffineSolutionSet) -> ConjectureRecord:
+    """Compare 'composite of the two forms is the identity' with antipode
+    nonexistence on this instance and record whether the biconditional held;
+    ``sol`` is the instance's antipode solution set."""
+    composite = structure.eta @ structure.xi  # = id iff xi . eta = id (square factors)
+    is_id = composite == Matrix.identity(structure.n)
+    exists = sol.is_consistent
+    return ConjectureRecord(xi_eta_is_identity=is_id, antipode_exists=exists,
+                            conjecture_consistent=(exists == (not is_id)))
+
+
+def _antipode_matrix(structure: CliffordStructure, sol: AffineSolutionSet) -> list | None:
+    """The solved antipode as a JSON matrix over the blades, or None."""
+    if not sol.is_consistent:
+        return None
+    return hopf.antipode_map(structure, sol.particular).to_matrix(keys(structure.n, 1)).to_json()
+
+
+def _parameter(structure: CliffordStructure) -> Fraction:
+    """The rank-1 parameter a = eta_00 xi_00."""
+    return structure.eta[(0, 0)] * structure.xi[(0, 0)]
+
+
+def _scattering(structure: CliffordStructure
+                ) -> tuple[AffineSolutionSet, LinearMap | None, braiding.BraidedReport | None]:
+    """The scattering's solution set, the map of its particular solution and
+    that map's braided flags; the two are None when the square has no
+    solution.  solve_sigma has certified every member on the compatibility
+    square: the closed form by substitution, the linear solve by
+    substituting the particular solution and each nullspace vector into rows
+    linearized from the same step lists."""
+    sol = braiding.solve_sigma(structure)
+    if not sol.is_consistent:
+        return sol, None, None
+    s = braiding.scattering_map(structure, sol.particular)
+    return sol, s, braiding.braided_flags(structure, s)
+
+
+def _flags_json(flags: braiding.BraidedReport) -> dict:
+    return {
+        "invertible": flags.invertible,
+        "braid_equation": flags.braid_equation_holds,
+        "product_naturality": flags.product_naturality_holds,
+        "coproduct_naturality": flags.coproduct_naturality_holds,
+        "verdict_braided": flags.verdict_braided,
+    }
+
+
 # -- verify -------------------------------------------------------------------
 
-def _inner_key(structure: CliffordStructure, a: int, b: int) -> tuple[int, int]:
-    """The coproduct key holding what the inner pairing's table holds at
-    (a, b): the straight pairing's table is its (a, b) -> (b, a) transpose."""
-    return (a, b) if structure.pairing == "inner" else (b, a)
-
-
-def _check_cop_unit_signs(structure: CliffordStructure) -> bool:
-    n = structure.n
-    cop1 = structure.coproduct_table[0]
-    for a in blades(n):
-        for b in blades(n):
-            ga, gb = grade(a), grade(b)
-            got = cop1.terms.get(_inner_key(structure, a, b), Fraction(0))
-            if ga != gb:
-                if got:
-                    return False
-                continue
-            sign = -1 if (ga // 2) % 2 else 1
-            if got != sign * xi_gram_determinant(structure.xi, b, a):
-                return False
-    return True
-
-
 def _verify_antipode(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
-    record = hopf.conjecture_record(structure, sol)
-    out = {
+    record = conjecture_record(structure, sol)
+    return {
         "exists": sol.is_consistent,
         "unique": sol.is_unique if sol.is_consistent else None,
         "conjecture_consistent": record.conjecture_consistent,
         "xi_eta_is_identity": record.xi_eta_is_identity,
-        "matrix": None,
+        "matrix": _antipode_matrix(structure, sol),
     }
-    if sol.is_consistent:
-        s = hopf.antipode_map(structure, sol.particular)
-        out["matrix"] = s.to_matrix(keys(structure.n, 1)).to_json()
-    return out
 
 
-def _verify_sigma(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
-    """The solution space and the braided flags of its particular solution.
-    solve_sigma has certified every member on the compatibility square: the
-    closed form by substitution, the linear solve by substituting the
-    particular solution and each nullspace vector into rows linearized from
-    the same step lists."""
+def _verify_sigma(structure: CliffordStructure, sol: AffineSolutionSet,
+                  flags: braiding.BraidedReport | None) -> dict:
+    """The solution space and the braided flags of its particular solution."""
     out: dict = {
         "consistent": sol.is_consistent,
         "solution_space_dim": sol.dimension if sol.is_consistent else None,
         "braided_flags": None,
     }
-    if not sol.is_consistent:
+    if flags is None:
         return out
-    report = braiding.braided_flags(structure, braiding.scattering_map(structure, sol.particular))
-    out["braided_flags"] = report.to_json()
+    out["braided_flags"] = _flags_json(flags)
     # the paper's iff, read as in criterion 08: {invertible and braid} iff a
     # form vanishes; the two hexagons split by which one does
     out["braided_iff_discrepancy"] = (
-        (report.invertible and report.braid_equation_holds)
+        (flags.invertible and flags.braid_equation_holds)
         != (structure.eta.is_zero() or structure.xi.is_zero()))
     return out
 
@@ -204,26 +243,24 @@ def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
 
 
 def _rank1_checks(structure: CliffordStructure, ant: AffineSolutionSet,
-                  sol: AffineSolutionSet) -> tuple[dict, LinearMap | None]:
-    """The rank-1 verdicts from the solved antipode and scattering, and the
-    closed-form scattering (None at a = 1).  At a != 1 both solutions are
-    unique and match their closed forms, and the quartic annihilates the
-    scattering; at a = 1 there is no antipode and the scattering family has
-    dimension 12."""
-    i2, j2 = structure.eta[(0, 0)], structure.xi[(0, 0)]
-    a = i2 * j2
+                  sol: AffineSolutionSet, s: LinearMap | None) -> dict:
+    """The rank-1 verdicts from the solved antipode and the scattering's
+    solution set with the map s of its particular solution.  At a != 1 both
+    solutions are unique and match their closed forms, and the quartic
+    annihilates the closed-form scattering; at a = 1 there is no antipode
+    and the scattering family has dimension 12."""
+    a = _parameter(structure)
     if a == 1:
         return {"no_antipode": not ant.is_consistent,
-                "sigma_family_dimension_12": sol.dimension == 12}, None
-    cf = braiding.closed_form_sigma(i2, j2)
+                "sigma_family_dimension_12": sol.dimension == 12}
+    cf = braiding.closed_form_sigma(structure.eta[(0, 0)], structure.xi[(0, 0)])
     return {
         "antipode_closed_form_match": (
             ant.is_unique and hopf.antipode_map(structure, ant.particular)
             == hopf.complex_antipode_closed_form(a)),
-        "sigma_closed_form_match": (
-            sol.is_unique and braiding.scattering_map(structure, sol.particular) == cf),
+        "sigma_closed_form_match": sol.is_unique and s == cf,
         "min_poly_ok": braiding.check_min_polynomial(cf, a),
-    }, cf
+    }
 
 
 def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
@@ -240,7 +277,7 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
         "coassociative": hopf.coassociative(structure),
         "counit_law": hopf.counital(structure),
         "coproduct_grade_pattern": coproduct_grades_ok(structure),
-        "coproduct_unit_sign_pattern": _check_cop_unit_signs(structure),
+        "coproduct_unit_sign_pattern": coproduct_unit_signs_ok(structure),
         "counit_algebra_map_iff_eta_zero": counit_alg == eta_zero,
         "unit_cogebra_map_iff_xi_zero": unit_cog == xi_zero,
     }
@@ -251,15 +288,14 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     if antipode["exists"]:
         hard["antipode_unique_and_two_sided"] = bool(antipode["unique"])
     if n <= 2:
-        sigma_sol = braiding.solve_sigma(structure)
-        sigma = _verify_sigma(structure, sigma_sol)
+        sigma_sol, s, flags = _scattering(structure)
+        sigma = _verify_sigma(structure, sigma_sol, flags)
         shuffle = _verify_shuffle(structure, bound)
         hard.update({f"shuffle_{k}": v for k, v in shuffle.items()})
     else:
         sigma = shuffle = {"skipped": f"rank {n} > 2"}
     if n == 1:
-        checks, _ = _rank1_checks(structure, ant_sol, sigma_sol)
-        hard.update(checks)
+        hard.update(_rank1_checks(structure, ant_sol, sigma_sol, s))
     report = {
         "structure": structure.to_config(),
         "coproduct_table": {blade_key(c): structure.coproduct_table[c].to_json()
@@ -327,28 +363,57 @@ def cmd_verify(args) -> int:
     return 0 if report["hard_pass"] else 1
 
 
+def antipode_report_json(structure: CliffordStructure) -> dict:
+    """The antipode command's report: the solved antipode matrix or null,
+    the conjecture consistency flag and, at rank 1, the parameter a."""
+    sol = hopf.antipode_solution(structure)
+    report = {"antipode": _antipode_matrix(structure, sol),
+              "conjecture_consistent": conjecture_record(structure, sol).conjecture_consistent}
+    if structure.n == 1:
+        report["a"] = format_scalar(_parameter(structure))
+    return report
+
+
+def braiding_report_json(structure: CliffordStructure) -> dict:
+    """The sigma command's report: the scattering's solution space and the
+    braided flags of its particular solution; at rank 1 also the parameter a
+    and, at a != 1, the quartic check."""
+    sol, s, flags = _scattering(structure)
+    report: dict = {
+        "sigma_unique": sol.is_unique,
+        "solution_space_dim": sol.dimension if sol.is_consistent else None,
+        "min_poly_ok": None, "invertible": None, "braid_eq": None,
+        "braided_verdict": None, "braided_flags": None,
+    }
+    a = _parameter(structure) if structure.n == 1 else None
+    if a is not None:
+        report["a"] = format_scalar(a)
+    if flags is not None:
+        report.update({"invertible": flags.invertible, "braid_eq": flags.braid_equation_holds,
+                       "braided_verdict": flags.verdict_braided,
+                       "braided_flags": _flags_json(flags)})
+        if a is not None and a != 1:
+            report["min_poly_ok"] = braiding.check_min_polynomial(s, a)
+    return report
+
+
 def cmd_antipode(args) -> int:
     structure, _ = load_config(args.config)
-    write_out(hopf.antipode_report_json(structure), args.out)
+    write_out(antipode_report_json(structure), args.out)
     return 0
 
 
 def cmd_sigma(args) -> int:
     structure, _ = load_config(args.config)
-    write_out(braiding.braiding_report_json(structure), args.out)
+    write_out(braiding_report_json(structure), args.out)
     return 0
 
 
 def cmd_braided(args) -> int:
     structure, _ = load_config(args.config)
-    sol = braiding.solve_sigma(structure)
-    if not sol.is_consistent:
-        write_out({"consistent": False}, args.out)
-        return 0
-    # solve_sigma has certified the solution on the compatibility square
-    report = braiding.braided_flags(structure,
-                                    braiding.scattering_map(structure, sol.particular)).to_json()
-    report["solution_space_dim"] = sol.dimension
+    sol, _, flags = _scattering(structure)
+    report = {"consistent": False} if flags is None else {
+        **_flags_json(flags), "solution_space_dim": sol.dimension}
     write_out(report, args.out)
     return 0
 
@@ -365,26 +430,28 @@ def cmd_shuffle(args) -> int:
 
 def sweep_row(i2_str: str, j2_str: str) -> dict:
     i2, j2 = parse_scalar(i2_str), parse_scalar(j2_str)
-    a = i2 * j2
     structure = CliffordStructure(1, Matrix([[i2]]), Matrix([[j2]]))
-    row: dict = {"i2": format_scalar(i2), "j2": format_scalar(j2),
-                 "a": format_scalar(a)}
+    a = _parameter(structure)
+    row: dict = {"i2": format_scalar(i2), "j2": format_scalar(j2), "a": format_scalar(a)}
     ant = hopf.antipode_solution(structure)
-    rec = hopf.conjecture_record(structure, ant)
     row["antipode_exists"] = ant.is_consistent
-    row["conjecture_consistent"] = rec.conjecture_consistent
-    sol = braiding.solve_sigma(structure)
+    row["conjecture_consistent"] = conjecture_record(structure, ant).conjecture_consistent
+    sol, s, flags = _scattering(structure)
     row["sigma_dim"] = sol.dimension if sol.is_consistent else None
-    checks, cf = _rank1_checks(structure, ant, sol)
+    checks = _rank1_checks(structure, ant, sol, s)
     row.update(checks)
     row["hard_ok"] = all(checks.values())
-    if cf is not None:
-        # solve_sigma has checked the square on the solved map, and
-        # sigma_closed_form_match compares cf with it
-        braided = braiding.braided_flags(structure, cf)
-        row["invertible"] = braided.invertible
-        row["braid_eq"] = braided.braid_equation_holds
+    # at a != 1 sigma_closed_form_match compares the solved map with the
+    # closed form; at a = 1 the family has no one member to flag
+    if flags is not None and a != 1:
+        row["invertible"] = flags.invertible
+        row["braid_eq"] = flags.braid_equation_holds
     return row
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    """A seeded draw p/q with p in [-3, 3] and q in [1, 3]."""
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 def _sweep_pairs(args) -> list[tuple[str, str]]:

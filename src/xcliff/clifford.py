@@ -32,6 +32,9 @@ Conventions (each is load-bearing; tests pin all of them):
   wedge_sign(A, B).  At zero xi both are signed unshuffles with grade-(1,1)
   antisymmetry, so neither is singled out by those signs.  The two tables
   are each other's (A, B) -> (B, A) transpose and coincide at rank 1.
+  This module alone knows that transpose: the structure's coproduct map and
+  the unit-sign check (:func:`coproduct_unit_signs_ok`, coproduct(1)
+  against the signed Gram determinants) both key through it.
 """
 
 from __future__ import annotations
@@ -138,6 +141,18 @@ def pair_tensor2(alpha: DualMultivector, beta: DualMultivector, t: Tensor2) -> F
     return total
 
 
+def _transposed(pairing: str, p: int, q: int) -> tuple[int, int]:
+    """The coproduct key of the dual product's constant (eps_p *_xi eps_q)[C]:
+    (q, p) under the inner pairing, (p, q) under the straight one."""
+    return (q, p) if pairing == "inner" else (p, q)
+
+
+def _signed_gram(form: Matrix, s: int, t: int) -> Fraction:
+    """(-1)^floor(k/2) det[form(s_i, t_j)] for a grade-k blade pair."""
+    g = xi_gram_determinant(form, s, t)
+    return -g if grade(s) % 4 > 1 else g
+
+
 def cliffordization(form: Matrix) -> LinearMap:
     """The product deformed by the bilinear form B, as a map on blade pairs
     (S, T): the composite that splits both blades, contracts the inner pair
@@ -150,9 +165,8 @@ def cliffordization(form: Matrix) -> LinearMap:
     every = blades(n)
     split = LinearMap(1, {(c,): {(a, c ^ a): wedge_sign(a, c ^ a) for a in every if a & c == a}
                           for c in every})
-    gram = LinearMap(2, {(s, t): {(): -g if grade(s) % 4 > 1 else g}
-                         for s in every for t in every
-                         if grade(s) == grade(t) and (g := xi_gram_determinant(form, s, t))})
+    gram = LinearMap(2, {(s, t): {(): g} for s in every for t in every
+                         if grade(s) == grade(t) and (g := _signed_gram(form, s, t))})
     wedge = LinearMap(2, {(s, t): {(s | t,): wedge_sign(s, t)}
                           for s in every for t in every if not s & t})
     return LinearMap.of(keys(n, 2), [split.at(0), split.at(2), gram.at(1), wedge.at(0)])
@@ -181,9 +195,8 @@ class CliffordStructure:
         self.xi = xi
         self.pairing = pairing
         dual = cliffordization(xi)
-        # (eps_p *_xi eps_q)[C] lands on (q, p) inner, on (p, q) straight; the
-        # columns come out in blade order, as 1 *_xi eps_c = eps_c comes first
-        cop = {c: {(q, p) if pairing == "inner" else (p, q): v for (p, q), v in col.items()}
+        # the columns come out in blade order, as 1 *_xi eps_c = eps_c comes first
+        cop = {c: {_transposed(pairing, p, q): v for (p, q), v in col.items()}
                for c, col in dual.transpose().cols.items()}
         self.maps = structure_maps(cliffordization(eta), LinearMap(1, cop))
         # the antipode's solution set and the bigebra law verdicts {law: bool},
@@ -294,6 +307,16 @@ def coproduct_grades_ok(structure: CliffordStructure) -> bool:
             if ga < gc or (ga - gc) % 2:
                 return False
     return True
+
+
+def coproduct_unit_signs_ok(structure: CliffordStructure) -> bool:
+    """coproduct(1) holds exactly the scalar parts of the dual products,
+    (eps_p *_xi eps_q)[1] = (-1)^floor(k/2) det[xi(p_i, q_j)] over the
+    grade-k blade pairs, keyed as the pairing transposes them."""
+    every = blades(structure.n)
+    expected = {_transposed(structure.pairing, p, q): g for p in every for q in every
+                if grade(p) == grade(q) and (g := _signed_gram(structure.xi, p, q))}
+    return structure.coproduct_table[0].terms == expected
 
 
 def xi_gram_determinant(form: Matrix, b_bits: int, a_bits: int) -> Fraction:

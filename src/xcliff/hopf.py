@@ -24,22 +24,23 @@ composites S * id and id * S in the 4^n entries of S
 A solution is read back as the sparse map S by an Unknown over the blades,
 which numbers the entries alike (:func:`antipode_map`), and the axiom is
 checked on S with the same two composites (:func:`is_antipode`).  Every endomorphism,
-the closed form included, is a LinearMap of arity 1 over the blades; a dense
-matrix over the blade basis in ascending bitmask order (column j holds the
-image of blade j) is written only for JSON, by ``to_matrix(keys(n, 1))``.
+the closed form included, is a LinearMap of arity 1 over the blades.
 The antipode is solved once per structure and kept on it
 (:func:`antipode_solution`).
+
+This module returns mathematical values only.  The reports, the
+existence-conjecture record and the dense JSON matrix of S among them, are
+built by :mod:`xcliff.cli`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 
 from .clifford import CliffordStructure
 from .exterior import Multivector
 from .linmap import LinearMap, Unknown, add, agree, chain, keys, linearize
-from .scalars import AffineSolutionSet, Matrix, format_scalar, solve_sparse_system
+from .scalars import AffineSolutionSet, solve_sparse_system
 
 
 def _check_endo(f: LinearMap, n: int) -> None:
@@ -236,43 +237,3 @@ def complex_antipode_closed_form(a) -> LinearMap:
         raise ValueError("no antipode exists when the composite form is the identity (a = 1)")
     s = 1 / (1 - a)
     return LinearMap(1, {(0,): {(0,): s}, (1,): {(1,): -s}})
-
-
-@dataclass
-class ConjectureRecord:
-    """Evidence row for the antipode-existence criterion; never an assertion."""
-
-    xi_eta_is_identity: bool
-    antipode_exists: bool
-    conjecture_consistent: bool
-
-
-def conjecture_record(structure: CliffordStructure,
-                      sol: AffineSolutionSet) -> ConjectureRecord:
-    """Compare 'composite of the two forms is the identity' with antipode
-    nonexistence on this instance and record whether the biconditional held;
-    ``sol`` is the instance's antipode solution set."""
-    composite = structure.eta @ structure.xi  # = id iff xi . eta = id (square factors)
-    is_id = composite == Matrix.identity(structure.n)
-    exists = sol.is_consistent
-    return ConjectureRecord(
-        xi_eta_is_identity=is_id,
-        antipode_exists=exists,
-        conjecture_consistent=(exists == (not is_id)),
-    )
-
-
-def antipode_report_json(structure: CliffordStructure) -> dict:
-    """Per-instance report: the solved antipode matrix or null, the
-    conjecture consistency flag and, at rank 1, the closed-form parameter
-    a = eta_00 xi_00."""
-    sol = antipode_solution(structure)
-    rec = conjecture_record(structure, sol)
-    report = {
-        "antipode": (antipode_map(structure, sol.particular).to_matrix(
-            keys(structure.n, 1)).to_json() if sol.is_consistent else None),
-        "conjecture_consistent": rec.conjecture_consistent,
-    }
-    if structure.n == 1:
-        report["a"] = format_scalar(structure.eta[(0, 0)] * structure.xi[(0, 0)])
-    return report

@@ -14,6 +14,7 @@ back into its integer rows as a certificate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,9 +24,11 @@ Scalar = Fraction
 
 
 def parse_scalar(s: str) -> Fraction:
-    """Parse a "p/q" or "p" string into an exact rational.  Anything else,
-    a zero denominator included, raises a one-line ValueError."""
-    if not isinstance(s, str):
+    """Parse a "p/q" or "p" string (an optional sign, ASCII digits, and an
+    optional "/" with ASCII digits, around which blanks are stripped) into
+    an exact rational.  Anything else, a zero denominator, a decimal point,
+    an underscore or an exponent included, raises a one-line ValueError."""
+    if not isinstance(s, str) or not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s.strip()):
         raise ValueError(f'scalar must be a "p/q" string, got {s!r}')
     try:
         return Fraction(s.strip())

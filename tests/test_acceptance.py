@@ -15,7 +15,7 @@ import random
 from fractions import Fraction as F
 from math import comb
 
-from xcliff import braiding, hopf
+from xcliff import braiding, cli, hopf
 from xcliff.cli import main as cli_main
 from xcliff.clifford import (CliffordStructure, check_counit_is_algebra_map,
                              check_unit_is_cogebra_map, dkp_coproduct, pair_tensor2,
@@ -23,13 +23,14 @@ from xcliff.clifford import (CliffordStructure, check_counit_is_algebra_map,
 from xcliff.exterior import (Multivector, basis_blades_of_grade, blade_indices, blades,
                              det_pairing, grade)
 from xcliff.linmap import keys
-from xcliff.sampling import random_form, random_nonzero_rational
 from xcliff.scalars import Matrix, is_invertible, solve_linear_system
 from xcliff.tensor_shuffle import (GradedElement, concat_product, couniversal_lift,
                                    deconcat_coproduct, exterior_image_dimensions,
                                    grade1_projection, letter_inclusion, letter_switch,
                                    pair_word_tensor, shuffle_product,
                                    unshuffle_coproduct, universal_lift, word_pairing)
+
+from random_forms import random_form, random_nonzero_rational
 
 
 def _report(num: int, ok: bool, desc: str):
@@ -38,7 +39,7 @@ def _report(num: int, ok: bool, desc: str):
 
 def _conjecture_record(s):
     """The conjecture record with the antipode solved here."""
-    return hopf.conjecture_record(s, hopf.solve_antipode(s))
+    return cli.conjecture_record(s, hopf.solve_antipode(s))
 
 
 def complex_structure(i2, j2):

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xcliff import braiding, hopf
-from xcliff.braiding import (antipode_scattering, braid_relation, braiding_report_json,
-                             check_braid_equation, check_braided, check_min_polynomial,
-                             closed_form_sigma, compatibility_defect, module_action,
-                             scattering_map, scattering_system, solve_sigma, switch_map,
+from xcliff.braiding import (antipode_scattering, braid_relation, check_braid_equation,
+                             check_braided, check_min_polynomial, closed_form_sigma,
+                             compatibility_defect, module_action, scattering_map,
+                             scattering_system, solve_sigma, switch_map,
                              twelve_param_family_member)
+from xcliff.cli import braiding_report_json
 from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
 from xcliff.linmap import LinearMap, chain, keys
-from xcliff.sampling import random_form, random_nonzero_rational
 from xcliff.scalars import (Matrix, is_invertible, minimal_polynomial,
                             poly_eval_matrix, solve_linear_system, solve_sparse_system)
+
+from random_forms import random_form, random_nonzero_rational
 
 
 def complex_structure(i2, j2):

@@ -260,6 +260,21 @@ def test_sweep_row_shares_the_antipode_with_the_scattering(monkeypatch, i2, j2):
     assert len(antipode) == 1
 
 
+@pytest.mark.parametrize("config", ["complex", "unit", "rank2"])
+@pytest.mark.parametrize("command", ["verify", "sigma", "braided"])
+def test_scattering_commands_solve_and_read_the_scattering_once(tmp_path, monkeypatch,
+                                                                command, config):
+    # the solution set is solved once and its particular solution read back
+    # as a map once, however many parts of the report use it
+    n, eta, xi = {"complex": (1, [["-1"]], [["1"]]), "unit": (1, [["1"]], [["1"]]),
+                  "rank2": (2, [["1", "1/2"], ["0", "-1"]], [["1", "0"], ["2", "1"]])}[config]
+    cfg = write_config(tmp_path, "c.json", n, eta, xi)
+    solves = _count_calls(monkeypatch, braiding, "solve_sigma")
+    reads = _count_calls(monkeypatch, braiding, "scattering_map")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+    assert (len(solves), len(reads)) == (1, 1)
+
+
 @pytest.mark.parametrize("command", ["sigma", "braided"])
 def test_scattering_commands_check_the_square_once(complex_config, tmp_path, monkeypatch,
                                                    command):
@@ -407,6 +422,17 @@ def test_non_positive_job_count_is_a_usage_error(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert err.startswith("error: --jobs") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_unwritable_report_path_is_a_usage_error(complex_config, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "r.json"
+    argv = ["sweep", "--a-values=2"] if command == "sweep" else [
+        "verify", "--config", complex_config]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report:") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("n, size", [(1.9, 1), (True, 1), ("2", 2), (-1, 1), (17, 1)])

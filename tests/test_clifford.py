@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xcliff.clifford import (CliffordStructure, Tensor2, check_counit_is_algebra_map,
-                             check_unit_is_cogebra_map, coproduct_grades_ok, dkp_coproduct,
-                             pair_tensor2, xi_gram_determinant)
+                             check_unit_is_cogebra_map, coproduct_grades_ok,
+                             coproduct_unit_signs_ok, dkp_coproduct, pair_tensor2,
+                             xi_gram_determinant)
 from xcliff.exterior import (Multivector, basis_blades_of_grade, blades, contract_sign,
                              det_pairing, grade, wedge, wedge_sign)
-from xcliff.sampling import random_form
 from xcliff.scalars import Matrix
+
+from random_forms import random_form
 
 
 def mv(n, bits, c=1):
@@ -355,6 +357,31 @@ def test_coproduct_grade_compatibility(n):
         for (a, b) in s.coproduct_table[c].terms:
             total = grade(a) + grade(b)
             assert total >= grade(c) and (total - grade(c)) % 2 == 0
+
+
+def _planted_unit_coproduct(pairing, plant):
+    """A rank-2 structure (xi not symmetric) whose stored coproduct(1) has
+    one planted entry, or is the other pairing's coproduct(1)."""
+    eta, xi = Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]])
+    s = CliffordStructure(2, eta, xi, pairing=pairing)
+    col = s.maps.cop.cols[(0,)]
+    if plant == "entry":
+        col[(1, 2)] += 1
+    elif plant == "cross_grade":
+        col[(0, 1)] = F(1)
+    elif plant == "other_pairing":
+        other = "straight" if pairing == "inner" else "inner"
+        col.clear()
+        col.update(CliffordStructure(2, eta, xi, pairing=other).maps.cop.cols[(0,)])
+    return s
+
+
+@pytest.mark.parametrize("pairing", ["inner", "straight"])
+@pytest.mark.parametrize("plant", ["entry", "cross_grade", "other_pairing"])
+def test_unit_sign_check_sees_a_planted_coproduct_entry(pairing, plant):
+    assert coproduct_unit_signs_ok(_planted_unit_coproduct(pairing, None))
+    assert not coproduct_unit_signs_ok(_planted_unit_coproduct(pairing, plant))
+
 
 
 # -- morphism failures ----------------------------------------------------------

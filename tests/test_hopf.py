@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xcliff import cli
+from xcliff.cli import antipode_report_json
 from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.exterior import Multivector, blades, grade
-from xcliff.hopf import (antipode_map, antipode_report_json, apply_endo,
-                         complex_antipode_closed_form, convolution, endo_from_images,
-                         solve_antipode, unit_counit_endo)
+from xcliff.hopf import (antipode_map, apply_endo, complex_antipode_closed_form, convolution,
+                         endo_from_images, solve_antipode, unit_counit_endo)
 from xcliff import hopf
 from xcliff.linmap import LinearMap, keys
-from xcliff.sampling import random_form, random_nonzero_rational
 from xcliff.scalars import Matrix
+
+from random_forms import random_form, random_nonzero_rational
 
 
 def conjecture_record(s):
     """The conjecture record with the antipode solved here."""
-    return hopf.conjecture_record(s, hopf.solve_antipode(s))
+    return cli.conjecture_record(s, hopf.solve_antipode(s))
 
 
 def complex_structure(i2, j2):

@@ -20,7 +20,7 @@ def test_scalar_parse_format():
     assert format_scalar(F(-1, 2)) == "-1/2"
 
 
-@pytest.mark.parametrize("bad", [1, None, F(1, 2), " 3/0", "x"])
+@pytest.mark.parametrize("bad", [1, None, F(1, 2), " 3/0", "x", "0.5", "1_000", "1e10000000"])
 def test_scalar_parse_errors_are_value_errors(bad):
     with pytest.raises(ValueError) as exc:
         parse_scalar(bad)

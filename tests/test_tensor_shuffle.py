@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector, blades
 from xcliff.linmap import LinearMap, agree
-from xcliff.sampling import random_form
 from xcliff.scalars import Matrix
 from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
                                    check_letter_braid_equation, concat_product,
@@ -20,6 +19,8 @@ from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
                                    unshuffle_coproduct, universal_lift, word_maps,
                                    word_pairing, zero_braid_bigebra_check,
                                    zero_letter_crossing, letter_words)
+
+from random_forms import random_form
 
 N, L = 2, 4
 
