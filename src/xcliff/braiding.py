@@ -1,6 +1,6 @@
 """Scattering operators: the middle crossing of the product/coproduct
-compatibility square, solved exactly, plus the braid-equation, minimal
-polynomial, naturality and module-action checks.
+compatibility square, solved exactly, plus the braid-equation,
+minimal-polynomial and naturality checks.
 
 Each identity is written once as step lists over the sparse maps of
 :mod:`linmap`: the compatibility square, the braid relation and the two
@@ -32,7 +32,7 @@ A solution is read back as the sparse map it solves for by an Unknown over
 the blade pairs, which numbers the entries alike (:func:`scattering_map`),
 and :func:`braided_flags` checks such a map directly, returning a
 :class:`BraidedReport` of four flags and their verdict.  Every scattering,
-solved, closed-form or switch, is a LinearMap on blade pairs, which the
+solved or closed-form, is a LinearMap on blade pairs, which the
 public checks use as it is once its keys are checked against the rank; its
 dense 4^n x 4^n matrix over the pair basis (pair (a, b) flattened as
 a * 2^n + b) is ``to_matrix(keys(n, 2))``.
@@ -48,7 +48,6 @@ from fractions import Fraction
 
 from . import hopf
 from .clifford import CliffordStructure, Tensor2
-from .exterior import Multivector, grade
 from .linmap import LinearMap, Unknown, add, agree, chain, differences, keys, linearize
 from .scalars import AffineSolutionSet, solve_sparse_system
 
@@ -56,13 +55,6 @@ from .scalars import AffineSolutionSet, solve_sparse_system
 def _check_scattering(sigma: LinearMap, n: int) -> None:
     if not sigma.fits(2, 1 << n):
         raise ValueError(f"scattering must be a map on pairs of rank-{n} blades")
-
-
-def switch_map(n: int, graded: bool = True) -> LinearMap:
-    """The transposition on the tensor square; with graded=True odd-odd
-    pairs pick up a minus sign."""
-    return LinearMap(2, {(a, b): {(b, a): Fraction(-1 if graded and grade(a) & grade(b) & 1
-                                                   else 1)} for a, b in keys(n, 2)})
 
 
 def _direct(maps) -> list:
@@ -173,21 +165,6 @@ def closed_form_sigma(i2, j2) -> LinearMap:
     return LinearMap(2, images)
 
 
-def twelve_param_family_member(p, q, r, i2) -> LinearMap:
-    """A member of the compatible-scattering family at parameter product 1,
-    defined for p + q + r = 0."""
-    p, q, r, i2 = Fraction(p), Fraction(q), Fraction(r), Fraction(i2)
-    if p + q + r != 0:
-        raise ValueError("family members require p + q + r = 0")
-    images = {
-        (0, 0): {(0, 0): Fraction(1)},
-        (0, 1): {(1, 0): Fraction(1), (0, 1): p},
-        (1, 0): {(0, 1): Fraction(1), (1, 0): q},
-        (1, 1): {(1, 1): r, (0, 0): -i2},
-    }
-    return LinearMap(2, images)
-
-
 def check_min_polynomial(sigma: LinearMap, a) -> bool:
     """Evaluate the quartic (x + 1)(x - b)(x^2 + a b x - b) with
     b = (1 + a)/(1 - a) at the rank-1 scattering sigma, on the span of every
@@ -263,15 +240,3 @@ def braided_flags(structure: CliffordStructure, s: LinearMap) -> BraidedReport:
         coproduct_naturality_holds=agree(keys(n, 2), [s.at(0), maps.cop.at(0)],
                                          [maps.cop.at(1), s.at(0), s.at(1)]),
     )
-
-
-def module_action(structure: CliffordStructure, sigma: LinearMap,
-                  x: Multivector, t: Tensor2) -> Tensor2:
-    """Action of x on a tensor pair: coproduct on the acting element, middle
-    crossing by sigma, then pairwise products."""
-    structure._check(x)
-    if t.dim != structure.n:
-        raise ValueError("rank mismatch")
-    _check_scattering(sigma, structure.n)
-    vector = {(c, *k): cx * ct for c, cx in x.terms.items() for k, ct in t.terms.items()}
-    return Tensor2(structure.n, chain(vector, *_action(structure.maps, sigma)))

@@ -32,6 +32,10 @@ from .linmap import ONE, LinearMap, agree, keys
 from .scalars import AffineSolutionSet, Matrix, format_scalar, parse_scalar
 
 VERIFY_MAX_RANK = 3
+# sigma and braided solve the scattering: on generic rank-4 forms its closed
+# form took about 67 s to build and 98 s to certify, and the braided flags did
+# not finish in 12 minutes (CPython 3.11, a shared 2-vCPU host)
+SCATTERING_MAX_RANK = 3
 # the word-length budget of verify and shuffle: a rank-2 shuffle at bound 8
 # takes about 1 s, and each further length multiplies its time and memory
 MAX_WORD_BOUND = 8
@@ -53,6 +57,8 @@ def load_config(path: str, max_rank: int | None = None,
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to parse") from exc
     try:
         if max_rank is not None and CliffordStructure.config_rank(data) > max_rank:
             raise ConfigError(f"{command} supports rank <= {max_rank}")
@@ -404,13 +410,13 @@ def cmd_antipode(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    structure, _ = load_config(args.config)
+    structure, _ = load_config(args.config, SCATTERING_MAX_RANK, "sigma")
     write_out(braiding_report_json(structure), args.out)
     return 0
 
 
 def cmd_braided(args) -> int:
-    structure, _ = load_config(args.config)
+    structure, _ = load_config(args.config, SCATTERING_MAX_RANK, "braided")
     sol, _, flags = _scattering(structure)
     report = {"consistent": False} if flags is None else {
         **_flags_json(flags), "solution_space_dim": sol.dimension}

@@ -43,7 +43,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exterior import (
-    DualMultivector,
     Multivector,
     blade_indices,
     blade_key,
@@ -124,21 +123,6 @@ class Tensor2:
     def _check(self, other: "Tensor2"):
         if self.dim != other.dim:
             raise ValueError("rank mismatch")
-
-
-def pair_tensor2(alpha: DualMultivector, beta: DualMultivector, t: Tensor2) -> Fraction:
-    """Pair a dual tensor square against a Tensor2: inner factors first,
-    <a (x) b, x (x) y> = <b, x> <a, y>, the pairing dual to the default
-    ("inner") coproduct table."""
-    total = Fraction(0)
-    for (a, b), c in t.terms.items():
-        cb = beta.terms.get(a)
-        if not cb:
-            continue
-        ca = alpha.terms.get(b)
-        if ca:
-            total += cb * ca * c
-    return total
 
 
 def _transposed(pairing: str, p: int, q: int) -> tuple[int, int]:
@@ -256,25 +240,6 @@ class CliffordStructure:
     def from_config(cls, data: dict) -> "CliffordStructure":
         return cls(cls.config_rank(data), Matrix.from_json(data["eta"]),
                    Matrix.from_json(data["xi"]), pairing=data.get("pairing", "inner"))
-
-
-def dkp_coproduct(x: Multivector) -> Tensor2:
-    """Closed-form unshuffle coproduct (the zero-form case under the default
-    inner pairing): a blade splits over all ordered subset pairs with the
-    sign of re-wedging the right part past the left,
-    coproduct(e_C)[(A, B)] = wedge_sign(B, A)."""
-    out: dict = {}
-    for c_bits, coeff in x.terms.items():
-        idx = blade_indices(c_bits)
-        k = len(idx)
-        for mask in range(1 << k):
-            a = 0
-            for i in range(k):
-                if (mask >> i) & 1:
-                    a |= 1 << idx[i]
-            b = c_bits ^ a
-            out[(a, b)] = out.get((a, b), Fraction(0)) + coeff * wedge_sign(b, a)
-    return Tensor2(x.dim, out)
 
 
 def check_counit_is_algebra_map(structure: CliffordStructure):

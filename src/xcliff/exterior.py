@@ -80,7 +80,7 @@ def parse_blade_key(key: str) -> int:
 
 
 class Multivector:
-    """Grade-sparse element of the exterior algebra: {blade bits: Scalar}.
+    """Grade-sparse element of the exterior algebra: {blade bits: Fraction}.
 
     Values are immutable by convention; all operations return new instances.
     """
@@ -165,11 +165,6 @@ class Multivector:
             raise ValueError(f"rank mismatch {self.dim} vs {other.dim}")
 
 
-# Dual multivectors (coefficients on the dual basis) share the container;
-# which basis a value lives over is part of the calling context.
-DualMultivector = Multivector
-
-
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     x._check(y)
     out: dict = {}
@@ -182,7 +177,7 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
     return Multivector(x.dim, out)
 
 
-def contract(alpha: DualMultivector, x: Multivector) -> Multivector:
+def contract(alpha: Multivector, x: Multivector) -> Multivector:
     """Contraction of a grade-1 dual element into a multivector.
 
     The unique antiderivation with contract(eps_mu, e_nu) = delta_mu_nu.
@@ -200,7 +195,7 @@ def contract(alpha: DualMultivector, x: Multivector) -> Multivector:
     return Multivector(x.dim, out)
 
 
-def det_pairing(alpha: DualMultivector, x: Multivector) -> Fraction:
+def det_pairing(alpha: Multivector, x: Multivector) -> Fraction:
     """Determinant pairing of a dual multivector with a multivector.
 
     On canonically ordered blades the Gram matrix is the identity, so the
@@ -209,16 +204,6 @@ def det_pairing(alpha: DualMultivector, x: Multivector) -> Fraction:
     """
     alpha._check(x)
     return dot(alpha.terms, x.terms)
-
-
-def grade_project(x: Multivector, k: int) -> Multivector:
-    if not 0 <= k <= x.dim:
-        raise ValueError(f"grade {k} out of range for rank {x.dim}")
-    return Multivector(x.dim, {b: c for b, c in x.terms.items() if grade(b) == k})
-
-
-def basis_blades_of_grade(dim: int, k: int) -> list[int]:
-    return [b for b in blades(dim) if grade(b) == k]
 
 
 def blade_indices(bits: int) -> list[int]:

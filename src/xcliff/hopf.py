@@ -38,30 +38,13 @@ from fractions import Fraction
 from functools import wraps
 
 from .clifford import CliffordStructure
-from .exterior import Multivector
-from .linmap import LinearMap, Unknown, add, agree, chain, keys, linearize
+from .linmap import LinearMap, Unknown, add, agree, keys, linearize
 from .scalars import AffineSolutionSet, solve_sparse_system
 
 
 def _check_endo(f: LinearMap, n: int) -> None:
     if not f.fits(1, 1 << n):
         raise ValueError("endomorphism shape does not match rank")
-
-
-def apply_endo(f: LinearMap, x: Multivector) -> Multivector:
-    _check_endo(f, x.dim)
-    image = chain({(b,): c for b, c in x.terms.items()}, f.at(0))
-    return Multivector(x.dim, {b: c for (b,), c in image.items()})
-
-
-def endo_from_images(structure: CliffordStructure, images: list[Multivector]) -> LinearMap:
-    """The endomorphism sending blade j to images[j]."""
-    if len(images) != 1 << structure.n:
-        raise ValueError("need one image per blade")
-    for img in images:
-        structure._check(img)
-    return LinearMap(1, {(j,): {(b,): c for b, c in img.terms.items()}
-                         for j, img in enumerate(images)})
 
 
 def _convolution(maps, f, g) -> list:

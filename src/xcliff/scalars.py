@@ -1,15 +1,18 @@
-"""Exact rational scalars and exact dense linear algebra.
+"""Exact rational scalars, small dense matrices and the exact sparse solver.
 
-Everything downstream works over arbitrary-precision rationals; there is no
-floating point anywhere.  ``Scalar`` is ``fractions.Fraction``, which already
-keeps numerator/denominator coprime with a positive denominator.  Matrices
-are small and dense.  The solvers share one elimination routine: each sparse
-row is scaled to coprime integers and reduced by fraction-free Gauss-Jordan
-with first-nonzero pivoting (deterministic, no stability concerns), so
-Fractions appear only when the reduced rows are read off.  The reduced
-echelon form is unique, so the answers are those of Gauss-Jordan over the
-rationals.  Every solution ``solve_sparse_system`` returns is substituted
-back into its integer rows as a certificate.
+Everything downstream works over arbitrary-precision rationals
+(``fractions.Fraction``, which already keeps numerator/denominator coprime
+with a positive denominator); there is no floating point anywhere.  Matrices
+are small and dense: the forms eta and xi, and dense views of sparse maps.
+``invert`` is the one dense solver kept here (the benchmark's tracer times
+it); the dense solve, rank and minimal polynomial that the tests use as
+oracles are in ``tests/oracles.py``.  The solvers share one elimination
+routine: each sparse row is scaled to coprime integers and reduced by
+fraction-free Gauss-Jordan with first-nonzero pivoting (deterministic, no
+stability concerns), so Fractions appear only when the reduced rows are
+read off.  The reduced echelon form is unique, so the answers are those of
+Gauss-Jordan over the rationals.  Every solution ``solve_sparse_system``
+returns is substituted back into its integer rows as a certificate.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Scalar = Fraction
 
 
 def parse_scalar(s: str) -> Fraction:
@@ -132,6 +133,10 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data: list) -> "Matrix":
+        """A matrix from a JSON array of row arrays of "p/q" strings; any
+        other shape raises a one-line ValueError."""
+        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+            raise ValueError("a matrix must be a JSON array of row arrays")
         return cls([[parse_scalar(x) for x in r] for r in data])
 
     def _same_shape(self, other: "Matrix"):
@@ -294,16 +299,6 @@ def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
     return len(_rref_in_place(work, ncols))
 
 
-def solve_linear_system(a: Matrix, b: Sequence) -> AffineSolutionSet:
-    """Exact affine solution set of A x = b."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
-    return solve_sparse_system(rows, list(b), a.ncols)
-
-
-def rank(a: Matrix) -> int:
-    return sparse_rank(({j: v for j, v in enumerate(row) if v} for row in a.rows), a.ncols)
-
-
 def invert(a: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrixError (with rank) when singular."""
     if not a.is_square():
@@ -319,54 +314,3 @@ def invert(a: Matrix) -> Matrix:
         p = rows[pivots[c]]
         inv_rows.append([Fraction(p.get(n + j, 0), p[c]) for j in range(n)])
     return Matrix(inv_rows)
-
-
-def is_invertible(a: Matrix) -> bool:
-    return a.is_square() and rank(a) == a.nrows
-
-
-def minimal_polynomial(a: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial of a square matrix, as ascending coefficients.
-
-    Finds the first linear dependency among I, A, A^2, ... so no lower-degree
-    monic polynomial can annihilate A.  Returns [c0, c1, ..., 1] meaning
-    c0 + c1 x + ... + x^d.
-    """
-    if not a.is_square():
-        raise ValueError("minimal_polynomial requires a square matrix")
-    n = a.nrows
-    if n == 0:
-        return [Fraction(1)]
-
-    def vec(m: Matrix) -> tuple:
-        return tuple(x for row in m.rows for x in row)
-
-    powers = [Matrix.identity(n)]
-    while True:
-        nxt = powers[-1] @ a
-        cols = [vec(p) for p in powers]
-        rows = []
-        for i in range(n * n):
-            d = {j: cols[j][i] for j in range(len(cols)) if cols[j][i]}
-            rows.append(d)
-        sol = solve_sparse_system(rows, list(vec(nxt)), len(cols))
-        if sol.is_consistent:
-            coeffs = [-c for c in sol.particular]
-            coeffs.append(Fraction(1))
-            return coeffs
-        powers.append(nxt)
-
-
-def poly_eval_matrix(coeffs: Sequence, a: Matrix) -> Matrix:
-    """Evaluate a polynomial (ascending coefficients) at a square matrix."""
-    if not a.is_square():
-        raise ValueError("square matrix required")
-    out = Matrix.zeros(a.nrows, a.nrows)
-    power = Matrix.identity(a.nrows)
-    for i, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c:
-            out = out + power.scale(c)
-        if i + 1 < len(coeffs):
-            power = power @ a
-    return out

@@ -1,6 +1,6 @@
 """Word algebras at a truncation bound: concatenation and shuffle products,
 their coproducts, the word pairing, lifts between the deformed-algebra world
-and the word world, braid lifts and the permutation-summed symmetrizer.
+and the word world, and the permutation-summed symmetrizer.
 
 Words are tuples of letters in {0, ..., n-1}.  Elements carry a bound L and
 an explicit flag when an operation dropped terms beyond it.  Each of the four
@@ -12,8 +12,8 @@ The word layer runs on the sparse maps of :mod:`linmap`.  :func:`word_maps`
 holds either word bi-gebra as StructureMaps over word tensors (tuples of
 words), whose columns are the rules on basis words.  A letter crossing is a
 map on letter pairs, used as it is once its letters are checked against the
-alphabet; its steps at adjacent positions of a letter string give the braid
-lifts, the symmetrizer's terms and the crossing of two words.  The letter
+alphabet; its steps at adjacent positions of a letter string give the
+symmetrizer's terms and the crossing of two words.  The letter
 map of the co-universal lift is a map from blades to letters.  The
 compatibility square and the braid relation are the step lists of
 :mod:`braiding`, run over these maps.  No operator here is dense.
@@ -259,7 +259,7 @@ def word_maps(n: int, bound: int, shuffle: bool = False) -> StructureMaps:
     return structure_maps(m, cop, one=())
 
 
-# -- letter crossings, braid lifts and the symmetrizer ------------------------
+# -- letter crossings and the symmetrizer ------------------------------------
 
 class WordOperator(LinearMap):
     """Linear operator on the length-k word space: a linmap map of arity k
@@ -305,13 +305,6 @@ def zero_letter_crossing(n: int) -> LinearMap:
 def _check_crossing(sigma: LinearMap, n: int) -> None:
     if not sigma.fits(2, n):
         raise ValueError(f"letter crossing must be a map on pairs of letters below {n}")
-
-
-def braid_lift(sigma: LinearMap, k: int, n: int) -> list[WordOperator]:
-    """Operators acting with the letter crossing on adjacent positions
-    (i, i+1), identity elsewhere; returned for i = 1 .. k-1."""
-    _check_crossing(sigma, n)
-    return [WordOperator.of_steps(n, k, [sigma.at(i)]) for i in range(k - 1)]
 
 
 def check_letter_braid_equation(sigma: LinearMap, n: int) -> bool:

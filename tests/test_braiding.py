@@ -7,16 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 from xcliff import braiding, hopf
 from xcliff.braiding import (antipode_scattering, braid_relation, check_braid_equation,
                              check_braided, check_min_polynomial, closed_form_sigma,
-                             compatibility_defect, module_action, scattering_map,
-                             scattering_system, solve_sigma, switch_map,
-                             twelve_param_family_member)
+                             compatibility_defect, scattering_map, scattering_system,
+                             solve_sigma)
 from xcliff.cli import braiding_report_json
 from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
 from xcliff.linmap import LinearMap, chain, keys
-from xcliff.scalars import (Matrix, is_invertible, minimal_polynomial,
-                            poly_eval_matrix, solve_linear_system, solve_sparse_system)
+from xcliff.scalars import Matrix, solve_sparse_system
 
+from oracles import (is_invertible, minimal_polynomial, module_action, poly_eval_matrix,
+                     solve_linear_system, switch_map, twelve_param_family_member)
 from random_forms import random_form, random_nonzero_rational
 
 

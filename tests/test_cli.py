@@ -58,6 +58,8 @@ def test_tables_malformed_config(tmp_path, capsys):
 @pytest.mark.parametrize("command, n, message", [
     ("verify", 4, "verify supports rank <= 3"),
     ("shuffle", 3, "shuffle summary supports rank <= 2"),
+    ("sigma", 4, "sigma supports rank <= 3"),
+    ("braided", 4, "braided supports rank <= 3"),
 ])
 def test_rank_cap_refused_before_any_table_is_built(tmp_path, monkeypatch, capsys,
                                                    command, n, message):
@@ -180,6 +182,23 @@ def test_bad_scalar_in_config_is_a_parse_error(tmp_path, capsys, eta):
     assert main(["tables", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, eta", [(1, "7"), (2, ["12", "34"])])
+def test_matrix_not_an_array_of_arrays_is_a_parse_error(tmp_path, capsys, n, eta):
+    zero = [["0"] * n] * n
+    cfg = write_config(tmp_path, "bad.json", n, eta, zero)
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config:") and err.count("\n") == 1
+
+
+def test_config_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is nested too deeply") and err.count("\n") == 1
 
 
 def test_sweep_zero_denominator_is_a_parse_error(capsys):

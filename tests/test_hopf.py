@@ -8,12 +8,13 @@ from xcliff import cli
 from xcliff.cli import antipode_report_json
 from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.exterior import Multivector, blades, grade
-from xcliff.hopf import (antipode_map, apply_endo, complex_antipode_closed_form, convolution,
-                         endo_from_images, solve_antipode, unit_counit_endo)
+from xcliff.hopf import (antipode_map, complex_antipode_closed_form, convolution,
+                         solve_antipode, unit_counit_endo)
 from xcliff import hopf
 from xcliff.linmap import LinearMap, keys
 from xcliff.scalars import Matrix
 
+from oracles import apply_endo, endo_from_images
 from random_forms import random_form, random_nonzero_rational
 
 

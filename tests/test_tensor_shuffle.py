@@ -10,7 +10,7 @@ from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector, blades
 from xcliff.linmap import LinearMap, agree
 from xcliff.scalars import Matrix
-from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
+from xcliff.tensor_shuffle import (GradedElement, WordOperator,
                                    check_letter_braid_equation, concat_product,
                                    couniversal_lift, cross_words, deconcat_coproduct,
                                    exterior_image_dimensions, grade1_projection,
@@ -20,6 +20,7 @@ from xcliff.tensor_shuffle import (GradedElement, WordOperator, braid_lift,
                                    word_pairing, zero_braid_bigebra_check,
                                    zero_letter_crossing, letter_words)
 
+from oracles import braid_lift
 from random_forms import random_form
 
 N, L = 2, 4
