@@ -5,7 +5,9 @@ the Clifford product on multivectors, xi on co-vectors deforms the dual wedge
 the same way.  The coproduct on multivectors is obtained by transposing the
 dual product's structure constants through the determinant pairing.  So a
 structure is two cliffordizations and one transpose, built once as sparse
-maps; its tables are views read off them (see CliffordStructure).
+maps; its tables are views read off them (see CliffordStructure).  A
+coproduct lands in Tensor2, the sparse tensor square: a
+:class:`linmap.SparseVector` keyed by blade pairs.
 
 Conventions (each is load-bearing; tests pin all of them):
 
@@ -53,28 +55,25 @@ from .exterior import (
     parse_blade_key,
     wedge_sign,
 )
-from .linmap import LinearMap, add, chain, differences, keys, structure_maps
-from .scalars import Matrix, format_scalar, parse_scalar
+from .linmap import LinearMap, SparseVector, chain, differences, keys, structure_maps
+from .scalars import Matrix, echo, format_scalar, parse_scalar
 
 PAIRINGS = ("inner", "straight")
 
 
-class Tensor2:
-    """Sparse element of (multivector space) tensor (multivector space)."""
+class Tensor2(SparseVector):
+    """Sparse element of (multivector space) tensor (multivector space):
+    {(blade, blade): Fraction}."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
     def __init__(self, dim: int, terms: dict | None = None):
+        terms = terms or {}
         top = 1 << dim
-        clean = {}
-        for (a, b), c in (terms or {}).items():
+        for a, b in terms:
             if not (0 <= a < top and 0 <= b < top):
                 raise ValueError("blade pair out of range")
-            c = Fraction(c)
-            if c:
-                clean[(a, b)] = c
-        self.dim = dim
-        self.terms = clean
+        super().__init__(dim, terms)
 
     @classmethod
     def outer(cls, x: Multivector, y: Multivector) -> "Tensor2":
@@ -83,33 +82,10 @@ class Tensor2:
                            for a, ca in x.terms.items()
                            for b, cb in y.terms.items()})
 
-    def __eq__(self, other):
-        return (isinstance(other, Tensor2) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        self._check(other)
-        return Tensor2(self.dim, add(self.terms, other.terms))
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + -other
-
-    def __neg__(self):
-        return Tensor2(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __rmul__(self, c) -> "Tensor2":
-        return Tensor2(self.dim, add({}, self.terms, Fraction(c)))
-
-    __mul__ = __rmul__
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{format_scalar(c)}*{blade_name(a)}(x){blade_name(b)}"
-                          for (a, b), c in sorted(self.terms.items()))
+    @staticmethod
+    def _term(pair: tuple, c: Fraction) -> str:
+        a, b = pair
+        return f"{format_scalar(c)}*{blade_name(a)}(x){blade_name(b)}"
 
     def to_json(self) -> list:
         return [[blade_key(a), blade_key(b), format_scalar(c)]
@@ -119,10 +95,6 @@ class Tensor2:
     def from_json(cls, dim: int, data: list) -> "Tensor2":
         return cls(dim, {(parse_blade_key(a), parse_blade_key(b)): parse_scalar(c)
                          for a, b, c in data})
-
-    def _check(self, other: "Tensor2"):
-        if self.dim != other.dim:
-            raise ValueError("rank mismatch")
 
 
 def _transposed(pairing: str, p: int, q: int) -> tuple[int, int]:
@@ -169,7 +141,8 @@ class CliffordStructure:
 
     def __init__(self, n: int, eta: Matrix, xi: Matrix, pairing: str = "inner"):
         if pairing not in PAIRINGS:
-            raise ValueError(f"pairing must be one of {', '.join(PAIRINGS)}, got {pairing!r}")
+            raise ValueError(f"pairing must be one of {', '.join(PAIRINGS)}, "
+                             f"got {echo(pairing)}")
         if eta.nrows != n or eta.ncols != n:
             raise ValueError("eta must be n x n")
         if xi.nrows != n or xi.ncols != n:
@@ -232,7 +205,7 @@ class CliffordStructure:
         """A config's rank, checked without building anything."""
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"rank must be a JSON integer, got {n!r}")
+            raise ValueError(f"rank must be a JSON integer, got {echo(n)}")
         check_dim(n)
         return n
 

@@ -3,16 +3,17 @@
 Blades are bitmasks over {0, ..., n-1}; the blade e_S means the wedge of the
 basis vectors of S in strictly ascending index order, and every sign in the
 module flows from the inversion count of that orientation.  Multivectors are
-grade-sparse maps from blade to coefficient.  Dual multivectors (coefficients
-on the dual basis) use the same container.
+grade-sparse maps from blade to coefficient, a :class:`linmap.SparseVector`
+whose keys are the blades of the rank; dual multivectors (coefficients on
+the dual basis) use the same container.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linmap import add, dot
-from .scalars import format_scalar, parse_scalar
+from .linmap import SparseVector, dot
+from .scalars import echo, format_scalar, parse_scalar
 
 MAX_DIM = 16  # bitmask blades cap the rank at the word width we allow
 
@@ -27,7 +28,7 @@ def blades(dim: int) -> range:
 
 def check_dim(dim: int):
     if not 0 <= dim <= MAX_DIM:
-        raise ValueError(f"rank must be between 0 and {MAX_DIM}, got {dim}")
+        raise ValueError(f"rank must be between 0 and {MAX_DIM}, got {echo(dim)}")
 
 
 def wedge_sign(s: int, t: int) -> int:
@@ -50,16 +51,21 @@ def contract_sign(mu: int, bits: int) -> int:
     return -1 if (bits & ((1 << mu) - 1)).bit_count() & 1 else 1
 
 
-def blade_key(bits: int) -> str:
-    """JSON key for a blade: ascending comma-joined indices, "" for the unit."""
+def blade_indices(bits: int) -> list[int]:
+    """Ascending list of the indices in a blade bitmask."""
     out = []
     i = 0
     while bits:
         if bits & 1:
-            out.append(str(i))
+            out.append(i)
         bits >>= 1
         i += 1
-    return ",".join(out)
+    return out
+
+
+def blade_key(bits: int) -> str:
+    """JSON key for a blade: ascending comma-joined indices, "" for the unit."""
+    return ",".join(map(str, blade_indices(bits)))
 
 
 def blade_name(bits: int) -> str:
@@ -79,26 +85,19 @@ def parse_blade_key(key: str) -> int:
     return bits
 
 
-class Multivector:
-    """Grade-sparse element of the exterior algebra: {blade bits: Fraction}.
+class Multivector(SparseVector):
+    """Grade-sparse element of the exterior algebra: {blade bits: Fraction}."""
 
-    Values are immutable by convention; all operations return new instances.
-    """
-
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
     def __init__(self, dim: int, terms: dict | None = None):
         check_dim(dim)
+        terms = terms or {}
         top = 1 << dim
-        clean = {}
-        for bits, c in (terms or {}).items():
+        for bits in terms:
             if not 0 <= bits < top:
                 raise ValueError(f"blade {bits} out of range for rank {dim}")
-            c = Fraction(c)
-            if c:
-                clean[bits] = c
-        self.dim = dim
-        self.terms = clean
+        super().__init__(dim, terms)
 
     @classmethod
     def zero(cls, dim: int) -> "Multivector":
@@ -116,42 +115,16 @@ class Multivector:
     def blade(cls, dim: int, bits: int, c=1) -> "Multivector":
         return cls(dim, {bits: Fraction(c)})
 
-    def __eq__(self, other):
-        return (isinstance(other, Multivector) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.dim, tuple(sorted(self.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        return Multivector(self.dim, add(self.terms, other.terms))
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + -other
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.dim, {b: -c for b, c in self.terms.items()})
-
-    def __rmul__(self, c) -> "Multivector":
-        return Multivector(self.dim, add({}, self.terms, Fraction(c)))
-
-    __mul__ = __rmul__
-
     def scalar_part(self) -> Fraction:
         return self.terms.get(0, Fraction(0))
 
     def is_homogeneous(self, k: int) -> bool:
         return all(grade(b) == k for b in self.terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{format_scalar(c)}*{blade_name(b)}"
-                          for b, c in sorted(self.terms.items()))
+    @staticmethod
+    def _term(bits: int, c: Fraction) -> str:
+        """One term as c*e12; the unit blade's coefficient stands bare."""
+        return f"{format_scalar(c)}*{blade_name(bits)}" if bits else format_scalar(c)
 
     def to_json(self) -> dict:
         return {blade_key(b): format_scalar(c) for b, c in sorted(self.terms.items())}
@@ -159,10 +132,6 @@ class Multivector:
     @classmethod
     def from_json(cls, dim: int, data: dict) -> "Multivector":
         return cls(dim, {parse_blade_key(k): parse_scalar(v) for k, v in data.items()})
-
-    def _check(self, other: "Multivector"):
-        if self.dim != other.dim:
-            raise ValueError(f"rank mismatch {self.dim} vs {other.dim}")
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
@@ -204,15 +173,3 @@ def det_pairing(alpha: Multivector, x: Multivector) -> Fraction:
     """
     alpha._check(x)
     return dot(alpha.terms, x.terms)
-
-
-def blade_indices(bits: int) -> list[int]:
-    """Ascending list of the indices in a blade bitmask."""
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return out

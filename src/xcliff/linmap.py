@@ -36,7 +36,8 @@ A LinearMap is the program's one operator type: structure maps, antipodes,
 scatterings, switches and letter crossings alike.  Maps compare by value
 (``==``), and :meth:`LinearMap.to_matrix` is the one dense exit, for JSON
 and for the tests' dense oracles; :class:`scalars.Matrix` otherwise holds
-only the bilinear forms.
+only the bilinear forms.  :class:`SparseVector` is likewise the one base
+of the program's elements (multivectors, tensor squares, word elements).
 """
 
 from __future__ import annotations
@@ -228,6 +229,55 @@ def add(u: dict, v: dict, scale=ONE) -> dict:
     for k, c in v.items():
         out[k] = out.get(k, 0) + scale * c
     return {k: c for k, c in out.items() if c}
+
+
+class SparseVector:
+    """A sparse vector {key: nonzero Fraction} over a space of rank ``dim``,
+    immutable by convention.  A subclass checks its keys in one pass in its
+    own constructor before it calls this one, and shows one term in
+    ``_term``; the arithmetic builds its results through ``_result``, which
+    a subclass with more state than the rank overrides to carry it."""
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: dict):
+        self.dim = dim
+        self.terms = {k: c for k, v in terms.items() if (c := Fraction(v))}
+
+    def _result(self, terms: dict, *operands) -> "SparseVector":
+        """The element of this kind with these terms, from self and operands."""
+        return type(self)(self.dim, terms)
+
+    def _check(self, other: "SparseVector"):
+        if self.dim != other.dim:
+            raise ValueError(f"rank mismatch {self.dim} vs {other.dim}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.dim == other.dim and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        self._check(other)
+        return self._result(add(self.terms, other.terms), other)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._result({k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, c):
+        c = Fraction(c)
+        return self._result({k: c * v for k, v in self.terms.items()})
+
+    __mul__ = __rmul__
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term(k, c) for k, c in sorted(self.terms.items()))
 
 
 def dot(u: dict, v: dict) -> Fraction:

@@ -18,10 +18,20 @@ returns is substituted back into its integer rows as a certificate.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+
+def echo(value) -> str:
+    """A value read from a config as an error message shows it: its repr
+    abbreviated by reprlib (a deep list as [[[[[[[...]]]]]]], a long string
+    cut in its middle) and cut to 60 characters, so that the message stays
+    one short line whatever the value."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def parse_scalar(s: str) -> Fraction:
@@ -30,11 +40,11 @@ def parse_scalar(s: str) -> Fraction:
     an exact rational.  Anything else, a zero denominator, a decimal point,
     an underscore or an exponent included, raises a one-line ValueError."""
     if not isinstance(s, str) or not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s.strip()):
-        raise ValueError(f'scalar must be a "p/q" string, got {s!r}')
+        raise ValueError(f'scalar must be a "p/q" string, got {echo(s)}')
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:
-        raise ValueError(f"scalar {s!r} has a zero denominator") from None
+        raise ValueError(f"scalar {echo(s)} has a zero denominator") from None
 
 
 def format_scalar(x: Fraction) -> str:

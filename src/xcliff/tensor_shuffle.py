@@ -2,11 +2,12 @@
 their coproducts, the word pairing, lifts between the deformed-algebra world
 and the word world, and the permutation-summed symmetrizer.
 
-Words are tuples of letters in {0, ..., n-1}.  Elements carry a bound L and
-an explicit flag when an operation dropped terms beyond it.  Each of the four
-word rules (concatenation, deconcatenation, shuffle, unshuffle) is written
-once, on basis words with multiplicities; the element functions are its
-(bi)linear extension.
+Words are tuples of letters in {0, ..., n-1}.  Elements are sparse vectors
+keyed by words (:class:`linmap.SparseVector`); they carry a bound L and an
+explicit flag when an operation dropped terms beyond it, which their sums
+and multiples keep.  Each of the four word rules (concatenation,
+deconcatenation, shuffle, unshuffle) is written once, on basis words with
+multiplicities; the element functions are its (bi)linear extension.
 
 The word layer runs on the sparse maps of :mod:`linmap`.  :func:`word_maps`
 holds either word bi-gebra as StructureMaps over word tensors (tuples of
@@ -28,71 +29,49 @@ from fractions import Fraction
 from .braiding import braid_relation, square_defects
 from .clifford import CliffordStructure
 from .exterior import Multivector
-from .linmap import ONE, LinearMap, StructureMaps, add, agree, chain, dot, structure_maps
+from .linmap import (ONE, LinearMap, SparseVector, StructureMaps, add, agree, chain, dot,
+                     structure_maps)
 
 Word = tuple
 
 
-class GradedElement:
-    """Sparse combination of words, truncated at a length bound."""
+class GradedElement(SparseVector):
+    """Sparse combination of words over an alphabet of ``dim`` letters,
+    truncated at a length bound; ``truncated`` flags that an operation
+    dropped terms beyond the bound, and a sum or multiple keeps the flag."""
 
-    __slots__ = ("dim", "bound", "terms", "truncated")
+    __slots__ = ("bound", "truncated")
 
     def __init__(self, dim: int, bound: int, terms: dict | None = None,
                  truncated: bool = False):
-        clean = {}
-        for w, c in (terms or {}).items():
-            w = tuple(w)
+        terms = terms or {}
+        for w in terms:
             if len(w) > bound:
                 raise ValueError(f"word {w} exceeds bound {bound}")
             if any(not 0 <= a < dim for a in w):
                 raise ValueError(f"letters of {w} out of range for alphabet {dim}")
-            c = Fraction(c)
-            if c:
-                clean[w] = c
-        self.dim = dim
+        super().__init__(dim, terms)
         self.bound = bound
-        self.terms = clean
         self.truncated = truncated
 
     @classmethod
     def word(cls, dim: int, bound: int, letters) -> "GradedElement":
         return cls(dim, bound, {tuple(letters): Fraction(1)})
 
-    def __eq__(self, other):
-        return (isinstance(other, GradedElement) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        return GradedElement(self.dim, self.bound, add(self.terms, other.terms),
-                             self.truncated or other.truncated)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        return GradedElement(self.dim, self.bound, add({}, self.terms, Fraction(c)),
-                             self.truncated)
-
-    __mul__ = __rmul__
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        body = " + ".join(f"{c}*{''.join(map(str, w)) or '()'}"
-                          for w, c in sorted(self.terms.items()))
-        return body + (" [truncated]" if self.truncated else "")
-
-    def to_json(self) -> list:
-        return [[list(w), str(c)] for w, c in sorted(self.terms.items())]
+    def _result(self, terms: dict, *operands) -> "GradedElement":
+        return GradedElement(self.dim, self.bound, terms,
+                             any(x.truncated for x in (self, *operands)))
 
     def _check(self, other):
         if self.dim != other.dim or self.bound != other.bound:
             raise ValueError("alphabet or bound mismatch")
+
+    @staticmethod
+    def _term(w: Word, c: Fraction) -> str:
+        return f"{c}*{''.join(map(str, w)) or '()'}"
+
+    def __repr__(self):
+        return super().__repr__() + (" [truncated]" if self.truncated and self.terms else "")
 
 
 # -- the four word rules, each on basis words with multiplicities ------------

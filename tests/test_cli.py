@@ -1,5 +1,10 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +12,7 @@ from xcliff import braiding, cli, hopf, tensor_shuffle as ts
 from xcliff.cli import main, sweep_row
 from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector
-from xcliff.scalars import AffineSolutionSet, Matrix
+from xcliff.scalars import AffineSolutionSet, Matrix, echo
 
 
 def write_config(tmp_path, name, n, eta, xi, options=None):
@@ -199,6 +204,45 @@ def test_config_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
     assert main(["verify", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config is nested too deeply") and err.count("\n") == 1
+
+
+# a list nested 980 deep: json.load reads it from a fresh interpreter, as the
+# console script does (under pytest's deeper stack it hits the recursion
+# limit, as json.dumps does), so a config holds the marker DEEP, its text
+# replaces it and the command runs in a child process
+DEEP = "@deep"
+DEEP_TEXT = "[" * 980 + "]" * 980
+FORM = [["1"]]
+SRC = str(Path(cli.__file__).parents[1])
+LONG = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"  # how a long string of x's is echoed
+
+
+@pytest.mark.parametrize("config, shown", [
+    ({"n": 1, "eta": FORM, "xi": FORM, "options": {"truncation": DEEP}}, "[[[[[[[...]]]]]]]"),
+    ({"n": DEEP, "eta": FORM, "xi": FORM}, "[[[[[[[...]]]]]]]"),
+    ({"n": 1, "eta": FORM, "xi": FORM, "pairing": DEEP}, "[[[[[[[...]]]]]]]"),
+    ({"n": 1, "eta": [[DEEP]], "xi": FORM}, "[[[[[[[...]]]]]]]"),
+    ({"n": 1, "eta": [["x" * 100000]], "xi": FORM}, LONG),
+    # reprlib keeps six strings of a row, so the echo itself is cut
+    ({"n": 1, "eta": FORM, "xi": FORM, "options": {"truncation": [["x" * 50] * 10] * 10}},
+     f"[[{LONG}, 'xxxxxxxxxxxx...xxxxxxx...\n"),
+], ids=["deep-truncation", "deep-n", "deep-pairing", "deep-eta-entry", "long-scalar",
+        "wide-truncation"])
+def test_bad_config_value_is_echoed_in_one_short_line(tmp_path, config, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config).replace(json.dumps(DEEP), DEEP_TEXT))
+    run = subprocess.run([sys.executable, "-m", "xcliff.cli", "verify", "--config", str(path)],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert run.returncode == 2 and run.stdout == ""
+    err = run.stderr
+    assert err.startswith("error: bad config:") and shown in err
+    assert err.count("\n") == 1 and len(err) <= 200
+
+
+def test_short_config_values_are_echoed_whole():
+    assert [echo(v) for v in (2.9, True, "3", [1], -1)] == ["2.9", "True", "'3'", "[1]", "-1"]
+    assert echo(functools.reduce(lambda inner, _: [inner], range(980), [])) == "[[[[[[[...]]]]]]]"
 
 
 def test_sweep_zero_denominator_is_a_parse_error(capsys):
@@ -424,6 +468,18 @@ def test_bound_over_the_budget_is_refused(tmp_path, capsys, command, source):
     assert err.startswith("error:") and f"budget of {cli.MAX_WORD_BOUND}" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [10 ** 12, cli.MAX_SWEEP_ROWS - 1])
+def test_sweep_over_the_row_budget_is_refused_before_any_draw(tmp_path, monkeypatch, capsys,
+                                                              samples):
+    draws = _count_calls(monkeypatch, cli, "random_rational")
+    out = tmp_path / "s.json"
+    # two --a-values rows put MAX_SWEEP_ROWS - 1 samples one row over the budget
+    assert main(["sweep", "--a-values=1,2", "--samples", str(samples), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"budget of {cli.MAX_SWEEP_ROWS}" in err
+    assert err.count("\n") == 1 and not draws and not out.exists()
 
 
 def test_negative_sample_count_is_a_usage_error(tmp_path, capsys):

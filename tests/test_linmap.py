@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xcliff import braiding, hopf
-from xcliff.clifford import PAIRINGS, CliffordStructure
-from xcliff.linmap import (LinearMap, Unknown, add, agree, chain, differences, keys,
-                           linearize)
+from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
+from xcliff.exterior import Multivector
+from xcliff.linmap import (LinearMap, SparseVector, Unknown, add, agree, chain, differences,
+                           keys, linearize)
 from xcliff.scalars import Matrix
-from xcliff.tensor_shuffle import WordOperator, letter_switch
+from xcliff.tensor_shuffle import GradedElement, WordOperator, letter_switch
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
 
@@ -349,3 +350,47 @@ def test_factored_antipode_route_matches_the_eight_step_route(pairing, n, eta, x
     assert sigma is not None
     s = hopf.antipode_map(structure, hopf.antipode_solution(structure).particular)
     assert sigma == LinearMap.of(keys(n, 2), eight_step_antipode_route(structure.maps, s))
+
+
+# -- the sparse elements: one arithmetic under three kinds ---------------------
+
+ELEMENTS = {
+    # kind: (x, y of the same space, z of another rank, repr(x))
+    "multivector": (Multivector(2, {0: F(1, 2), 3: -1}), Multivector(2, {1: 2, 3: 1}),
+                    Multivector(3, {0: 1}), "1/2 + -1*e01"),
+    "tensor2": (Tensor2(2, {(0, 3): F(1, 2), (1, 2): -1}), Tensor2(2, {(0, 3): 1}),
+                Tensor2(3, {(0, 0): 1}), "1/2*1(x)e01 + -1*e0(x)e1"),
+    "word": (GradedElement(2, 3, {(): F(1, 2), (0, 1): -1}), GradedElement(2, 3, {(1,): 3}),
+             GradedElement(3, 3, {(2,): 1}), "1/2*() + -1*01"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+def test_sparse_element_arithmetic(kind):
+    x, y, z, shown = ELEMENTS[kind]
+    assert not x + (-x)
+    assert 2 * x == x + x == x * 2
+    assert x - y == x + (-1) * y
+    assert x + y == y + x and x + y != x
+    assert repr(x) == shown and repr(0 * x) == "0"
+    with pytest.raises(ValueError):
+        x + z
+
+
+def test_elements_of_different_kinds_are_unequal():
+    pair = {(0, 1): F(2)}
+    assert Tensor2(2, pair) != GradedElement(2, 2, pair)
+    assert Multivector(2, {1: 1}) != SparseVector(2, {1: 1})
+    assert Multivector(2) != Tensor2(2) != GradedElement(2, 2)
+
+
+def test_word_element_keeps_its_truncation_flag():
+    cut = GradedElement(2, 2, {(0,): 1}, truncated=True)
+    whole = GradedElement(2, 2, {(1,): 1})
+    assert (cut + whole).truncated and (whole + cut).truncated and (whole - cut).truncated
+    assert (3 * cut).truncated and (cut * 3).truncated and (-cut).truncated
+    assert not (whole + whole).truncated and not (3 * whole).truncated
+    assert -whole == GradedElement(2, 2, {(1,): -1})
+    assert repr(cut) == "1*0 [truncated]"
+    with pytest.raises(ValueError, match="bound"):
+        cut + GradedElement(2, 3, {(1,): 1})
