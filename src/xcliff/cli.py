@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,9 +37,10 @@ SCATTERING_MAX_RANK = 3
 # the word-length budget of verify and shuffle: a rank-2 shuffle at bound 8
 # takes about 1 s, and each further length multiplies its time and memory
 MAX_WORD_BOUND = 8
-# the row budget of sweep (--a-values plus --samples): 20000 rows took 26 s
-# and 75 MB peak (CPython 3.11, one job on a shared 2-vCPU host), so a capped
-# sweep runs about a minute in under 200 MB
+# the row budget of sweep (--a-values plus --samples): each row is held
+# until the report is written (about 16.6 MB of JSON at the cap), and each
+# distinct --a-values entry costs a row's solves; a capped sampled sweep
+# took about 2 s and 123 MB peak (CPython 3.11, a shared 2-vCPU host)
 MAX_SWEEP_ROWS = 50_000
 
 
@@ -476,15 +475,12 @@ def _sweep_pairs(args) -> list[tuple[str, str]]:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     pairs = _sweep_pairs(args)
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row_star, pairs))
-    else:
-        rows = [sweep_row(i2, j2) for i2, j2 in pairs]
+    # --samples draws each coordinate from 15 rationals, so a sampled sweep
+    # has at most 225 distinct pairs: each distinct pair's row is computed
+    # once and listed for every pair that asked for it
+    distinct = {pair: sweep_row(*pair) for pair in dict.fromkeys(pairs)}
+    rows = [distinct[pair] for pair in pairs]
     rows.sort(key=lambda r: (r["i2"], r["j2"]))
     aggregate = {
         "rows": len(rows),
@@ -505,18 +501,25 @@ def cmd_sweep(args) -> int:
     return 0 if aggregate["hard_ok"] else 1
 
 
-def _sweep_row_star(pair: tuple[str, str]) -> dict:
-    return sweep_row(*pair)
-
-
 # -- entry ---------------------------------------------------------------------
+
+class Parser(argparse.ArgumentParser):
+    """argparse's parser with its "prog: error: ..." line cut to 200
+    characters, so that a long bad value or argument is not echoed whole;
+    the subcommand parsers are made from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        line = f"{self.prog}: error: {message}"
+        self.exit(2, (line if len(line) <= 200 else line[:197] + "...") + "\n")
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: each subcommand binds only its
     cmd_* function, which reads the module's helpers when it runs."""
-    parser = argparse.ArgumentParser(prog="xcliff",
-                                     description="exact engine for deformed exterior algebras")
+    parser = Parser(prog="xcliff",
+                    description="exact engine for deformed exterior algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
     parsers = {}
@@ -538,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = parsers["sweep"]
     p.add_argument("--samples", type=int, default=0, help="random parameter pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--a-values", help="comma-separated rational products, realized as (a, 1)")
     return parser
 

@@ -66,6 +66,11 @@ class GradedElement(SparseVector):
         if self.dim != other.dim or self.bound != other.bound:
             raise ValueError("alphabet or bound mismatch")
 
+    def __eq__(self, other):
+        # a flagged element records terms it has lost, so the flag counts
+        return (super().__eq__(other) and self.bound == other.bound
+                and self.truncated == other.truncated)
+
     @staticmethod
     def _term(w: Word, c: Fraction) -> str:
         return f"{c}*{''.join(map(str, w)) or '()'}"

@@ -169,14 +169,6 @@ def test_sweep_empty_range(tmp_path):
     assert report["rows"] == [] and report["aggregate"]["rows"] == 0
 
 
-def test_sweep_deterministic_across_jobs(tmp_path):
-    out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    assert main(["sweep", "--samples", "6", "--seed", "11", "--out", str(out1)]) == 0
-    assert main(["sweep", "--samples", "6", "--seed", "11", "--jobs", "2",
-                 "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -378,30 +370,6 @@ def test_verify_decides_each_scattering_and_word_fact_once(tmp_path, monkeypatch
     assert (len(defect), words) == (0, [(4, False)])
 
 
-def test_sweep_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
-    workers = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    out = tmp_path / "s.json"
-    assert main(["sweep", "--a-values=-1,0,1/2", "--jobs", "64", "--out", str(out)]) == 0
-    assert workers == [2]
-    assert json.loads(out.read_text())["aggregate"]["rows"] == 3
-
-
 @pytest.mark.parametrize("command", ["verify", "shuffle"])
 @pytest.mark.parametrize("truncation", [[1], "x", -1, 2.9, True, "3"])
 def test_bad_truncation_in_config_is_a_parse_error(tmp_path, capsys, command, truncation):
@@ -482,20 +450,49 @@ def test_sweep_over_the_row_budget_is_refused_before_any_draw(tmp_path, monkeypa
     assert err.count("\n") == 1 and not draws and not out.exists()
 
 
+def test_sweep_computes_each_distinct_pair_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, cli, "sweep_row")
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--samples", "300", "--seed", "7", "--a-values", "1,1,-1",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    distinct = {(r["i2"], r["j2"]) for r in rows}
+    assert len(rows) == 303 and len(calls) == len(distinct) < 303
+    # each row is listed as computed for its pair
+    assert all(r == sweep_row(r["i2"], r["j2"]) for r in rows)
+
+
+def test_sweep_has_no_job_count_option(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--jobs", "2", "--a-values=2", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--samples", "x" * 5000],
+    ["sweep", "--seed", "x" * 5000],
+    ["verify", "--config", "c.json", "--l", "x" * 5000],
+    ["sweep", "y" * 5000],
+    ["z" * 5000],
+], ids=["samples", "seed", "l", "unrecognized", "command"])
+def test_long_usage_error_is_cut(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 400 and err.endswith("...\n")
+
+
+def test_short_usage_error_is_shown_whole(capsys):
+    assert main(["sweep", "--samples", "abc"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "xcliff sweep: error: argument --samples: invalid int value: 'abc'")
+
+
 def test_negative_sample_count_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert main(["sweep", "--samples", "-5", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--samples" in err and err.count("\n") == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_non_positive_job_count_is_a_usage_error(tmp_path, capsys, jobs):
-    out = tmp_path / "s.json"
-    assert main(["sweep", "--jobs", jobs, "--a-values=2", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --jobs") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -394,3 +394,11 @@ def test_word_element_keeps_its_truncation_flag():
     assert repr(cut) == "1*0 [truncated]"
     with pytest.raises(ValueError, match="bound"):
         cut + GradedElement(2, 3, {(1,): 1})
+
+
+def test_word_element_equality_counts_bound_and_flag():
+    terms = {(0,): 1}
+    assert GradedElement(2, 2, terms) != GradedElement(2, 5, terms)
+    assert GradedElement(2, 2, terms, truncated=True) != GradedElement(2, 2, terms)
+    assert GradedElement(2, 2, terms, truncated=True) == GradedElement(2, 2, terms, True)
+    assert GradedElement(2, 2, terms) == GradedElement(2, 2, terms)

@@ -24,7 +24,6 @@ from test_bench_contract import tracer
 
 ALLOWED = {
     "hopf._kept": "a decorator, applied when hopf is imported",
-    "cli._sweep_row_star": "runs sweep_row in a --jobs pool worker",
     "hopf.solve_antipode_system": "the antipode's guard when a bigebra law fails, "
                                   "which no bilinear form makes happen",
     "hopf.antipode_systems": "the linear system of solve_antipode_system",
