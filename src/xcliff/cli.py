@@ -4,9 +4,10 @@ analyses, emit deterministic machine-readable reports and optional markdown.
 This is the one module that builds reports; hopf, braiding and clifford
 return mathematical values only.  Each reading that several reports share
 is made in one place: the scattering (solve_sigma, then scattering_map, then
-braided_flags) in _scattering, the antipode's JSON matrix in
-_antipode_matrix, the rank-1 parameter a = eta_00 xi_00 in _parameter and
-the existence-conjecture flag in conjecture_record.
+braided_flags) in _scattering, the rank-1 parameter a = eta_00 xi_00 in
+_parameter and the existence-conjecture flag in conjecture_record.  Each
+fact has one report shape: the antipode, sigma and shuffle commands write
+the verify section of the same name.
 
 Exit codes: 0 pass, 1 hard-invariant failure, 2 usage or parse error.
 Conjecture-style checks are recorded in reports but never gate the exit code.
@@ -30,7 +31,13 @@ from .linmap import ONE, LinearMap, agree, keys
 from .scalars import AffineSolutionSet, Matrix, echo, format_scalar, parse_scalar
 
 VERIFY_MAX_RANK = 3
-# sigma and braided solve the scattering: on generic rank-4 forms its closed
+# tables and antipode build both cliffordizations over 4^n blade pairs first:
+# generic rank-7 tables took 18.5 s and 748 MB, and a generic rank-6 antipode
+# did not finish in 10 minutes (rank 5: 55.5 s; CPython 3.11, a shared
+# 2-vCPU host)
+TABLES_MAX_RANK = 6
+ANTIPODE_MAX_RANK = 5
+# sigma solves the scattering: on generic rank-4 forms its closed
 # form took about 67 s to build and 98 s to certify, and the braided flags did
 # not finish in 12 minutes (CPython 3.11, a shared 2-vCPU host)
 SCATTERING_MAX_RANK = 3
@@ -105,7 +112,7 @@ def build_tables(structure: CliffordStructure) -> dict:
 
 
 def cmd_tables(args) -> int:
-    structure, _ = load_config(args.config)
+    structure, _ = load_config(args.config, TABLES_MAX_RANK, "tables")
     report = {"structure": structure.to_config(), "tables": build_tables(structure)}
     write_out(report, args.out)
     if args.markdown:
@@ -142,13 +149,6 @@ def conjecture_record(structure: CliffordStructure,
                             conjecture_consistent=(exists == (not is_id)))
 
 
-def _antipode_matrix(structure: CliffordStructure, sol: AffineSolutionSet) -> list | None:
-    """The solved antipode as a JSON matrix over the blades, or None."""
-    if not sol.is_consistent:
-        return None
-    return hopf.antipode_map(structure, sol.particular).to_matrix(keys(structure.n, 1)).to_json()
-
-
 def _parameter(structure: CliffordStructure) -> Fraction:
     """The rank-1 parameter a = eta_00 xi_00."""
     return structure.eta[(0, 0)] * structure.xi[(0, 0)]
@@ -169,26 +169,19 @@ def _scattering(structure: CliffordStructure
     return sol, s, braiding.braided_flags(structure, s)
 
 
-def _flags_json(flags: braiding.BraidedReport) -> dict:
-    return {
-        "invertible": flags.invertible,
-        "braid_equation": flags.braid_equation_holds,
-        "product_naturality": flags.product_naturality_holds,
-        "coproduct_naturality": flags.coproduct_naturality_holds,
-        "verdict_braided": flags.verdict_braided,
-    }
-
-
 # -- verify -------------------------------------------------------------------
 
 def _verify_antipode(structure: CliffordStructure, sol: AffineSolutionSet) -> dict:
+    """The antipode's existence, uniqueness and existence-conjecture record,
+    and the solved antipode as a JSON matrix over the blades, or None."""
     record = conjecture_record(structure, sol)
     return {
         "exists": sol.is_consistent,
         "unique": sol.is_unique if sol.is_consistent else None,
         "conjecture_consistent": record.conjecture_consistent,
         "xi_eta_is_identity": record.xi_eta_is_identity,
-        "matrix": _antipode_matrix(structure, sol),
+        "matrix": hopf.antipode_map(structure, sol.particular).to_matrix(
+            keys(structure.n, 1)).to_json() if sol.is_consistent else None,
     }
 
 
@@ -202,7 +195,13 @@ def _verify_sigma(structure: CliffordStructure, sol: AffineSolutionSet,
     }
     if flags is None:
         return out
-    out["braided_flags"] = _flags_json(flags)
+    out["braided_flags"] = {
+        "invertible": flags.invertible,
+        "braid_equation": flags.braid_equation_holds,
+        "product_naturality": flags.product_naturality_holds,
+        "coproduct_naturality": flags.coproduct_naturality_holds,
+        "verdict_braided": flags.verdict_braided,
+    }
     # the paper's iff, read as in criterion 08: {invertible and braid} iff a
     # form vanishes; the two hexagons split by which one does
     out["braided_iff_discrepancy"] = (
@@ -363,58 +362,16 @@ def cmd_verify(args) -> int:
     return 0 if report["hard_pass"] else 1
 
 
-def antipode_report_json(structure: CliffordStructure) -> dict:
-    """The antipode command's report: the solved antipode matrix or null,
-    the conjecture consistency flag and, at rank 1, the parameter a."""
-    sol = hopf.antipode_solution(structure)
-    report = {"antipode": _antipode_matrix(structure, sol),
-              "conjecture_consistent": conjecture_record(structure, sol).conjecture_consistent}
-    if structure.n == 1:
-        report["a"] = format_scalar(_parameter(structure))
-    return report
-
-
-def braiding_report_json(structure: CliffordStructure) -> dict:
-    """The sigma command's report: the scattering's solution space and the
-    braided flags of its particular solution; at rank 1 also the parameter a
-    and, at a != 1, the quartic check."""
-    sol, s, flags = _scattering(structure)
-    report: dict = {
-        "sigma_unique": sol.is_unique,
-        "solution_space_dim": sol.dimension if sol.is_consistent else None,
-        "min_poly_ok": None, "invertible": None, "braid_eq": None,
-        "braided_verdict": None, "braided_flags": None,
-    }
-    a = _parameter(structure) if structure.n == 1 else None
-    if a is not None:
-        report["a"] = format_scalar(a)
-    if flags is not None:
-        report.update({"invertible": flags.invertible, "braid_eq": flags.braid_equation_holds,
-                       "braided_verdict": flags.verdict_braided,
-                       "braided_flags": _flags_json(flags)})
-        if a is not None and a != 1:
-            report["min_poly_ok"] = braiding.check_min_polynomial(s, a)
-    return report
-
-
 def cmd_antipode(args) -> int:
-    structure, _ = load_config(args.config)
-    write_out(antipode_report_json(structure), args.out)
+    structure, _ = load_config(args.config, ANTIPODE_MAX_RANK, "antipode")
+    write_out(_verify_antipode(structure, hopf.antipode_solution(structure)), args.out)
     return 0
 
 
 def cmd_sigma(args) -> int:
     structure, _ = load_config(args.config, SCATTERING_MAX_RANK, "sigma")
-    write_out(braiding_report_json(structure), args.out)
-    return 0
-
-
-def cmd_braided(args) -> int:
-    structure, _ = load_config(args.config, SCATTERING_MAX_RANK, "braided")
     sol, _, flags = _scattering(structure)
-    report = {"consistent": False} if flags is None else {
-        **_flags_json(flags), "solution_space_dim": sol.dimension}
-    write_out(report, args.out)
+    write_out(_verify_sigma(structure, sol, flags), args.out)
     return 0
 
 
@@ -525,9 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     parsers = {}
     for name, fn in [("tables", cmd_tables), ("verify", cmd_verify),
                      ("antipode", cmd_antipode), ("sigma", cmd_sigma),
-                     ("braided", cmd_braided), ("shuffle", cmd_shuffle), ("sweep", cmd_sweep)]:
+                     ("shuffle", cmd_shuffle), ("sweep", cmd_sweep)]:
         p = parsers[name] = sub.add_parser(name)
-        p.set_defaults(func=fn)
+        # an unrecognized argument is reported with the subcommand's usage
+        p.set_defaults(func=fn, parser=p)
         if name != "sweep":
             p.add_argument("--config", required=True, help="instance JSON path")
         p.add_argument("--out", help="write the JSON report to this path")
@@ -548,7 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

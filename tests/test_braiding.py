@@ -9,7 +9,7 @@ from xcliff.braiding import (antipode_scattering, braid_relation, check_braid_eq
                              check_braided, check_min_polynomial, closed_form_sigma,
                              compatibility_defect, scattering_map, scattering_system,
                              solve_sigma)
-from xcliff.cli import braiding_report_json
+from xcliff.cli import _rank1_checks, _scattering, _verify_sigma
 from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
 from xcliff.linmap import LinearMap, chain, keys
@@ -435,16 +435,23 @@ def test_action_associativity_probe_recorded():
 # -- report ------------------------------------------------------------------------------
 
 def test_braiding_report_shape():
-    report = braiding_report_json(complex_structure(-1, 1))
-    assert report["sigma_unique"] is True
-    assert report["solution_space_dim"] == 0
-    assert report["min_poly_ok"] is True
-    assert report["invertible"] is False
-    assert report["braid_eq"] is False
-    assert report["braided_verdict"] is False
-    report = braiding_report_json(complex_structure(1, 1))
-    assert report["solution_space_dim"] == 12
-    assert report["min_poly_ok"] is None
+    # the sigma report (verify's section) and, at rank 1, verify's closed-form checks
+    s = complex_structure(-1, 1)
+    ant = hopf.antipode_solution(s)
+    sol, sigma, flags = _scattering(s)
+    report = _verify_sigma(s, sol, flags)
+    assert report["consistent"] is True and report["solution_space_dim"] == 0
+    assert check_min_polynomial(sigma, F(-1)) is True
+    assert _rank1_checks(s, ant, sol, sigma)["min_poly_ok"] is True
+    assert report["braided_flags"]["invertible"] is False
+    assert report["braided_flags"]["braid_equation"] is False
+    assert report["braided_flags"]["verdict_braided"] is False
+    assert report["braided_iff_discrepancy"] is False
+    # at a = 1 the family has no one member to check the quartic on
+    s = complex_structure(1, 1)
+    sol, sigma, flags = _scattering(s)
+    assert _verify_sigma(s, sol, flags)["solution_space_dim"] == 12
+    assert "min_poly_ok" not in _rank1_checks(s, hopf.antipode_solution(s), sol, sigma)
 
 
 # -- the antipode's closed form against the linear-system solve ---------------------------

@@ -64,20 +64,23 @@ def test_tables_malformed_config(tmp_path, capsys):
     ("verify", 4, "verify supports rank <= 3"),
     ("shuffle", 3, "shuffle summary supports rank <= 2"),
     ("sigma", 4, "sigma supports rank <= 3"),
-    ("braided", 4, "braided supports rank <= 3"),
+    ("tables", 7, "tables supports rank <= 6"),
+    ("antipode", 6, "antipode supports rank <= 5"),
 ])
 def test_rank_cap_refused_before_any_table_is_built(tmp_path, monkeypatch, capsys,
                                                    command, n, message):
+    # the structure is recorded, not built: a rank-7 one takes about 18 s
     built = []
-    build = CliffordStructure.__init__
     monkeypatch.setattr(CliffordStructure, "__init__",
-                        lambda self, *args, **kw: built.append(args) or build(self, *args, **kw))
+                        lambda self, *args, **kw: built.append(args))
     zero = [["0"] * n] * n
     cfg = write_config(tmp_path, "big.json", n, zero, zero)
-    assert main([command, "--config", cfg]) == 2
+    out = tmp_path / "r.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert built == []
-    assert main(["tables", "--config", cfg, "--out", str(tmp_path / "t.json")]) == 0
+    assert built == [] and not out.exists()
+    # the config itself is well formed: without the cap it builds one structure
+    cli.load_config(cfg)
     assert len(built) == 1
 
 
@@ -113,8 +116,10 @@ def test_antipode_command(complex_config, tmp_path):
     out = tmp_path / "a.json"
     assert main(["antipode", "--config", complex_config, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["a"] == "-1"
-    assert report["antipode"] == [["1/2", "0"], ["0", "-1/2"]]
+    assert report["matrix"] == [["1/2", "0"], ["0", "-1/2"]]
+    assert report["exists"] is True and report["unique"] is True
+    # the parameter a = eta_00 xi_00 of the config is a sweep row's
+    assert sweep_row("-1", "1")["a"] == "-1"
 
 
 def test_sigma_command(tmp_path):
@@ -122,15 +127,18 @@ def test_sigma_command(tmp_path):
     out = tmp_path / "s.json"
     assert main(["sigma", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["solution_space_dim"] == 12
-    assert report["sigma_unique"] is False
+    # a family of dimension 12: solvable, not unique
+    assert report["consistent"] is True and report["solution_space_dim"] == 12
 
 
-def test_braided_command(zero_config, tmp_path):
+def test_braided_command(zero_config, tmp_path, capsys):
+    # the command is gone: its flags are the sigma report's braided_flags
     out = tmp_path / "b.json"
-    assert main(["braided", "--config", zero_config, "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["verdict_braided"] is True
+    assert main(["braided", "--config", zero_config, "--out", str(out)]) == 2
+    assert "invalid choice: 'braided'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sigma", "--config", zero_config, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["braided_flags"]["verdict_braided"] is True
 
 
 def test_shuffle_command(complex_config, tmp_path):
@@ -268,7 +276,7 @@ def test_verify_solves_antipode_and_scattering_once(tmp_path, monkeypatch, n, et
     assert (len(antipode), len(sigma)) == (1, 1)
 
 
-@pytest.mark.parametrize("command", ["sigma", "braided"])
+@pytest.mark.parametrize("command", ["sigma"])
 def test_scattering_commands_solve_the_antipode_once(complex_config, tmp_path, monkeypatch,
                                                      command):
     antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
@@ -316,7 +324,7 @@ def test_sweep_row_shares_the_antipode_with_the_scattering(monkeypatch, i2, j2):
 
 
 @pytest.mark.parametrize("config", ["complex", "unit", "rank2"])
-@pytest.mark.parametrize("command", ["verify", "sigma", "braided"])
+@pytest.mark.parametrize("command", ["verify", "sigma"])
 def test_scattering_commands_solve_and_read_the_scattering_once(tmp_path, monkeypatch,
                                                                 command, config):
     # the solution set is solved once and its particular solution read back
@@ -330,7 +338,7 @@ def test_scattering_commands_solve_and_read_the_scattering_once(tmp_path, monkey
     assert (len(solves), len(reads)) == (1, 1)
 
 
-@pytest.mark.parametrize("command", ["sigma", "braided"])
+@pytest.mark.parametrize("command", ["verify", "sigma"])
 def test_scattering_commands_check_the_square_once(complex_config, tmp_path, monkeypatch,
                                                    command):
     # solve_sigma certifies the closed form on the square; the braided
@@ -466,6 +474,20 @@ def test_sweep_has_no_job_count_option(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert main(["sweep", "--jobs", "2", "--a-values=2", "--out", str(out)]) == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, leftover", [
+    (["sweep", "--jobs", "2"], "--jobs 2"),
+    (["verify", "--config", "c.json", "--bogus"], "--bogus"),
+])
+def test_unrecognized_argument_shows_the_subcommand_usage(tmp_path, capsys, argv, leftover):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    # the usage line is the subcommand's, which lists its own options
+    assert lines[0].startswith(f"usage: xcliff {argv[0]} [-h]")
+    assert lines[-1] == f"xcliff {argv[0]}: error: unrecognized arguments: {leftover}"
     assert not out.exists()
 
 

@@ -34,6 +34,22 @@ took the names of the `sweep` rows, `min_poly_ok` and `no_antipode`.  Each
 new report is the old one with exactly those keys deleted or renamed; no
 value changed.  The rank-3 `verify` reports skip both sections and did not
 change.
+
+The 10 `sigma` and 8 `antipode` digests were re-recorded when each command
+came to write the `verify` section of the same name, byte for byte
+(test_command_report_is_the_verify_section pins that), and the `braided`
+command and its 10 digests went.  `antipode` renamed its matrix `matrix`,
+gained `exists`, `unique` and `xi_eta_is_identity`, and dropped the rank-1
+`a` (eta_00 xi_00 of the config, reported by every `sweep` row).  `sigma`
+gained `consistent` and `braided_iff_discrepancy` and dropped `sigma_unique`
+(`consistent` with dimension 0), the top-level `invertible`, `braid_eq` and
+`braided_verdict` (copies of `braided_flags` entries) and the rank-1 `a` and
+`min_poly_ok` (at rank 1 `verify`'s hard checks hold `min_poly_ok` on the
+closed form and `sigma_closed_form_match`).  The `braided` report was
+`sigma`'s `braided_flags` with `solution_space_dim`, or `{"consistent":
+false}`, and every config it was recorded on has a `sigma` digest.  No value
+changed: each old key was compared with its new reading on every config
+above.
 """
 
 import hashlib
@@ -43,7 +59,7 @@ import pytest
 
 from xcliff import braiding
 from xcliff.clifford import CliffordStructure
-from xcliff.cli import main
+from xcliff.cli import dump_json, main
 from xcliff.linmap import keys
 
 Z2 = [["0", "0"], ["0", "0"]]
@@ -84,43 +100,33 @@ GOLDEN = {
     ("verify", "r2_identity"): ("15cb8817e74e2f6d4639f30804ce38d81b864da7d4c436483e3c224bbee633d1", 0),
     ("verify", "r3_zero"): ("eccb1cfff284d96abff2992b36ef9a6e0538135b6c9b49fe02db44ffad81ec20", 0),
     ("verify", "r3_diagonal"): ("753ef4d1e6a1421b6d98a6e742b908b953cc5c632042a5be0d2c17b9a9e8cabb", 0),
-    ("sigma", "r1_a1"): ("d5159b1dcd06074f80ebf0fc8db58ac056f088e1081d94937d3e1fc197eb73a9", 0),
-    ("sigma", "r1_complex"): ("2a18436d7bef17b62d6aa622fcc58a9f1511323beac57fd4494ab3bdf563a0d1", 0),
-    ("sigma", "r1_2_third"): ("924278ac4cbb8d1e8abe9ad8e79e8ea7e8f540d47986e20abacd43d58bec9ed6", 0),
-    ("sigma", "r2_zero"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
-    ("sigma", "r2_diagonal"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
-    ("braided", "r1_a1"): ("3eef4058ceeb701625ea1faa908b7252a0f236a0c39440cec59a41d7c8aeccfa", 0),
-    ("braided", "r1_complex"): ("515b7ca29317559fd7fd09a168c996febf5a8ae6436ff97d07d474404b45867c", 0),
-    ("braided", "r1_2_third"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
-    ("braided", "r2_zero"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
-    ("braided", "r2_diagonal"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
-    ("antipode", "r1_a1"): ("066e77c3e2b6533d0a8ce49d12dae77d69464949b75c9500e0c8433be6424137", 0),
-    ("antipode", "r1_complex"): ("8584c82094861967bd154d0951f0612ddb975a5492af6fbc457d39842f3df57d", 0),
-    ("antipode", "r1_2_third"): ("257c20d5684219699c6aa0ccb82b156679ebb9b4f3c5f378ab61a3bbce06a90a", 0),
-    ("antipode", "r2_zero"): ("b20fd217bb667d8ffa01c724e045a441586299a5369c86968121eec8a15dfb52", 0),
-    ("antipode", "r2_diagonal"): ("854eeef1155ebac2fc54fb9ecdeff8461a5bef52799bc837506d43c2c9e70089", 0),
+    ("sigma", "r1_a1"): ("b8cd3933019ec97c576dd92332bcabe7ea6fefda2db1879bf2625de326b6c027", 0),
+    ("sigma", "r1_complex"): ("0b36885352c0106927881618ba973ec89006e471f44c12f20c29d2216e5406c7", 0),
+    ("sigma", "r1_2_third"): ("457827925b27df7c16711268e2150e294d6134ebdaaf23aeecc39e3dba774aa1", 0),
+    ("sigma", "r2_zero"): ("2075761a0c8cd8291d3c4a00d7f9be19894b7eeb58afe8bdbb75223a155d608e", 0),
+    ("sigma", "r2_diagonal"): ("457827925b27df7c16711268e2150e294d6134ebdaaf23aeecc39e3dba774aa1", 0),
+    ("antipode", "r1_a1"): ("2df1705b1ed4cc8fe343ee21715d2c1e674a1af8837ad7015d120b3d757260a7", 0),
+    ("antipode", "r1_complex"): ("20c79733203626e54ee38c5ca79f3a3338c89abae40e334b796c5548d2f609a8", 0),
+    ("antipode", "r1_2_third"): ("d7e845e217d1a16ef586ac079ee90c8edf813ca6e6f1e34f28111842da662ab6", 0),
+    ("antipode", "r2_zero"): ("9c4e643a0c7cb4edf4318fd41239078e910afee9ec5b1d3103f9b8a473945a66", 0),
+    ("antipode", "r2_diagonal"): ("087ec4f914136fd5825361f1aa2f600b05a7ac81f57ab8e10f86b4c0971ab7e3", 0),
     ("tables", "r1_complex"): ("66d73612f37b003ac3d84d7ffb81d75ad1a4fd3f24f29fc41704187cd8923871", 0),
     ("tables", "r2_generic"): ("c6cae7258d38dd9a563f3103c032196264832f0afce9824a90526ecee85d741a", 0),
     ("tables", "r3_diagonal"): ("ea4a70dd2010b79d1f947131f62a7e522bc5d6990deb27a153d92b13a206c829", 0),
     ("shuffle", "r1_complex"): ("fbbf120a569d4f9fde2dae534a464553c57471dbfd6f452c89693c0980d38032", 0),
     ("shuffle", "r2_generic"): ("fbbf120a569d4f9fde2dae534a464553c57471dbfd6f452c89693c0980d38032", 0),
-    ("sigma", "r2_generic"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
-    ("sigma", "r2_xi0"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
-    ("sigma", "r2_eta0"): ("373b678be467b007efddb18456b79cccb433886c8dc826350e836ef76dd75a40", 0),
-    ("braided", "r2_generic"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
-    ("braided", "r2_xi0"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
-    ("braided", "r2_eta0"): ("92a0b04fc9b18b7de269fd20db22518a01f542fad3b4f5128d4cc4d420bb01ca", 0),
-    ("antipode", "r2_generic"): ("28c3415ff91139bdca91c9745cf6dc77bd80321af47b425f4844b6576119ddb1", 0),
+    ("sigma", "r2_generic"): ("457827925b27df7c16711268e2150e294d6134ebdaaf23aeecc39e3dba774aa1", 0),
+    ("sigma", "r2_xi0"): ("2075761a0c8cd8291d3c4a00d7f9be19894b7eeb58afe8bdbb75223a155d608e", 0),
+    ("sigma", "r2_eta0"): ("2075761a0c8cd8291d3c4a00d7f9be19894b7eeb58afe8bdbb75223a155d608e", 0),
+    ("antipode", "r2_generic"): ("367fe7d3a17f6017b1b8bfd62ba3e509bde4e05ed9c958ea544ff3ba97f53490", 0),
     ("verify", "r3_generic"): ("bebcb854750246a89e7120a63a5dae10b164212bca451083f3f1772c227cb6c9", 0),
     ("verify", "r2_generic_straight"): ("e57103440bda3ac3d9f946e3e48378488fa27c3e2733770e3d62776e1363a36d", 0),
     ("tables", "r2_generic_straight"): ("4c8b18239bd951ea88ae5013ff7d014589554a45537ff59f0ee72c84998d63c0", 0),
     ("tables", "r3_generic"): ("f6ee9c3324e2fdd9d0d2fbcd58375226db37953f61a0055f312f480636e1ebad", 0),
-    ("antipode", "r2_identity"): ("7a709f6849674227f2889acccb9dbc79ee125d63f140cf47fc358912f3690b46", 0),
-    ("sigma", "r2_identity"): ("184fb5fbd4cadf64fc8a29ad764d9369acb419a04d7e575e266cdfc6d77559fe", 0),
-    ("braided", "r2_identity"): ("515b7ca29317559fd7fd09a168c996febf5a8ae6436ff97d07d474404b45867c", 0),
-    ("antipode", "r2_identity_straight"): ("91c707beae12024336deaad16203c206d1dd0da4a06e5b632986e01e6250f92c", 0),
-    ("sigma", "r2_identity_straight"): ("fe9edc4a2d967e9101954bc8013084133dbc020ced82d8b34a630d04d067896c", 0),
-    ("braided", "r2_identity_straight"): ("13a9027408728235264d34b9e78cc84567cc7a62a34cee0816fb83206c0ddad8", 0),
+    ("antipode", "r2_identity"): ("c7c7777e2bd42e5032e3204bd5d2869715c7b9d13e9e7a3af327931d6b9b0ade", 0),
+    ("sigma", "r2_identity"): ("0b36885352c0106927881618ba973ec89006e471f44c12f20c29d2216e5406c7", 0),
+    ("antipode", "r2_identity_straight"): ("2df1705b1ed4cc8fe343ee21715d2c1e674a1af8837ad7015d120b3d757260a7", 0),
+    ("sigma", "r2_identity_straight"): ("54564c4975c1146b5f2b6b48f0205371d55b473b724c54a107ec81173245eafa", 0),
     ("sweep", None): ("d7ac6eb5bfec09a2e942de070140b29b34bd442a0785f5bbca17d126dafd1b2c", 0),
 }
 
@@ -164,3 +170,22 @@ def test_report_matches_golden_digest(tmp_path, command, name):
     out = tmp_path / "report.json"
     code = main(argv + ["--out", str(out)])
     assert (hashlib.sha256(out.read_bytes()).hexdigest(), code) == GOLDEN[(command, name)]
+
+
+# every config of rank <= 2 under each pairing: the two "_straight" configs
+# are two of these
+SECTION_CASES = [(name, pairing) for name, (n, *_) in CONFIGS.items()
+                 if n <= 2 and not name.endswith("_straight")
+                 for pairing in ("inner", "straight")]
+
+
+@pytest.mark.parametrize("name, pairing", SECTION_CASES)
+def test_command_report_is_the_verify_section(tmp_path, name, pairing):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**config_data(name), "pairing": pairing}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for section in ("antipode", "sigma", "shuffle"):
+        assert main([section, "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text() == dump_json(report[section]), section

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xcliff import cli
-from xcliff.cli import antipode_report_json
+from xcliff.cli import _verify_antipode, sweep_row
 from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.exterior import Multivector, blades, grade
 from xcliff.hopf import (antipode_map, complex_antipode_closed_form, convolution,
@@ -207,12 +207,18 @@ def test_conjecture_records():
 
 
 def test_antipode_report_json_shape():
-    report = antipode_report_json(complex_structure(-1, 1))
-    assert report["a"] == "-1"
-    assert report["antipode"] == [["1/2", "0"], ["0", "-1/2"]]
+    # the antipode report (verify's section); a = eta_00 xi_00 is a sweep row's
+    s = complex_structure(-1, 1)
+    report = _verify_antipode(s, hopf.antipode_solution(s))
+    assert sweep_row("-1", "1")["a"] == "-1"
+    assert report["matrix"] == [["1/2", "0"], ["0", "-1/2"]]
     assert report["conjecture_consistent"] is True
-    report = antipode_report_json(complex_structure(1, 1))
-    assert report["antipode"] is None
+    assert report["exists"] is True and report["unique"] is True
+    assert report["xi_eta_is_identity"] is False
+    s = complex_structure(1, 1)
+    report = _verify_antipode(s, hopf.antipode_solution(s))
+    assert report["matrix"] is None
+    assert report["exists"] is False and report["unique"] is None
 
 
 # -- the bigebra laws and the shared antipode ---------------------------------------------

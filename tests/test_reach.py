@@ -62,7 +62,7 @@ CONFIGS = [
 ]
 IDENTITY = ("r2_identity_straight", 2, IDENTITY2, IDENTITY2, "straight")
 COMMANDS = [["tables", "--markdown"], ["verify", "--markdown"], ["antipode"],
-            ["sigma"], ["braided"], ["shuffle", "--l", "3"]]
+            ["sigma"], ["shuffle", "--l", "3"]]
 
 
 def _runs(tmp_path):
