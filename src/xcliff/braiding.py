@@ -8,34 +8,27 @@ naturality hexagons.
 
 The scattering sigma solves the compatibility square
 coproduct . product = (product (x) product) . (id (x) sigma (x) id)
-. (coproduct (x) coproduct).  When the structure has a two-sided antipode S
-and the bigebra laws hold (associativity, the unit law, coassociativity, the
-counit law; see :mod:`hopf`), the square has at most one solution, in closed
-form:
+. (coproduct (x) coproduct).  Its routed side L is linear in sigma and, with
+no bigebra law, sends phi (x) psi to a (x) b -> a1 phi(a2) (x) psi(b1) b2:
+L = lambda (x) rho, where lambda(phi) = id * phi and rho(psi) = psi * id act
+on the 4^n entries of an endomorphism (the systems of hopf.antipode_systems).
+With sigma and coproduct . product as 4^n x 4^n arrays Sigma and T over
+(phi entry, psi entry), the square reads lambda Sigma rho^T = T:
+:func:`solve_sigma` solves lambda Y = T, then rho Sigma^T = Y^T, each one
+elimination with 4^n right-hand sides, and substitutes the particular
+solution into the square.  The family sigma_0 + ker(lambda (x) rho), of
+dimension 16^n - rank lambda * rank rho, is read as one elimination in all
+16^n entries would give it: sigma_0 on pairs of pivot columns, and for each
+pair (i, j) of columns not both pivots the kernel vector
+e_i (x) e_j - P_i (x) P_j, where P_c = e_c at a pivot column c and
+e_c - k_c at a free one with kernel vector k_c.
 
-    sigma(a (x) b) = S(a1) (a2 b1)_(1) (x) (a2 b1)_(2) S(b2),
-
-that is sigma = (product (x) product) . (S (x) coproduct . product (x) S)
-. (coproduct (x) coproduct).  S is folded into the two outer coproducts:
-the maps a -> S(a1) (x) a2 and b -> b1 (x) S(b2) are built once over the
-blades, and the route applies them, then the middle product, the middle
-coproduct and the two outer products, so S never acts on the four-factor
-intermediate.  Any solution equals it: put the square's
-routed side in for coproduct(a2 b1) and contract S(a1) a2 and b2 S(b3) to
-counits by S * id = unit . counit = id * S.  So the closed form is certified
-by substitution: if it solves the square it is the unique solution, and if
-it does not, the square has none.  Where there is no antipode, or a law
-fails, the scattering is solved instead from the linearization of the
-square's routed side in its 16^n entries (:func:`scattering_system`).
-
-A solution is read back as the sparse map it solves for by an Unknown over
-the blade pairs, which numbers the entries alike (:func:`scattering_map`),
-and :func:`braided_flags` checks such a map directly, returning a
-:class:`BraidedReport` of four flags and their verdict.  Every scattering,
-solved or closed-form, is a LinearMap on blade pairs, which the
+A solution is read back as the sparse map it solves for by the Unknown over
+the blade pairs (:func:`scattering_map`), and :func:`braided_flags` checks
+such a map directly, returning a :class:`BraidedReport` of four flags and
+their verdict.  Every scattering is a LinearMap on blade pairs, which the
 public checks use as it is once its keys are checked against the rank; its
-dense 4^n x 4^n matrix over the pair basis (pair (a, b) flattened as
-a * 2^n + b) is ``to_matrix(keys(n, 2))``.
+dense 4^n x 4^n matrix is ``to_matrix(keys(n, 2))``.
 
 This module returns mathematical values only; the reports, with their JSON
 key names, are built by :mod:`xcliff.cli`.
@@ -48,7 +41,7 @@ from fractions import Fraction
 
 from . import hopf
 from .clifford import CliffordStructure, Tensor2
-from .linmap import LinearMap, Unknown, add, agree, chain, differences, keys, linearize
+from .linmap import ONE, LinearMap, Unknown, add, agree, differences, keys
 from .scalars import AffineSolutionSet, solve_sparse_system
 
 
@@ -92,56 +85,61 @@ def compatibility_defect(structure: CliffordStructure, sigma: LinearMap) -> dict
     return {x: Tensor2(n, d) for x, d in square_defects(structure.maps, sigma, keys(n, 2))}
 
 
-def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
-    """The rows and right-hand sides (see linmap.linearize) of the
-    compatibility square, linear in the 16^n scattering entries."""
-    pairs = keys(structure.n, 2)
-    return linearize(pairs, _routed(structure.maps, Unknown(pairs)), _direct(structure.maps))
-
-
-def _antipode_route(maps, s, n: int) -> list:
-    """(product (x) product) . (S (x) coproduct . product (x) S)
-    . (coproduct (x) coproduct) on a blade pair, with S applied before the
-    middle product: a -> S(a1) (x) a2 and b -> b1 (x) S(b2) are built once
-    over the blades, so S never acts on the four-factor intermediate."""
-    blades = keys(n, 1)
-    left = LinearMap.of(blades, [maps.cop.at(0), s.at(0)])
-    right = LinearMap.of(blades, [maps.cop.at(0), s.at(1)])
-    return [right.at(1), left.at(0), maps.m.at(1), maps.cop.at(1), maps.m.at(0), maps.m.at(1)]
-
-
-def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
-    """The only possible solution of the compatibility square, built from
-    the antipode S (see the module docstring); None when a bigebra law fails
-    or the structure has no antipode.  The law verdicts are the structure's
-    shared ones, and under them hopf.solve_antipode has already checked S on
-    the antipode axiom."""
-    if not hopf.bigebra_laws(structure):
-        return None
-    sol = hopf.antipode_solution(structure)
-    if not sol.is_unique:
-        return None
-    s = hopf.antipode_map(structure, sol.particular)
-    return LinearMap.of(keys(structure.n, 2), _antipode_route(structure.maps, s, structure.n))
+def _projections(sol: AffineSolutionSet) -> dict:
+    """{f: e_f - k_f} for a factor's kernel vectors k_f, 1 at f, their last nonzero entry."""
+    return {(f := max(i for i, v in enumerate(k) if v)):
+            {i: -v for i, v in enumerate(k) if v and i != f} for k in sol.nullspace_basis}
 
 
 def solve_sigma(structure: CliffordStructure) -> AffineSolutionSet:
-    """Exact affine solution set of the compatibility square, the unknowns
-    flattened as in scattering_system: the antipode's closed form when it
-    applies (unique, or no solution when it fails the square), else the
-    solve of scattering_system."""
-    pairs = keys(structure.n, 2)
-    unknown, sigma = Unknown(pairs), antipode_scattering(structure)
-    if sigma is None:
-        rows, rhs = scattering_system(structure)
-        return solve_sparse_system(list(rows.values()), list(rhs.values()), unknown.size)
-    if next(square_defects(structure.maps, sigma, pairs), None):
-        return AffineSolutionSet(particular=None)
-    return AffineSolutionSet(particular=unknown.flatten(sigma))
+    """Exact affine solution set of the compatibility square, its unknowns
+    numbered by Unknown over the blade pairs, from the two factors lambda
+    and rho of its routed side (see the module docstring)."""
+    n, maps = structure.n, structure.maps
+    blades = keys(n, 1)
+    entry, pair, size = Unknown(blades), Unknown(keys(n, 2)), 1 << (2 * n)
+    # each factor's rows keyed (x, u), listed by entry.column(x, u)
+    rho, lam = ([rows.get((x, u), {}) for u in blades for x in blades]
+                for rows, _ in hopf.antipode_systems(structure))
+    t: list[dict] = [{} for _ in range(size)]
+    for (x, y), col in LinearMap.of(pair.outputs, _direct(maps)).cols.items():
+        for (u, v), c in col.items():
+            t[entry.column((x,), (u,))][entry.column((y,), (v,))] = c
+    left = solve_sparse_system(lam, t, size, size)
+    if not left.is_consistent:
+        return left
+    y = left.particular  # y[i * size + j] is Y[i][j]
+    right = solve_sparse_system(rho, [{i: c for i in range(size) if (c := y[i * size + j])}
+                                      for j in range(size)], size, size)
+    if not right.is_consistent:
+        return right
+
+    def column(i: int, j: int) -> int:
+        """The pair unknown of phi entry i = (a -> c), psi entry j = (b -> d)."""
+        (c, a), (d, b) = divmod(i, 1 << n), divmod(j, 1 << n)
+        return pair.column((a, b), (c, d))
+
+    zero = Fraction(0)
+    particular = [zero] * pair.size
+    for k, v in enumerate(right.particular):  # Sigma^T, so k = j * size + i
+        particular[column(k % size, k // size)] = v
+    if next(square_defects(maps, pair.read(particular), pair.outputs), None):
+        raise ArithmeticError("the factors' solution does not solve the compatibility square")
+    lp, rp = _projections(left), _projections(right)
+    basis = []
+    for i, j in sorted(((i, j) for i in range(size) for j in range(size) if i in lp or j in rp),
+                       key=lambda ij: column(*ij)):
+        v = [zero] * pair.size
+        v[column(i, j)] = ONE
+        for p, x in lp.get(i, {i: ONE}).items():
+            for q, w in rp.get(j, {j: ONE}).items():
+                v[column(p, q)] = -x * w
+        basis.append(tuple(v))
+    return AffineSolutionSet(particular=tuple(particular), nullspace_basis=tuple(basis))
 
 
 def scattering_map(structure: CliffordStructure, flat: tuple) -> LinearMap:
-    """The scattering of a solution of scattering_system, as a map."""
+    """The scattering of a solution of solve_sigma, as a map."""
     return Unknown(keys(structure.n, 2)).read(flat)
 
 
@@ -169,19 +167,22 @@ def check_min_polynomial(sigma: LinearMap, a) -> bool:
     """Evaluate the quartic (x + 1)(x - b)(x^2 + a b x - b) with
     b = (1 + a)/(1 - a) at the rank-1 scattering sigma, on the span of every
     rank-1 blade pair (a pair without a column goes to zero); true iff it
-    vanishes exactly.  The three factors are applied in turn by Horner's rule
+    vanishes exactly.  The three factors, each times a nonzero integer that
+    clears its denominators, are applied in turn by Horner's rule in integers
     to every pair at once, each tagged by a copy of itself in the factors
-    after it."""
+    after it; sigma acts as d sigma, so x^j of a degree-m factor has d^(m-j)."""
     a = Fraction(a)
     if a == 1:
         raise ValueError("quartic undefined at parameter product 1")
     _check_scattering(sigma, 1)
-    b = (1 + a) / (1 - a)
+    p, q = a.numerator, a.denominator
     v = {x + x: 1 for x in keys(1, 2)}
-    for coeffs in ([1, 1], [1, -b], [1, a * b, -b]):  # descending coefficients
+    # descending coefficients of x + 1, (q - p)(x - b) and q (q - p)(x^2 + a b x - b)
+    for coeffs in ([1, 1], [q - p, -(q + p)], [q * (q - p), p * (q + p), -q * (q + p)]):
         out: dict = {}
-        for c in coeffs:
-            out = add(chain(out, sigma.at(0)), v, c)
+        for k, c in enumerate(coeffs):
+            [out], d = sigma.act([out], 0)
+            out = add(out, v, c * d ** k)
         v = out
     return not v
 

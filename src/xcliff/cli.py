@@ -37,9 +37,8 @@ VERIFY_MAX_RANK = 3
 # 2-vCPU host)
 TABLES_MAX_RANK = 6
 ANTIPODE_MAX_RANK = 5
-# sigma solves the scattering: on generic rank-4 forms its closed
-# form took about 67 s to build and 98 s to certify, and the braided flags did
-# not finish in 12 minutes (CPython 3.11, a shared 2-vCPU host)
+# sigma reads the braided flags of its scattering: on generic rank-4 forms
+# they did not finish in 12 minutes (CPython 3.11, a shared 2-vCPU host)
 SCATTERING_MAX_RANK = 3
 # the word-length budget of verify and shuffle: a rank-2 shuffle at bound 8
 # takes about 1 s, and each further length multiplies its time and memory
@@ -133,7 +132,6 @@ class ConjectureRecord:
     """Evidence row for the antipode-existence criterion; never an assertion."""
 
     xi_eta_is_identity: bool
-    antipode_exists: bool
     conjecture_consistent: bool
 
 
@@ -144,9 +142,8 @@ def conjecture_record(structure: CliffordStructure,
     ``sol`` is the instance's antipode solution set."""
     composite = structure.eta @ structure.xi  # = id iff xi . eta = id (square factors)
     is_id = composite == Matrix.identity(structure.n)
-    exists = sol.is_consistent
-    return ConjectureRecord(xi_eta_is_identity=is_id, antipode_exists=exists,
-                            conjecture_consistent=(exists == (not is_id)))
+    return ConjectureRecord(xi_eta_is_identity=is_id,
+                            conjecture_consistent=sol.is_consistent != is_id)
 
 
 def _parameter(structure: CliffordStructure) -> Fraction:
@@ -158,10 +155,8 @@ def _scattering(structure: CliffordStructure
                 ) -> tuple[AffineSolutionSet, LinearMap | None, braiding.BraidedReport | None]:
     """The scattering's solution set, the map of its particular solution and
     that map's braided flags; the two are None when the square has no
-    solution.  solve_sigma has certified every member on the compatibility
-    square: the closed form by substitution, the linear solve by
-    substituting the particular solution and each nullspace vector into rows
-    linearized from the same step lists."""
+    solution.  solve_sigma has certified the particular solution on the
+    square, and each of the square's two factors' solutions on its rows."""
     sol = braiding.solve_sigma(structure)
     if not sol.is_consistent:
         return sol, None, None

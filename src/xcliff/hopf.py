@@ -8,18 +8,18 @@ identity against unit . counit.
 The bigebra laws (associativity, the unit law, coassociativity and the
 counit law) are step-list identities here too.  Each is evaluated once per
 structure and kept on it (``structure.laws``), shared by the ``verify`` hard
-checks, the antipode solver and the scattering's closed form.  When they
-hold, the convolution algebra is associative with unit u . counit, so an
-antipode is unique and exists iff the constant term c_0 of the minimal
-polynomial of id is nonzero.  :func:`solve_antipode` finds that polynomial
-as a Krylov sequence: the powers P_0 = u . counit, P_1 = id,
-P_k = P_(k-1) * id until the first P_k = sum_(j<k) c_j P_j, each test one
-small solve in the coefficients c_j (:func:`id_powers`).  Then
-S = (P_(k-1) - sum_(j>=1) c_j P_(j-1)) / c_0 is substituted back into the
-axiom as a certificate, or there is no antipode when c_0 = 0.  Where a law
-fails, the antipode is solved instead from the linearization of the two
-composites S * id and id * S in the 4^n entries of S
-(:func:`solve_antipode_system`), which the tests also use as the oracle.
+checks and the antipode solver.  When they hold, the convolution algebra is
+associative with unit u . counit, so an antipode is unique and exists iff
+the constant term c_0 of the minimal polynomial of id is nonzero.
+:func:`solve_antipode` finds that polynomial as a Krylov sequence: the
+powers P_0 = u . counit, P_1 = id, P_k = P_(k-1) * id until the first
+P_k = sum_(j<k) c_j P_j, each test one small solve in the coefficients c_j
+(:func:`id_powers`).  Then S = (P_(k-1) - sum_(j>=1) c_j P_(j-1)) / c_0 is
+substituted back into the axiom as a certificate, or there is no antipode
+when c_0 = 0.  Where a law fails, the antipode is solved instead from the
+linearization of the two composites S * id and id * S in the 4^n entries of
+S (:func:`solve_antipode_system`), which the tests also use as the oracle;
+their two maps are also the factors of the scattering's square (braiding).
 
 A solution is read back as the sparse map S by an Unknown over the blades,
 which numbers the entries alike (:func:`antipode_map`), and the axiom is

@@ -26,11 +26,10 @@ cross-multiplying their denominators, building Fractions only for a witness.
 A step acts on a batch of vectors in one call, and D does not depend on the
 vector, so a composite runs on a whole block of inputs at once, one call per
 step, with each image and exact value what one run per input would give.
-:meth:`LinearMap.of` runs all its inputs in one block; :func:`differences`
-runs blocks of doubling size (1, 2, 4, ...), so that a check which stops at
-its first failing input has run fewer than twice the inputs up to it.
-:func:`linearize` runs one input at a time: an Unknown step branches every
-term into a row per entry, and a block would hold all those rows at once.
+:meth:`LinearMap.of` and :func:`linearize` run all their inputs in one
+block; :func:`differences` runs blocks of doubling size (1, 2, 4, ...), so
+that a check which stops at its first failing input has run fewer than
+twice the inputs up to it.
 
 A LinearMap is the program's one operator type: structure maps, antipodes,
 scatterings, switches and letter crossings alike.  Maps compare by value
@@ -317,12 +316,15 @@ def linearize(inputs: list[tuple], lhs: list, rhs: list) -> tuple[dict, dict]:
     sides {(x, output key): coefficient}, keyed alike and in the same order."""
     rows: dict = {}
     consts: dict = {}
-    for x in inputs:
-        for key, c in chain({x: 1}, *lhs).items():
-            rows.setdefault((x, key[:-1]), {})[key[-1]] = c
-        for key, c in chain({x: 1}, *rhs).items():
-            rows.setdefault((x, key), {})
-            consts[(x, key)] = c
+    (lefts, dl), (rights, dr) = (_run([{x: 1} for x in inputs], side) for side in (lhs, rhs))
+    for x, left, right in zip(inputs, lefts, rights):
+        for key, c in left.items():
+            if c:
+                rows.setdefault((x, key[:-1]), {})[key[-1]] = Fraction(c, dl)
+        for key, c in right.items():
+            if c:
+                rows.setdefault((x, key), {})
+                consts[(x, key)] = Fraction(c, dr)
     return rows, {label: consts.get(label, 0) for label in rows}
 
 

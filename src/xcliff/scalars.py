@@ -257,50 +257,57 @@ def _rref_in_place(rows: list[dict], ncols: int) -> dict[int, int]:
     return pivot_rows
 
 
-def _substitutes(rows: list[dict], xs: list, rhs_scale: int) -> bool:
-    """Whether A x = rhs_scale * b for every augmented integer row [A | b]
-    (b in column len(xs)), checked in integers at a common denominator."""
-    d = lcm(*(x.denominator for x in xs))
-    vec = [x.numerator * (d // x.denominator) for x in xs]
-    vec.append(-d * rhs_scale)
-    return all(sum(v * vec[k] for k, v in row.items()) == 0 for row in rows)
-
-
-def solve_sparse_system(rows: list[dict], rhs: list, ncols: int) -> AffineSolutionSet:
+def solve_sparse_system(rows: list[dict], rhs: list, ncols: int,
+                        nrhs: int | None = None) -> AffineSolutionSet:
     """Solve the system given as sparse rows {col: value} with right-hand
     sides rhs, entries ints or Fractions (shared backend for all solvers).
 
-    The particular solution (free variables 0) and each nullspace vector
-    (one per free column) are substituted back into the rows before they
-    are returned; a mismatch raises ArithmeticError.
+    With ``nrhs``, each rhs entry is a sparse {j: value} over nrhs
+    right-hand sides, solved in one elimination; the particular solution is
+    then the ncols x nrhs matrix solving them, row-major (entry c * nrhs + j),
+    and the system is consistent iff every right-hand side is.
+
+    The particular solution X (free variables 0) and the nullspace vectors K
+    (one per free column) are substituted back into the rows [A | B] as
+    [A | B] [X K; -I 0] = 0, in integers; a mismatch raises ArithmeticError.
     """
     if len(rows) != len(rhs):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    aug = [_integer_row({**_in_range(row, ncols), ncols: b}) for row, b in zip(rows, rhs)]
+    width, sides = (1, [{0: b} for b in rhs]) if nrhs is None else (nrhs, rhs)
+    aug = [_integer_row({**_in_range(row, ncols), **{ncols + j: b for j, b in side.items()}})
+           for row, side in zip(rows, sides)]
     work = [dict(row) for row in aug]
     pivots = _rref_in_place(work, ncols)
-    if any(len(row) == 1 and ncols in row for row in work):
+    # a row left with right-hand-side entries only says 0 = b != 0
+    if any(row and min(row) >= ncols for row in work):
         return AffineSolutionSet(particular=None)
-    particular = [Fraction(0)] * ncols
+    # [X K; -I 0] times d, sparse rows {column: int}: X in columns j < width,
+    # the nullspace vector of free column f in column width + f
+    d = lcm(*(work[r][c] for c, r in pivots.items()))
+    m: list[dict] = [{width + f: d} if f not in pivots else {} for f in range(ncols)]
+    m += [{j: -d} for j in range(width)]
     for c, r in pivots.items():
         p = work[r]
-        particular[c] = Fraction(p.get(ncols, 0), p[c])
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for c, r in pivots.items():
-            p = work[r]
-            if f in p:
-                v[c] = -Fraction(p[f], p[c])
-        basis.append(v)
-    if not (_substitutes(aug, particular, 1)
-            and all(_substitutes(aug, v, 0) for v in basis)):
-        raise ArithmeticError("solution does not substitute back into the system")
-    return AffineSolutionSet(particular=tuple(particular),
-                             nullspace_basis=tuple(map(tuple, basis)))
+        scale = d // p[c]
+        for k, v in p.items():
+            if k >= ncols:
+                m[c][k - ncols] = v * scale
+            elif k != c:
+                m[c][width + k] = -v * scale
+    for row in aug:
+        acc: dict = {}
+        for k, v in row.items():
+            for j, x in m[k].items():
+                acc[j] = acc.get(j, 0) + v * x
+        if any(acc.values()):
+            raise ArithmeticError("solution does not substitute back into the system")
+    zero = Fraction(0)
+    return AffineSolutionSet(
+        particular=tuple(Fraction(x, d) if (x := row.get(j)) else zero
+                         for row in m[:ncols] for j in range(width)),
+        nullspace_basis=tuple(tuple(Fraction(x, d) if (x := row.get(width + f)) else zero
+                                    for row in m[:ncols]) for f in range(ncols)
+                              if f not in pivots))
 
 
 def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
@@ -310,17 +317,12 @@ def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
 
 
 def invert(a: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError (with rank) when singular."""
+    """Exact inverse, the solution X of A X = I; raises SingularMatrixError
+    (with rank) when singular, where A X = I has no solution."""
     if not a.is_square():
         raise ValueError("invert requires a square matrix")
-    n = a.nrows
-    rows = [_integer_row({**dict(enumerate(row)), n + i: 1})
-            for i, row in enumerate(a.rows)]
-    pivots = _rref_in_place(rows, n)
-    if len(pivots) < n:
-        raise SingularMatrixError(len(pivots))
-    inv_rows = []
-    for c in range(n):
-        p = rows[pivots[c]]
-        inv_rows.append([Fraction(p.get(n + j, 0), p[c]) for j in range(n)])
-    return Matrix(inv_rows)
+    n, rows = a.nrows, [dict(enumerate(row)) for row in a.rows]
+    sol = solve_sparse_system(rows, [{i: 1} for i in range(n)], n, n)
+    if not sol.is_consistent:
+        raise SingularMatrixError(sparse_rank(rows, n))
+    return Matrix([sol.particular[c * n:(c + 1) * n] for c in range(n)])

@@ -4,8 +4,10 @@ command runs.
 Dense linear algebra over ``scalars.Matrix`` (solve, rank, invertibility and
 the minimal polynomial), grade projections, the pairing of a dual tensor
 square, the closed-form unshuffle coproduct, endomorphisms from blade
-images, the graded switch, the 12-parameter scattering family at parameter
-product 1, the module action and the braid lifts of a letter crossing.
+images, the graded switch, the compatibility square linearized in all 16^n
+scattering entries, the scattering's closed form from the antipode, the
+12-parameter scattering family at parameter product 1, the module action
+and the braid lifts of a letter crossing.
 Each is built on the program's own types and sparse maps.
 """
 
@@ -14,11 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from xcliff.braiding import _action, _check_scattering
+from xcliff import hopf
+from xcliff.braiding import _action, _check_scattering, _direct, _routed
 from xcliff.clifford import CliffordStructure, Tensor2
 from xcliff.exterior import Multivector, blade_indices, blades, grade, wedge_sign
 from xcliff.hopf import _check_endo
-from xcliff.linmap import LinearMap, chain, keys
+from xcliff.linmap import LinearMap, Unknown, chain, keys, linearize
 from xcliff.scalars import AffineSolutionSet, Matrix, solve_sparse_system, sparse_rank
 from xcliff.tensor_shuffle import WordOperator, _check_crossing
 
@@ -159,6 +162,40 @@ def switch_map(n: int, graded: bool = True) -> LinearMap:
     pairs pick up a minus sign."""
     return LinearMap(2, {(a, b): {(b, a): Fraction(-1 if graded and grade(a) & grade(b) & 1
                                                    else 1)} for a, b in keys(n, 2)})
+
+
+def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
+    """The rows and right-hand sides (see linmap.linearize) of the
+    compatibility square, linear in the 16^n scattering entries."""
+    pairs = keys(structure.n, 2)
+    return linearize(pairs, _routed(structure.maps, Unknown(pairs)), _direct(structure.maps))
+
+
+def _antipode_route(maps, s, n: int) -> list:
+    """(product (x) product) . (S (x) coproduct . product (x) S)
+    . (coproduct (x) coproduct) on a blade pair, with S applied before the
+    middle product: a -> S(a1) (x) a2 and b -> b1 (x) S(b2) are built once
+    over the blades, so S never acts on the four-factor intermediate."""
+    blades = keys(n, 1)
+    left = LinearMap.of(blades, [maps.cop.at(0), s.at(0)])
+    right = LinearMap.of(blades, [maps.cop.at(0), s.at(1)])
+    return [right.at(1), left.at(0), maps.m.at(1), maps.cop.at(1), maps.m.at(0), maps.m.at(1)]
+
+
+def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
+    """The closed form S(a1) (a2 b1)_(1) (x) (a2 b1)_(2) S(b2) of the
+    scattering from the antipode S; None when a bigebra law fails or the
+    structure has no antipode.  Where the laws hold and S exists it is the
+    only possible solution of the compatibility square: put the square's
+    routed side in for coproduct(a2 b1) and contract S(a1) a2 and b2 S(b3)
+    to counits by S * id = unit . counit = id * S."""
+    if not hopf.bigebra_laws(structure):
+        return None
+    sol = hopf.antipode_solution(structure)
+    if not sol.is_unique:
+        return None
+    s = hopf.antipode_map(structure, sol.particular)
+    return LinearMap.of(keys(structure.n, 2), _antipode_route(structure.maps, s, structure.n))
 
 
 def twelve_param_family_member(p, q, r, i2) -> LinearMap:

@@ -39,8 +39,9 @@ def _report(num: int, ok: bool, desc: str):
 
 
 def _conjecture_record(s):
-    """The conjecture record with the antipode solved here."""
-    return cli.conjecture_record(s, hopf.solve_antipode(s))
+    """The antipode solved here and the conjecture record from it."""
+    sol = hopf.solve_antipode(s)
+    return sol, cli.conjecture_record(s, sol)
 
 
 def complex_structure(i2, j2):
@@ -442,8 +443,8 @@ def test_criterion_13_conjecture_evidence_recorded(tmp_path):
             else:
                 eta, xi = random_form(2, rng), random_form(2, rng)
             s = CliffordStructure(2, eta, xi)
-            rec = _conjecture_record(s)
-            recs.append((rec.xi_eta_is_identity, rec.antipode_exists,
+            sol, rec = _conjecture_record(s)
+            recs.append((rec.xi_eta_is_identity, sol.is_consistent,
                          rec.conjecture_consistent))
         return recs
 

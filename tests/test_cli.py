@@ -276,12 +276,11 @@ def test_verify_solves_antipode_and_scattering_once(tmp_path, monkeypatch, n, et
     assert (len(antipode), len(sigma)) == (1, 1)
 
 
-@pytest.mark.parametrize("command", ["sigma"])
-def test_scattering_commands_solve_the_antipode_once(complex_config, tmp_path, monkeypatch,
-                                                     command):
+def test_sigma_command_does_not_solve_the_antipode(complex_config, tmp_path, monkeypatch):
+    # the scattering is solved from the two convolutions by id, not from S
     antipode = _count_calls(monkeypatch, hopf, "solve_antipode")
-    assert main([command, "--config", complex_config, "--out", str(tmp_path / "o.json")]) == 0
-    assert len(antipode) == 1
+    assert main(["sigma", "--config", complex_config, "--out", str(tmp_path / "o.json")]) == 0
+    assert len(antipode) == 0
 
 
 def test_antipode_command_solves_once(complex_config, tmp_path, monkeypatch):

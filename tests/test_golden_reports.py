@@ -50,6 +50,12 @@ closed form and `sigma_closed_form_match`).  The `braided` report was
 false}`, and every config it was recorded on has a `sigma` digest.  No value
 changed: each old key was compared with its new reading on every config
 above.
+
+The 4 `sigma` digests of `r2_no_antipode` and `r3_identity`, each under both
+pairings, were recorded before the scattering was solved from the two
+4^n-sized factors of its square, when neither config had an antipode and
+the square was solved in all 16^n entries (at rank 3, 74 s of CPU under
+"inner" and 86 s under "straight").
 """
 
 import hashlib
@@ -76,13 +82,24 @@ CONFIGS = {
     "r2_generic_straight": (2, [["1", "1/2"], ["-1", "2"]], [["1", "-1"], ["1/2", "1"]],
                             "straight"),
     "r2_identity": (2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]),
-    # no antipode here, so the scattering takes the linear solve (dimension 240)
+    # no antipode here, and a scattering family of dimension 240
     "r2_identity_straight": (2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]], "straight"),
+    # no antipode under either pairing: no scattering under "inner", a
+    # family of dimension 192 under "straight"
+    "r2_no_antipode": (2, [["0", "1"], ["-1", "0"]], [["0", "-3"], ["1", "1"]]),
+    "r2_no_antipode_straight": (2, [["0", "1"], ["-1", "0"]], [["0", "-3"], ["1", "1"]],
+                                "straight"),
     "r3_zero": (3, Z3, Z3),
     "r3_diagonal": (3, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "2"]],
                     [["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]),
     "r3_generic": (3, [["1", "1/2", "0"], ["-1", "2", "1"], ["0", "1/3", "-1"]],
                    [["1", "-1", "0"], ["1/2", "1", "2"], ["-2", "0", "1"]]),
+    # no antipode under either pairing: families of dimension 3072 ("inner")
+    # and 4032 ("straight")
+    "r3_identity": (3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    "r3_identity_straight": (3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                             [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "straight"),
 }
 
 SWEEP = ["sweep", "--samples", "40", "--seed", "7", "--a-values=-1,0,1"]
@@ -128,6 +145,10 @@ GOLDEN = {
     ("antipode", "r2_identity_straight"): ("2df1705b1ed4cc8fe343ee21715d2c1e674a1af8837ad7015d120b3d757260a7", 0),
     ("sigma", "r2_identity_straight"): ("54564c4975c1146b5f2b6b48f0205371d55b473b724c54a107ec81173245eafa", 0),
     ("sweep", None): ("d7ac6eb5bfec09a2e942de070140b29b34bd442a0785f5bbca17d126dafd1b2c", 0),
+    ("sigma", "r2_no_antipode"): ("f969a901e3eb9d08a1fb1688d9a13464f6777732bab6897a640ddb606b5a445c", 0),
+    ("sigma", "r2_no_antipode_straight"): ("d83d8645ea6d2893f79d5098d704d30d21e2132854508a0e800d330fc8537905", 0),
+    ("sigma", "r3_identity"): ("1bcc098419e6e021fabd7cfda1b4e365f302960487aa4cfe55c2001c59156c37", 0),
+    ("sigma", "r3_identity_straight"): ("9f5abeb0b11803d9660efcc8218b9fd9bb3272bae323ca9b3afba7ec292adc8e", 0),
 }
 
 
@@ -172,8 +193,8 @@ def test_report_matches_golden_digest(tmp_path, command, name):
     assert (hashlib.sha256(out.read_bytes()).hexdigest(), code) == GOLDEN[(command, name)]
 
 
-# every config of rank <= 2 under each pairing: the two "_straight" configs
-# are two of these
+# every config of rank <= 2 under each pairing: the "_straight" configs are
+# among these
 SECTION_CASES = [(name, pairing) for name, (n, *_) in CONFIGS.items()
                  if n <= 2 and not name.endswith("_straight")
                  for pairing in ("inner", "straight")]

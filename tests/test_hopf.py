@@ -19,8 +19,9 @@ from random_forms import random_form, random_nonzero_rational
 
 
 def conjecture_record(s):
-    """The conjecture record with the antipode solved here."""
-    return cli.conjecture_record(s, hopf.solve_antipode(s))
+    """The antipode solved here and the conjecture record from it."""
+    sol = hopf.solve_antipode(s)
+    return sol, cli.conjecture_record(s, sol)
 
 
 def complex_structure(i2, j2):
@@ -195,15 +196,15 @@ def test_zero_xi_antipode_grade2_straight_pairing():
 
 
 def test_conjecture_records():
-    rec = conjecture_record(complex_structure(1, 1))
-    assert rec.xi_eta_is_identity and not rec.antipode_exists and rec.conjecture_consistent
-    rec = conjecture_record(complex_structure(-1, 1))
-    assert not rec.xi_eta_is_identity and rec.antipode_exists and rec.conjecture_consistent
+    sol, rec = conjecture_record(complex_structure(1, 1))
+    assert rec.xi_eta_is_identity and not sol.is_consistent and rec.conjecture_consistent
+    sol, rec = conjecture_record(complex_structure(-1, 1))
+    assert not rec.xi_eta_is_identity and sol.is_consistent and rec.conjecture_consistent
     # rank 2 with composite identity: evidence recorded, not asserted
     s = CliffordStructure(2, Matrix.identity(2), Matrix.identity(2))
-    rec = conjecture_record(s)
+    sol, rec = conjecture_record(s)
     assert rec.xi_eta_is_identity
-    assert rec.conjecture_consistent == (rec.antipode_exists == (not rec.xi_eta_is_identity))
+    assert rec.conjecture_consistent == (sol.is_consistent == (not rec.xi_eta_is_identity))
 
 
 def test_antipode_report_json_shape():

@@ -17,6 +17,8 @@ from xcliff.linmap import (LinearMap, SparseVector, Unknown, add, agree, chain, 
 from xcliff.scalars import Matrix
 from xcliff.tensor_shuffle import GradedElement, WordOperator, letter_switch
 
+from oracles import antipode_scattering, scattering_system
+
 SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
 
 rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
@@ -99,7 +101,7 @@ def test_unknown_numbers_entries_row_major_over_its_basis(n, arity, data):
 def test_scattering_residual_is_minus_the_defect(structure, data):
     basis = keys(structure.n, 2)
     sigma = data.draw(square_maps(basis, sparse_rationals))
-    rows, rhs = braiding.scattering_system(structure)
+    rows, rhs = scattering_system(structure)
     defect = braiding.compatibility_defect(structure, sigma)
     assert residuals(rows, rhs, sigma.to_matrix(basis)) == {
         x: {y: -c for y, c in t.terms.items()} for x, t in defect.items()}
@@ -119,6 +121,31 @@ def test_antipode_residuals_are_the_convolution_defects(structure, data):
                 if defect[(d, c)]:
                     expected.setdefault((c,), {})[(d,)] = defect[(d, c)]
         assert residuals(rows, rhs, s.to_matrix(basis)) == expected
+
+
+def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
+    """f (x) g on pairs, for maps f and g on one factor."""
+    return LinearMap(2, {x + y: {u + v: a * b for u, a in fc.items() for v, b in gc.items()}
+                         for x, fc in f.cols.items() for y, gc in g.cols.items()})
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(data=st.data())
+def test_routed_side_factors_as_the_two_convolutions_by_id(n, pairing, data):
+    # L(phi (x) psi) = (id * phi) (x) (psi * id) at random forms and sparse
+    # phi, psi: the factorization solve_sigma solves the square by, with no
+    # bigebra law
+    structure = CliffordStructure(n, data.draw(matrices(n)), data.draw(matrices(n)),
+                                  pairing=pairing)
+    phi, psi = (data.draw(square_maps(keys(n, 1), sparse_rationals)) for _ in "ab")
+    idm, pairs = structure.maps.id, keys(n, 2)
+    routed = {x: chain({x: 1}, *braiding._routed(structure.maps, tensor(phi, psi)))
+              for x in pairs}
+    factored = tensor(hopf.convolution(idm, phi, structure),
+                      hopf.convolution(psi, idm, structure))
+    assert LinearMap(2, routed) == factored
 
 
 # -- differential tests against the step over Fractions ----------------------
@@ -346,7 +373,7 @@ def eight_step_antipode_route(maps, s) -> list:
 ])
 def test_factored_antipode_route_matches_the_eight_step_route(pairing, n, eta, xi):
     structure = CliffordStructure(n, Matrix(eta), Matrix(xi), pairing=pairing)
-    sigma = braiding.antipode_scattering(structure)
+    sigma = antipode_scattering(structure)
     assert sigma is not None
     s = hopf.antipode_map(structure, hopf.antipode_solution(structure).particular)
     assert sigma == LinearMap.of(keys(n, 2), eight_step_antipode_route(structure.maps, s))

@@ -3,8 +3,8 @@ benchmark, or on a short allow-list with its reason.
 
 Each command runs in-process under ``sys.setprofile`` on configs of ranks
 1-3 under both pairings, among them a = 1 at rank 1 and eta = xi = id at
-rank 2 under the straight pairing (neither has an antipode, so the
-scattering comes from the linear solve), and ``sweep`` runs fixed and
+rank 2 under the straight pairing (neither has an antipode, and both
+factors of the scattering's square have a kernel), and ``sweep`` runs fixed and
 sampled rows.  A function counts as run when its code, or for a decorated
 function the code it wraps, is entered.  The benchmark's names are read from
 ``perfbench/tracer.py`` as tests/test_bench_contract.py reads them.  Code
@@ -26,7 +26,6 @@ ALLOWED = {
     "hopf._kept": "a decorator, applied when hopf is imported",
     "hopf.solve_antipode_system": "the antipode's guard when a bigebra law fails, "
                                   "which no bilinear form makes happen",
-    "hopf.antipode_systems": "the linear system of solve_antipode_system",
     "exterior.contract_sign": "called only by contract",
     "exterior.parse_blade_key": "reads blade keys back in the from_json methods",
     "scalars.echo": "shows a bad config value in a parse error, which the probe's "
@@ -50,8 +49,8 @@ RANK3 = [["1", "1/2", "0"], ["-1", "2", "1"], ["0", "1/3", "1"]]
 ZERO3 = [["0"] * 3] * 3
 IDENTITY2 = [["1", "0"], ["0", "1"]]
 # (name, rank, eta, xi, pairing); the rank-3 forms are ones whose scattering
-# is cheap (a generic one takes about 1.5 s per command on a shared 2-vCPU
-# host)
+# is cheap (a generic one takes about 0.7 s per sigma command on a shared
+# 2-vCPU host)
 CONFIGS = [
     ("r1", 1, [["2"]], [["-1/3"]], "inner"),
     ("r1_a1", 1, [["2"]], [["1/2"]], "inner"),
@@ -59,8 +58,8 @@ CONFIGS = [
     ("r2_straight", 2, *RANK2, "straight"),
     ("r3_xi0_inner", 3, RANK3, ZERO3, "inner"),
     ("r3_zero_straight", 3, ZERO3, ZERO3, "straight"),
+    ("r2_identity_straight", 2, IDENTITY2, IDENTITY2, "straight"),
 ]
-IDENTITY = ("r2_identity_straight", 2, IDENTITY2, IDENTITY2, "straight")
 COMMANDS = [["tables", "--markdown"], ["verify", "--markdown"], ["antipode"],
             ["sigma"], ["shuffle", "--l", "3"]]
 
@@ -68,15 +67,10 @@ COMMANDS = [["tables", "--markdown"], ["verify", "--markdown"], ["antipode"],
 def _runs(tmp_path):
     """(argv, expected exit code) for every command the probe runs."""
     runs = []
-    for config in CONFIGS + [IDENTITY]:
-        name, n, eta, xi, pairing = config
+    for name, n, eta, xi, pairing in CONFIGS:
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({"n": n, "eta": eta, "xi": xi, "pairing": pairing}))
-        # eta = xi = id at rank 2 needs the 256-unknown scattering solve, about
-        # 0.7 s per command under the profiler on the same host, so it runs
-        # verify alone
-        commands = [["verify"]] if config is IDENTITY else COMMANDS
-        for command in commands:
+        for command in COMMANDS:
             # shuffle refuses rank 3
             code = 2 if command[0] == "shuffle" and n == 3 else 0
             runs.append(([*command, "--config", str(cfg),
