@@ -4,7 +4,12 @@ minimal-polynomial and naturality checks.
 
 Each identity is written once as step lists over the sparse maps of
 :mod:`linmap`: the compatibility square, the braid relation and the two
-naturality hexagons.
+naturality hexagons.  The square's certificate (:func:`square_defects`)
+brackets its routed side by functoriality of (x) as (product (x) id)
+. (id (x) K) . (coproduct (x) id), where the half map K = (id (x) product)
+. (sigma (x) id) . (id (x) coproduct) is built once per call: sigma then
+acts once per pair x2 (x) y, not once per term x1 (x) x2 (x) y1 (x) y2, and
+the check stays independent of the factors lambda and rho below.
 
 The scattering sigma solves the compatibility square
 coproduct . product = (product (x) product) . (id (x) sigma (x) id)
@@ -55,21 +60,15 @@ def _direct(maps) -> list:
     return [maps.m.at(0), maps.cop.at(0)]
 
 
-def _action(maps, sigma) -> list:
-    """x (x) t1 (x) t2 -> (product (x) product) . (id (x) sigma (x) id)
-    . (coproduct (x) id (x) id)."""
-    return [maps.cop.at(0), sigma.at(1), maps.m.at(2), maps.m.at(0)]
-
-
-def _routed(maps, sigma) -> list:
-    """(product (x) product) . (id (x) sigma (x) id) . (coproduct (x) coproduct)."""
-    return [maps.cop.at(1), *_action(maps, sigma)]
-
-
 def square_defects(maps, sigma, inputs: list[tuple]):
     """(x (x) y, direct minus routed side) for each input pair on which the
-    compatibility square of the maps with the crossing sigma fails, lazily."""
-    return differences(inputs, _direct(maps), _routed(maps, sigma))
+    compatibility square of the maps with the crossing sigma fails, lazily.
+    The routed side runs as (product (x) id) . (id (x) K) . (coproduct (x) id)
+    with the half map K = (id (x) product) . (sigma (x) id) . (id (x)
+    coproduct), built once on the pairs (x2, y) that the inputs reach."""
+    halves = dict.fromkeys((a, y) for x, y in inputs for _, a in maps.cop.cols.get((x,), {}))
+    half = LinearMap.of(list(halves), [maps.cop.at(1), sigma.at(0), maps.m.at(1)])
+    return differences(inputs, _direct(maps), [maps.cop.at(0), half.at(1), maps.m.at(0)])
 
 
 def compatibility_defect(structure: CliffordStructure, sigma: LinearMap) -> dict:

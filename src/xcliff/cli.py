@@ -27,7 +27,7 @@ from . import braiding, hopf, tensor_shuffle as ts
 from .clifford import (CliffordStructure, check_counit_is_algebra_map,
                        check_unit_is_cogebra_map, coproduct_grades_ok, coproduct_unit_signs_ok)
 from .exterior import Multivector, blade_key, blade_name, blades
-from .linmap import ONE, LinearMap, agree, keys
+from .linmap import LinearMap, agree, keys
 from .scalars import AffineSolutionSet, Matrix, echo, format_scalar, parse_scalar
 
 VERIFY_MAX_RANK = 3
@@ -223,16 +223,23 @@ def _verify_shuffle(structure: CliffordStructure, bound: int) -> dict:
                      lambda w: lift(ts.GradedElement.word(n, bound, w)))
     colift = ts.couniversal_lift(ts.grade1_projection(structure), structure, bound)
     colifted = _as_map(blades(n), lambda c: colift(Multivector.blade(n, c)))
-    # the co-universal lift is comultiplicative up to the bound
-    within_bound = LinearMap(2, {p: {p: ONE} for p in pairs})
     return {
         "universal_lift_multiplicative": agree(
             pairs, [concat.m.at(0), lifted.at(0)],
             [lifted.at(0), lifted.at(1), maps.m.at(0)]),
+        # the co-universal lift is comultiplicative up to the bound
         "couniversal_lift_comultiplicative": agree(
             keys(n, 1), [colifted.at(0), concat.cop.at(0)],
-            [maps.cop.at(0), colifted.at(0), colifted.at(1), within_bound.at(0)]),
+            [maps.cop.at(0), _pair_within_bound(colifted, bound).at(0)]),
     }
+
+
+def _pair_within_bound(lift: LinearMap, bound: int) -> LinearMap:
+    """lift (x) lift on pairs, keeping only the word pairs of total length
+    <= bound in each image."""
+    return LinearMap(2, {x + y: {u + v: a * b for u, a in fx.items() for v, b in fy.items()
+                                 if len(u[0]) + len(v[0]) <= bound}
+                         for x, fx in lift.cols.items() for y, fy in lift.cols.items()})
 
 
 def _rank1_checks(structure: CliffordStructure, ant: AffineSolutionSet,

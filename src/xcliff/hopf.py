@@ -13,12 +13,15 @@ associative with unit u . counit, so an antipode is unique and exists iff
 the constant term c_0 of the minimal polynomial of id is nonzero.
 :func:`solve_antipode` finds that polynomial as a Krylov sequence: the
 powers P_0 = u . counit, P_1 = id, P_k = P_(k-1) * id until the first
-P_k = sum_(j<k) c_j P_j, each test one small solve in the coefficients c_j
-(:func:`id_powers`).  Then S = (P_(k-1) - sum_(j>=1) c_j P_(j-1)) / c_0 is
-substituted back into the axiom as a certificate, or there is no antipode
-when c_0 = 0.  Where a law fails, the antipode is solved instead from the
-linearization of the two composites S * id and id * S in the 4^n entries of
-S (:func:`solve_antipode_system`), which the tests also use as the oracle;
+P_k = sum_(j<k) c_j P_j (:func:`id_powers`).  Each new power is reduced in
+integers against echelon rows of the earlier ones, kept small by their gcd,
+and the relation that a power reducing to zero gives is substituted back
+into the exact powers, so no step solves a system.  Then
+S = (P_(k-1) - sum_(j>=1) c_j P_(j-1)) / c_0 is substituted back into the
+axiom as a certificate, or there is no antipode when c_0 = 0.  Where a law
+fails, the antipode is solved instead from the linearization of the two
+composites S * id and id * S in the 4^n entries of S
+(:func:`solve_antipode_system`), which the tests also use as the oracle;
 their two maps are also the factors of the scattering's square (braiding).
 
 A solution is read back as the sparse map S by an Unknown over the blades,
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
+from math import gcd
 
 from .clifford import CliffordStructure
 from .linmap import LinearMap, Unknown, add, agree, keys, linearize
@@ -147,23 +151,40 @@ def id_powers(structure: CliffordStructure) -> tuple[list[LinearMap], tuple]:
     P_k = P_(k-1) * id, up to the first P_k that is a combination
     sum_(j<k) c_j P_j; returns [P_0, ..., P_(k-1)] and (c_0, ..., c_(k-1)).
     When the bigebra laws hold, P_k = id^k and x^k - sum c_j x^j is the
-    minimal polynomial of id in the convolution algebra."""
+    minimal polynomial of id in the convolution algebra.
+
+    Each power's integer form (its entries times one denominator, as its
+    composites run on them) is reduced against fraction-free echelon rows of
+    the earlier powers, each row tagged with the integer combination of
+    powers it equals and divided by the gcd of its entries and tag after
+    every reduction step; a power reduced to zero gives the relation, which
+    is substituted back into the exact entries of the powers."""
     powers: list[LinearMap] = []
-    rows: dict = {}  # entry (input, output) -> {j: entry of P_j}
+    echelon: list[tuple] = []  # (pivot entry, row, tag): row = sum_j tag[j] P_j
     p = unit_counit_endo(structure)
     while True:
-        target = p.entries()
-        # P_k is independent of the earlier powers if it has an entry none of
-        # them has; else it is solved for on the entries they have
-        if powers and target.keys() <= rows.keys():
-            sol = solve_sparse_system(list(rows.values()),
-                                      [target.get(e, 0) for e in rows], len(powers))
-            if sol.is_consistent:
-                return powers, sol.particular
-        for e, c in target.items():
-            rows.setdefault(e, {})[len(powers)] = c
+        k = len(powers)
+        cols, d = p._integer_form()
+        row, tag = {(x, y): c for x, col in cols.items() for y, c in col.items() if c}, {k: d}
+        for pivot, erow, etag in echelon:
+            if a := row.get(pivot):
+                b = erow[pivot]
+                row = add({e: b * c for e, c in row.items()}, erow, -a)
+                tag = add({j: b * c for j, c in tag.items()}, etag, -a)
+                g = gcd(*row.values(), *tag.values())
+                row = {e: c // g for e, c in row.items()}
+                tag = {j: c // g for j, c in tag.items()}
+        if not row:
+            c = tuple(Fraction(-tag.get(j, 0), tag[k]) for j in range(k))
+            relation: dict = {}
+            for cj, pj in zip(c, powers):
+                relation = add(relation, pj.entries(), cj)
+            if relation != p.entries():
+                raise ArithmeticError("the relation found does not hold among the powers")
+            return powers, c
+        echelon.append((next(iter(row)), row, tag))
         powers.append(p)
-        p = structure.maps.id if len(powers) == 1 else convolution(p, structure.maps.id, structure)
+        p = structure.maps.id if k == 0 else convolution(p, structure.maps.id, structure)
 
 
 def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:

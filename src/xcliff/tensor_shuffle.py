@@ -16,7 +16,10 @@ map on letter pairs, used as it is once its letters are checked against the
 alphabet; its steps at adjacent positions of a letter string give the
 symmetrizer's terms and the crossing of two words.  The letter
 map of the co-universal lift is a map from blades to letters.  The
-compatibility square and the braid relation are the step lists of
+universal lift builds the images of all the words of one length as one
+map, once per lift, from the map of the length before; the co-universal
+lift runs its coproduct layers in integers over one running denominator.
+The compatibility square and the braid relation are the step lists of
 :mod:`braiding`, run over these maps.  No operator here is dense.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from .braiding import braid_relation, square_defects
 from .clifford import CliffordStructure
@@ -158,9 +162,13 @@ def pair_word_tensor(alpha: GradedElement, beta: GradedElement, t: dict) -> Frac
 def universal_lift(images: list[Multivector], structure: CliffordStructure):
     """Algebra morphism from words into the deformed algebra: each letter maps
     to its image, words map to the left-to-right product, the empty word to 1.
-    Returns an evaluator on word elements: a length-k word is the unit
-    followed by its k letters, each letter is replaced by its image, and k
-    product steps multiply the blades from the left."""
+    Returns an evaluator on word elements.  The images of all the length-k
+    words are built as one map, in one batch, when a word of length k or
+    more is first evaluated, and kept for the evaluator's later calls: the
+    empty word goes to the unit, and a longer word to the image of all but
+    its last letter times that letter's image, one product step per word
+    (the product bracketed from the left).  Each length-k part of an element
+    goes through the length-k map."""
     if len(images) != structure.n:
         raise ValueError("need one image per letter")
     for img in images:
@@ -168,14 +176,22 @@ def universal_lift(images: list[Multivector], structure: CliffordStructure):
     letter = LinearMap(1, {(i,): {(b,): c for b, c in img.terms.items()}
                            for i, img in enumerate(images)})
     maps = structure.maps
+    by_length: list[LinearMap] = []  # the map of the length-k words at k
+
+    def word_images(k: int) -> LinearMap:
+        while len(by_length) <= k:
+            steps = ([by_length[-1].at(0), letter.at(1), maps.m.at(0)] if by_length
+                     else [maps.unit.at(0)])
+            by_length.append(LinearMap.of(letter_words(structure.n, len(by_length)), steps))
+        return by_length[k]
 
     def evaluate(x: GradedElement) -> Multivector:
-        image: dict = {}
+        parts: dict = {}  # length k -> the length-k part of x
         for w, c in x.terms.items():
-            k = len(w)
-            image = add(image, chain({w: c}, maps.unit.at(0),
-                                     *(letter.at(i) for i in range(1, k + 1)),
-                                     *[maps.m.at(0)] * k))
+            parts.setdefault(len(w), {})[w] = c
+        image: dict = {}
+        for k, part in parts.items():
+            image = add(image, chain(part, word_images(k).at(0)))
         return Multivector(structure.n, {b: c for (b,), c in image.items()})
 
     return evaluate
@@ -197,7 +213,9 @@ def couniversal_lift(letter_map: LinearMap, structure: CliffordStructure, bound:
     to the (k-1)-fold coproduct; layer 0 is the scalar part.  Only the head
     blade is split again, so a layer holds (head blade, partial word): each
     layer splits the head and sends the new tail through the letter map at
-    once, and contributes its head's letter.  The result is flagged
+    once, and contributes its head's letter.  The layers stay in integers
+    over one running denominator, the product of the steps' denominators,
+    and only the contributions are divided by it.  The result is flagged
     truncated when either layer just beyond the bound still contributes (two
     layers are probed because contributions only occur at every other
     length: letters are grade 1 and splitting preserves grade parity)."""
@@ -209,14 +227,18 @@ def couniversal_lift(letter_map: LinearMap, structure: CliffordStructure, bound:
     def evaluate(x: Multivector) -> GradedElement:
         structure._check(x)
         terms: dict = {(): x.scalar_part()} if x.scalar_part() else {}
-        layer = {(b,): c for b, c in x.terms.items()}
+        den = lcm(*(c.denominator for c in x.terms.values()))
+        layer = {(b,): c.numerator * (den // c.denominator) for b, c in x.terms.items()}
         for k in range(1, bound + 3):
-            contrib = chain(layer, letter_map.at(0))
-            if k > bound and contrib:
+            [contrib], d = letter_map.act([layer], 0)
+            if k > bound and any(contrib.values()):
                 return GradedElement(n, bound, terms, True)
-            terms.update(contrib)  # words of length k, new keys
+            # words of length k, new keys
+            terms.update((w, Fraction(c, den * d)) for w, c in contrib.items() if c)
             if k < bound + 2:
-                layer = chain(layer, cop.at(0), letter_map.at(1))
+                [layer], d = cop.act([layer], 0)
+                [layer], d1 = letter_map.act([layer], 1)
+                layer, den = {key: c for key, c in layer.items() if c}, den * d * d1
         return GradedElement(n, bound, terms, False)
 
     return evaluate

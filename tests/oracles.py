@@ -4,10 +4,11 @@ command runs.
 Dense linear algebra over ``scalars.Matrix`` (solve, rank, invertibility and
 the minimal polynomial), grade projections, the pairing of a dual tensor
 square, the closed-form unshuffle coproduct, endomorphisms from blade
-images, the graded switch, the compatibility square linearized in all 16^n
-scattering entries, the scattering's closed form from the antipode, the
-12-parameter scattering family at parameter product 1, the module action
-and the braid lifts of a letter crossing.
+images, the graded switch, the square's routed side as one composite, the
+compatibility square linearized in all 16^n scattering entries, the
+scattering's closed form from the antipode, the powers of id found by
+solves, the 12-parameter scattering family at parameter product 1, the
+module action and the braid lifts of a letter crossing.
 Each is built on the program's own types and sparse maps.
 """
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from xcliff import hopf
-from xcliff.braiding import _action, _check_scattering, _direct, _routed
+from xcliff.braiding import _check_scattering, _direct
 from xcliff.clifford import CliffordStructure, Tensor2
 from xcliff.exterior import Multivector, blade_indices, blades, grade, wedge_sign
 from xcliff.hopf import _check_endo
@@ -164,6 +165,17 @@ def switch_map(n: int, graded: bool = True) -> LinearMap:
                                                    else 1)} for a, b in keys(n, 2)})
 
 
+def _action(maps, sigma) -> list:
+    """x (x) t1 (x) t2 -> (product (x) product) . (id (x) sigma (x) id)
+    . (coproduct (x) id (x) id)."""
+    return [maps.cop.at(0), sigma.at(1), maps.m.at(2), maps.m.at(0)]
+
+
+def _routed(maps, sigma) -> list:
+    """(product (x) product) . (id (x) sigma (x) id) . (coproduct (x) coproduct)."""
+    return [maps.cop.at(1), *_action(maps, sigma)]
+
+
 def scattering_system(structure: CliffordStructure) -> tuple[dict, dict]:
     """The rows and right-hand sides (see linmap.linearize) of the
     compatibility square, linear in the 16^n scattering entries."""
@@ -196,6 +208,28 @@ def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
         return None
     s = hopf.antipode_map(structure, sol.particular)
     return LinearMap.of(keys(structure.n, 2), _antipode_route(structure.maps, s, structure.n))
+
+
+def id_powers_by_solve(structure: CliffordStructure) -> tuple[list[LinearMap], tuple]:
+    """hopf.id_powers with each test one solve of the system of all the
+    earlier powers in the coefficients c_j."""
+    powers: list[LinearMap] = []
+    rows: dict = {}  # entry (input, output) -> {j: entry of P_j}
+    p = hopf.unit_counit_endo(structure)
+    while True:
+        target = p.entries()
+        # P_k is independent of the earlier powers if it has an entry none of
+        # them has; else it is solved for on the entries they have
+        if powers and target.keys() <= rows.keys():
+            sol = solve_sparse_system(list(rows.values()),
+                                      [target.get(e, 0) for e in rows], len(powers))
+            if sol.is_consistent:
+                return powers, sol.particular
+        for e, c in target.items():
+            rows.setdefault(e, {})[len(powers)] = c
+        powers.append(p)
+        p = (structure.maps.id if len(powers) == 1
+             else hopf.convolution(p, structure.maps.id, structure))
 
 
 def twelve_param_family_member(p, q, r, i2) -> LinearMap:

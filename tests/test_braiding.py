@@ -3,21 +3,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from xcliff import braiding, hopf
-from xcliff.braiding import (braid_relation, check_braid_equation, check_braided,
+from xcliff.braiding import (_direct, braid_relation, check_braid_equation, check_braided,
                              check_min_polynomial, closed_form_sigma, compatibility_defect,
                              scattering_map, solve_sigma)
 from xcliff.cli import _rank1_checks, _scattering, _verify_sigma
 from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
-from xcliff.linmap import LinearMap, chain, keys
+from xcliff.linmap import LinearMap, chain, differences, keys
 from xcliff.scalars import Matrix, invert, solve_sparse_system
 
-from oracles import (antipode_scattering, is_invertible, minimal_polynomial, module_action,
-                     poly_eval_matrix, scattering_system, solve_linear_system, switch_map,
-                     twelve_param_family_member)
+from oracles import (_routed, antipode_scattering, is_invertible, minimal_polynomial,
+                     module_action, poly_eval_matrix, scattering_system, solve_linear_system,
+                     switch_map, twelve_param_family_member)
 from random_forms import random_form, random_nonzero_rational
 
 
@@ -626,3 +626,54 @@ def test_rank3_identity_family_solves_the_square(monkeypatch, pairing, dim):
     assert sol.dimension == dim
     for member in itertools.islice(sol.members(), 3):
         assert compatibility_defect(s, scattering_map(s, member)) == {}
+
+
+# -- the square's certificate through its half map ---------------------------
+
+def sparse_pair_maps(n: int):
+    """Maps on rank-n blade pairs with a few nonzero entries."""
+    pairs = keys(n, 2)
+
+    def build(entries: dict) -> LinearMap:
+        cols: dict = {x: {} for x in pairs}
+        for (x, y), c in entries.items():
+            cols[x][y] = c
+        return LinearMap(2, cols)
+
+    return st.dictionaries(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
+                           rationals.filter(bool), max_size=2 * len(pairs)).map(build)
+
+
+def routed_composite_defects(s, sigma) -> list:
+    """The square's defects with its routed side run as one composite, the
+    bracketing that square_defects replaces by its half map K."""
+    pairs = keys(s.n, 2)
+    return list(differences(pairs, _direct(s.maps), _routed(s.maps, sigma)))
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("n", [1, 2])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_square_defects_match_the_routed_composite(n, pairing, data):
+    # K = (id (x) m)(sigma (x) id)(id (x) coproduct) gives the same witnesses,
+    # in the same order, on crossings that fail the square; none on sigma_0
+    s = CliffordStructure(n, data.draw(forms(n, "generic")), data.draw(forms(n, "generic")),
+                          pairing=pairing)
+    sigma = data.draw(sparse_pair_maps(n))
+    expected = routed_composite_defects(s, sigma)
+    assume(expected)
+    assert list(braiding.square_defects(s.maps, sigma, keys(n, 2))) == expected
+    sol = solve_sigma(s)
+    if sol.is_consistent:
+        assert not list(braiding.square_defects(s.maps, scattering_map(s, sol.particular),
+                                                keys(n, 2)))
+
+
+def test_rank3_square_defects_match_the_routed_composite():
+    s = CliffordStructure(3, *RANK3["xi0"], pairing="straight")
+    sigma = switch_map(3)
+    expected = routed_composite_defects(s, sigma)
+    assert expected
+    assert list(braiding.square_defects(s.maps, sigma, keys(3, 2))) == expected
+    assert not list(braiding.square_defects(s.maps, solved_sigma(s), keys(3, 2)))

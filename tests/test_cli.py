@@ -11,7 +11,8 @@ import pytest
 from xcliff import braiding, cli, hopf, tensor_shuffle as ts
 from xcliff.cli import main, sweep_row
 from xcliff.clifford import CliffordStructure
-from xcliff.exterior import Multivector
+from xcliff.exterior import Multivector, blades
+from xcliff.linmap import LinearMap, keys
 from xcliff.scalars import AffineSolutionSet, Matrix, echo
 
 
@@ -615,6 +616,20 @@ def test_verify_shuffle_builds_each_word_bigebra_once(monkeypatch):
     calls = _count_word_maps(monkeypatch)
     assert all(_shuffle_flags(bound=4).values())
     assert calls == [(4, False)]
+
+
+@pytest.mark.parametrize("bound", range(7))
+@pytest.mark.parametrize("n", [1, 2])
+def test_bounded_pair_lift_is_the_lift_squared_within_the_bound(n, bound):
+    # the comultiplicativity check's one map equals colifted (x) colifted
+    # followed by the projection onto the word pairs within the bound
+    eta, xi = GENERIC_FORMS[n]
+    s = CliffordStructure.from_config({"n": n, "eta": eta, "xi": xi})
+    colift = ts.couniversal_lift(ts.grade1_projection(s), s, bound)
+    colifted = cli._as_map(blades(n), lambda c: colift(Multivector.blade(n, c)))
+    within_bound = LinearMap(2, {p: {p: F(1)} for p in ts.word_maps(n, bound).m.cols})
+    old = LinearMap.of(keys(n, 2), [colifted.at(0), colifted.at(1), within_bound.at(0)])
+    assert cli._pair_within_bound(colifted, bound) == old
 
 
 def _only_failure(flags, key):

@@ -14,8 +14,9 @@ from xcliff import hopf
 from xcliff.linmap import LinearMap, keys
 from xcliff.scalars import Matrix
 
-from oracles import apply_endo, endo_from_images
+from oracles import apply_endo, endo_from_images, id_powers_by_solve
 from random_forms import random_form, random_nonzero_rational
+from test_braiding import no_antipode_forms
 
 
 def conjecture_record(s):
@@ -336,6 +337,52 @@ def test_rank2_identity_forms_decided_by_the_constant_term(monkeypatch, pairing,
         assert antipode_map(s, sol.particular) == LinearMap(1, {x: {x: F(1, 4)}
                                                                 for x in keys(2, 1)})
     assert sol == hopf.solve_antipode_system(s)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(data=st.data())
+def test_id_powers_match_the_solves_of_the_earlier_powers(n, pairing, family, data):
+    eta_kind, xi_kind = FAMILIES[family]
+    s = CliffordStructure(n, data.draw(forms(n, eta_kind)), data.draw(forms(n, xi_kind)),
+                          pairing=pairing)
+    assert hopf.id_powers(s) == id_powers_by_solve(s)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(forms2=no_antipode_forms())
+def test_id_powers_match_the_solves_where_no_antipode_exists(pairing, forms2):
+    s = CliffordStructure(2, *forms2, pairing=pairing)
+    powers, c = hopf.id_powers(s)
+    assert (powers, c) == id_powers_by_solve(s)
+    if pairing == "straight":  # there c_0 = -det(I - eta xi)^2 = 0
+        assert c[0] == 0
+
+
+def test_id_powers_substitutes_the_relation_back(monkeypatch):
+    # the reduction reads each power's cached integer form, the check its
+    # exact entries: the dependent power, changed after its integer form was
+    # cached, breaks the relation found
+    s = CliffordStructure(2, Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]]))
+    last = len(hopf.id_powers(s)[0]) - 1  # convolutions give P_2, ..., P_k
+    original, calls = hopf.convolution, []
+
+    def perturbed(f, g, structure):
+        p = original(f, g, structure)
+        calls.append(p)
+        if len(calls) == last:
+            p._integer_form()
+            x, y = next(iter(p.entries()))
+            p.cols[x][y] += 1
+        return p
+
+    monkeypatch.setattr(hopf, "convolution", perturbed)
+    with pytest.raises(ArithmeticError):
+        hopf.id_powers(s)
+    assert len(calls) == last
 
 
 def test_broken_coassociativity_takes_the_linear_solve(monkeypatch):

@@ -17,7 +17,7 @@ from xcliff.linmap import (LinearMap, SparseVector, Unknown, add, agree, chain, 
 from xcliff.scalars import Matrix
 from xcliff.tensor_shuffle import GradedElement, WordOperator, letter_switch
 
-from oracles import antipode_scattering, scattering_system
+from oracles import _routed, antipode_scattering, scattering_system
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
 
@@ -141,7 +141,7 @@ def test_routed_side_factors_as_the_two_convolutions_by_id(n, pairing, data):
                                   pairing=pairing)
     phi, psi = (data.draw(square_maps(keys(n, 1), sparse_rationals)) for _ in "ab")
     idm, pairs = structure.maps.id, keys(n, 2)
-    routed = {x: chain({x: 1}, *braiding._routed(structure.maps, tensor(phi, psi)))
+    routed = {x: chain({x: 1}, *_routed(structure.maps, tensor(phi, psi)))
               for x in pairs}
     factored = tensor(hopf.convolution(idm, phi, structure),
                       hopf.convolution(psi, idm, structure))

@@ -163,6 +163,26 @@ def test_universal_lift_multiplicative():
                 assert lift(concat_product(ga, gb)) == s.clifford_product(lift(ga), lift(gb))
 
 
+def test_universal_lift_is_the_left_to_right_product_on_elements():
+    # arbitrary letter images and elements mixing word lengths: each word's
+    # image is the product of its letters' images taken from the left
+    rng = random.Random(72)
+    for n in (1, 2):
+        s = CliffordStructure(n, random_form(n, rng), random_form(n, rng))
+        images = [Multivector(n, {b: F(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for b in blades(n)}) for _ in range(n)]
+        lift = universal_lift(images, s)
+        x = GradedElement(n, L, {u: F(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for u in all_words(n) if rng.random() < 0.5})
+        expected = Multivector(n, {})
+        for u, c in x.terms.items():
+            product = s.unit(1)
+            for letter in u:
+                product = s.clifford_product(product, images[letter])
+            expected = expected + c * product
+        assert lift(x) == expected
+
+
 def test_couniversal_lift_examples():
     s = CliffordStructure(2, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
     colift = couniversal_lift(grade1_projection(s), s, L)
