@@ -68,6 +68,10 @@ def load_config(path: str, max_rank: int | None = None,
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     except RecursionError as exc:
         raise ConfigError("config is nested too deeply to parse") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("bad config: a config must be a JSON object")
+    if missing := [key for key in ("n", "eta", "xi") if key not in data]:
+        raise ConfigError(f'bad config: missing key "{missing[0]}"')
     try:
         if max_rank is not None and CliffordStructure.config_rank(data) > max_rank:
             raise ConfigError(f"{command} supports rank <= {max_rank}")

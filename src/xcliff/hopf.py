@@ -13,10 +13,10 @@ associative with unit u . counit, so an antipode is unique and exists iff
 the constant term c_0 of the minimal polynomial of id is nonzero.
 :func:`solve_antipode` finds that polynomial as a Krylov sequence: the
 powers P_0 = u . counit, P_1 = id, P_k = P_(k-1) * id until the first
-P_k = sum_(j<k) c_j P_j (:func:`id_powers`).  Each new power is reduced in
-integers against echelon rows of the earlier ones, kept small by their gcd,
-and the relation that a power reducing to zero gives is substituted back
-into the exact powers, so no step solves a system.  Then
+P_k = sum_(j<k) c_j P_j (:func:`id_powers`).  Each new power is inserted
+in integers into the solver's echelon (scalars.Echelon) of the earlier
+ones, and the relation that a power reducing to zero gives is substituted
+back into the exact powers, so no step solves a system.  Then
 S = (P_(k-1) - sum_(j>=1) c_j P_(j-1)) / c_0 is substituted back into the
 axiom as a certificate, or there is no antipode when c_0 = 0.  Where a law
 fails, the antipode is solved instead from the linearization of the two
@@ -39,11 +39,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import gcd
 
 from .clifford import CliffordStructure
 from .linmap import LinearMap, Unknown, add, agree, keys, linearize
-from .scalars import AffineSolutionSet, solve_sparse_system
+from .scalars import AffineSolutionSet, Echelon, solve_sparse_system
 
 
 def _check_endo(f: LinearMap, n: int) -> None:
@@ -153,36 +152,28 @@ def id_powers(structure: CliffordStructure) -> tuple[list[LinearMap], tuple]:
     When the bigebra laws hold, P_k = id^k and x^k - sum c_j x^j is the
     minimal polynomial of id in the convolution algebra.
 
-    Each power's integer form (its entries times one denominator, as its
-    composites run on them) is reduced against fraction-free echelon rows of
-    the earlier powers, each row tagged with the integer combination of
-    powers it equals and divided by the gcd of its entries and tag after
-    every reduction step; a power reduced to zero gives the relation, which
-    is substituted back into the exact entries of the powers."""
+    Each power's integer form (entry (x, y) times one denominator d in
+    column Unknown.column(x, y)) is inserted into an echelon with the tag d
+    in column 4^n + k; a power left with tag columns only gives the
+    relation, substituted back into the exact entries of the powers."""
+    unknown = Unknown(keys(structure.n, 1))
+    size = unknown.size
+    echelon = Echelon(size)
     powers: list[LinearMap] = []
-    echelon: list[tuple] = []  # (pivot entry, row, tag): row = sum_j tag[j] P_j
     p = unit_counit_endo(structure)
     while True:
         k = len(powers)
         cols, d = p._integer_form()
-        row, tag = {(x, y): c for x, col in cols.items() for y, c in col.items() if c}, {k: d}
-        for pivot, erow, etag in echelon:
-            if a := row.get(pivot):
-                b = erow[pivot]
-                row = add({e: b * c for e, c in row.items()}, erow, -a)
-                tag = add({j: b * c for j, c in tag.items()}, etag, -a)
-                g = gcd(*row.values(), *tag.values())
-                row = {e: c // g for e, c in row.items()}
-                tag = {j: c // g for j, c in tag.items()}
-        if not row:
-            c = tuple(Fraction(-tag.get(j, 0), tag[k]) for j in range(k))
+        row = {unknown.column(x, y): c for x, col in cols.items() for y, c in col.items() if c}
+        row[size + k] = d
+        if min(left := echelon.insert(row)) >= size:
+            c = tuple(Fraction(-left.get(size + j, 0), left[size + k]) for j in range(k))
             relation: dict = {}
             for cj, pj in zip(c, powers):
                 relation = add(relation, pj.entries(), cj)
             if relation != p.entries():
                 raise ArithmeticError("the relation found does not hold among the powers")
             return powers, c
-        echelon.append((next(iter(row)), row, tag))
         powers.append(p)
         p = structure.maps.id if k == 0 else convolution(p, structure.maps.id, structure)
 

@@ -6,13 +6,13 @@ with a positive denominator); there is no floating point anywhere.  Matrices
 are small and dense: the forms eta and xi, and dense views of sparse maps.
 ``invert`` is the one dense solver kept here (the benchmark's tracer times
 it); the dense solve, rank and minimal polynomial that the tests use as
-oracles are in ``tests/oracles.py``.  The solvers share one elimination
-routine: each sparse row is scaled to coprime integers and reduced by
-fraction-free Gauss-Jordan with first-nonzero pivoting (deterministic, no
-stability concerns), so Fractions appear only when the reduced rows are
-read off.  The reduced echelon form is unique, so the answers are those of
-Gauss-Jordan over the rationals.  Every solution ``solve_sparse_system``
-returns is substituted back into its integer rows as a certificate.
+oracles are in ``tests/oracles.py``.  Every exact elimination runs through
+one fraction-free :class:`Echelon` of integer rows, so Fractions appear
+only when rows are read off: ``sparse_rank`` counts its pivots,
+``solve_sparse_system`` (and ``invert``) reads its reduced form, which is
+unique, so the answers are those of Gauss-Jordan over the rationals, and
+``hopf.id_powers`` reads its ride-along columns.  Every solution
+``solve_sparse_system`` returns is substituted back as a certificate.
 """
 
 from __future__ import annotations
@@ -207,54 +207,56 @@ def _integer_row(row: dict) -> dict[int, int]:
     return out
 
 
-def _rref_in_place(rows: list[dict], ncols: int) -> dict[int, int]:
-    """Fraction-free Gauss-Jordan on sparse {col: int} rows holding no zeros;
-    columns >= ncols ride along (augmented part) and are never chosen as
-    pivots.  Returns {pivot col: row}.
+def _eliminate(row: dict, pivot_row: dict, col: int) -> None:
+    """Clear column col of the integer row in place: with pv and f the two
+    rows' entries there and g = gcd(pv, f) signed as pv, the row becomes
+    the primitive part of (pv/g) row - (f/g) pivot_row."""
+    pv, f = pivot_row[col], row[col]
+    g = gcd(pv, f) if pv > 0 else -gcd(pv, f)
+    a, b = pv // g, f // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in pivot_row.items():
+        nv = row.get(k, 0) - b * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
-    The pivot of column c is the first row from the current one on with an
-    entry there.  Every other row with an entry f there becomes the primitive
-    part of (pv/g) row - (f/g) pivot row, g = gcd(pv, f), which clears the
-    column.  Pivot rows are never normalized: in the end the row of pivot
-    column c says row[c] x_c + (its free-column terms) = row[ncols].
-    """
-    pivot_rows: dict[int, int] = {}
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if c in rows[i]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        pv = piv[c]
-        for i in range(nrows):
-            ri = rows[i]
-            f = ri.get(c)
-            if f is None or i == r:
-                continue
-            g = gcd(pv, f)
-            a, b = pv // g, f // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                for k in ri:
-                    ri[k] *= a
-            for k, v in piv.items():
-                nv = ri.get(k, 0) - b * v
-                if nv:
-                    ri[k] = nv
-                else:
-                    del ri[k]
-            g = gcd(*ri.values())
-            if g > 1:
-                for k in ri:
-                    ri[k] //= g
-        pivot_rows[c] = r
-        r += 1
-        if r == nrows:
-            break
-    return pivot_rows
+
+@dataclass
+class Echelon:
+    """Sparse integer rows {col: int} in fraction-free echelon form, inserted
+    one at a time; columns >= ncols ride along and are never pivots.
+    ``pivots`` maps each pivot column to its row, in insertion order: no
+    pivot row has an entry in an earlier pivot column, so the pivot columns
+    are those of the reduced echelon form, which :meth:`reduce` reaches."""
+
+    ncols: int
+    pivots: dict = field(default_factory=dict)
+
+    def insert(self, row: dict) -> dict:
+        """The row reduced in place by the pivot rows, in their order, and
+        kept as a pivot row at its first entry below ncols if one is left."""
+        for c, p in self.pivots.items():
+            if c in row:
+                _eliminate(row, p, c)
+        if row and (c := min(row)) < self.ncols:
+            self.pivots[c] = row
+        return row
+
+    def reduce(self) -> None:
+        """The back pass: each pivot column, latest first, is cleared from the
+        other rows; then row[c] x_c + (free-column terms) = row[ncols]."""
+        for c, p in reversed(self.pivots.items()):
+            for q in self.pivots.values():
+                if q is not p and c in q:
+                    _eliminate(q, p, c)
 
 
 def solve_sparse_system(rows: list[dict], rhs: list, ncols: int,
@@ -276,18 +278,18 @@ def solve_sparse_system(rows: list[dict], rhs: list, ncols: int,
     width, sides = (1, [{0: b} for b in rhs]) if nrhs is None else (nrhs, rhs)
     aug = [_integer_row({**_in_range(row, ncols), **{ncols + j: b for j, b in side.items()}})
            for row, side in zip(rows, sides)]
-    work = [dict(row) for row in aug]
-    pivots = _rref_in_place(work, ncols)
+    echelon = Echelon(ncols)
     # a row left with right-hand-side entries only says 0 = b != 0
-    if any(row and min(row) >= ncols for row in work):
+    if any((left := echelon.insert(dict(row))) and min(left) >= ncols for row in aug):
         return AffineSolutionSet(particular=None)
+    echelon.reduce()
+    pivots = echelon.pivots
     # [X K; -I 0] times d, sparse rows {column: int}: X in columns j < width,
     # the nullspace vector of free column f in column width + f
-    d = lcm(*(work[r][c] for c, r in pivots.items()))
+    d = lcm(*(p[c] for c, p in pivots.items()))
     m: list[dict] = [{width + f: d} if f not in pivots else {} for f in range(ncols)]
     m += [{j: -d} for j in range(width)]
-    for c, r in pivots.items():
-        p = work[r]
+    for c, p in pivots.items():
         scale = d // p[c]
         for k, v in p.items():
             if k >= ncols:
@@ -311,9 +313,11 @@ def solve_sparse_system(rows: list[dict], rhs: list, ncols: int,
 
 
 def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
-    """Exact rank of a matrix given as sparse {col: value} rows."""
-    work = [_integer_row(_in_range(row, ncols)) for row in rows]
-    return len(_rref_in_place(work, ncols))
+    """Exact rank of sparse {col: value} rows: their echelon's pivot count."""
+    echelon = Echelon(ncols)
+    for row in rows:
+        echelon.insert(_integer_row(_in_range(row, ncols)))
+    return len(echelon.pivots)
 
 
 def invert(a: Matrix) -> Matrix:

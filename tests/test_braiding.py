@@ -598,14 +598,14 @@ RANK3 = {
     "eta0": (Z3, Matrix([[1, -1, 0], [F(1, 2), 1, 2], [-2, 0, 1]])),
     "diagonal": (Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 2]]),
                  Matrix([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, -1]])),
+    "generic": (Matrix([[1, F(1, 2), 0], [-1, 2, 1], [0, F(1, 3), -1]]),
+                Matrix([[1, -1, 0], [F(1, 2), 1, 2], [-2, 0, 1]])),
 }
 
 
 @pytest.mark.parametrize("pairing", PAIRINGS)
 @pytest.mark.parametrize("family", sorted(RANK3))
 def test_rank3_scattering_is_unique_and_solves_the_square(monkeypatch, family, pairing):
-    # the generic rank-3 scattering takes about 1 s, too slow for this suite:
-    # perfbench/reference.py sigma3 solves it and checks it independently
     s = CliffordStructure(3, *RANK3[family], pairing=pairing)
     solves = count_solves(monkeypatch)
     sol = solve_sigma(s)

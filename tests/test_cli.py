@@ -199,6 +199,22 @@ def test_matrix_not_an_array_of_arrays_is_a_parse_error(tmp_path, capsys, n, eta
     assert err.startswith("error: bad config:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "a config must be a JSON object"),
+    ('"abc"', "a config must be a JSON object"),
+    ("3", "a config must be a JSON object"),
+    ("null", "a config must be a JSON object"),
+    ('{"eta": [["1"]], "xi": [["1"]]}', 'missing key "n"'),
+    ('{"n": 1, "xi": [["1"]]}', 'missing key "eta"'),
+    ('{"n": 1, "eta": [["1"]]}', 'missing key "xi"'),
+])
+def test_config_not_an_object_or_missing_a_key_is_a_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
+
 def test_config_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)

@@ -170,18 +170,17 @@ def test_sparse_rows_reject_columns_outside_range(call, col):
 @pytest.mark.parametrize("a, b", [([[1, 1], [1, -1]], [2, 0]), ([[1, 1]], [0])],
                          ids=["particular", "nullspace"])
 def test_solve_certificate_rejects_a_wrong_pivot_row(monkeypatch, a, b):
-    real = scalars._rref_in_place
+    real = scalars.Echelon.reduce
 
-    def planted(rows, ncols):
+    def planted(echelon):
         # shift the first pivot row's right-hand side when every column is a
         # pivot, else its entry in the free column
-        pivots = real(rows, ncols)
-        row = rows[pivots[0]]
-        wrong = ncols if len(pivots) == ncols else ncols - 1
+        real(echelon)
+        row, ncols = echelon.pivots[0], echelon.ncols
+        wrong = ncols if len(echelon.pivots) == ncols else ncols - 1
         row[wrong] = row.get(wrong, 0) + row[0]
-        return pivots
 
-    monkeypatch.setattr(scalars, "_rref_in_place", planted)
+    monkeypatch.setattr(scalars.Echelon, "reduce", planted)
     with pytest.raises(ArithmeticError, match="substitute"):
         solve_linear_system(Matrix(a), b)
 
@@ -189,9 +188,10 @@ def test_solve_certificate_rejects_a_wrong_pivot_row(monkeypatch, a, b):
 # -- differential tests against Gauss-Jordan over Fractions -------------------
 
 def _fraction_rref(rows: list, ncols: int) -> dict:
-    """Gauss-Jordan over Fractions with the solver's pivot rule (the first
-    nonzero from the current row on), pivots normalized to 1; columns >=
-    ncols ride along.  Returns {pivot col: row}."""
+    """Gauss-Jordan over Fractions, column by column with the first nonzero
+    from the current row on as pivot, pivots normalized to 1; columns >=
+    ncols ride along.  Returns {pivot col: row}.  Its reduced echelon form
+    is the solver's, whose pivot rows are found in another order."""
     pivot_rows = {}
     r = 0
     nrows = len(rows)
@@ -300,6 +300,37 @@ def test_solver_matches_fraction_gauss_jordan(system):
     assert sol == expected
     assert sparse_rank(rows, ncols) == len(_fraction_rref(
         [{k: F(v) for k, v in r.items() if v} for r in rows], ncols))
+
+
+@st.composite
+def systems_with_sides(draw):
+    """A system of systems() with 2 or 3 right-hand sides: its own, and
+    sides A x for drawn x, half of them with one entry shifted, which makes
+    them inconsistent where that row depends on the others."""
+    rows, rhs, ncols = draw(systems())
+    sides = [rhs]
+    for _ in range(draw(st.integers(1, 2))):
+        x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        side = [sum(row[c] * x[c] for c in range(ncols)) for row in rows]
+        if side and draw(st.booleans()):
+            side[draw(st.integers(0, len(side) - 1))] += draw(nonzero)
+        sides.append(side)
+    return rows, sides, ncols
+
+
+@ORACLE
+@given(systems_with_sides())
+def test_solver_matches_fraction_gauss_jordan_on_several_sides(system):
+    rows, sides, ncols = system
+    nrhs = len(sides)
+    rhs = [{j: side[i] for j, side in enumerate(sides) if side[i]} for i in range(len(rows))]
+    sol = solve_sparse_system([dict(r) for r in rows], rhs, ncols, nrhs)
+    expected = [_fraction_solve(rows, side, ncols) for side in sides]
+    assert sol.is_consistent == all(e.is_consistent for e in expected)
+    if sol.is_consistent:
+        for j, e in enumerate(expected):
+            assert sol.particular[j::nrhs] == e.particular
+            assert sol.nullspace_basis == e.nullspace_basis
 
 
 @st.composite
