@@ -50,6 +50,12 @@ MAX_WORD_BOUND = 8
 MAX_SWEEP_ROWS = 50_000
 
 
+# the keys a config may hold, and those its "options" object may hold; any
+# other key is refused, so that a misspelled one is not silently ignored
+CONFIG_KEYS = ("n", "eta", "xi", "pairing", "options")
+OPTION_KEYS = ("truncation",)
+
+
 class ConfigError(Exception):
     pass
 
@@ -72,15 +78,19 @@ def load_config(path: str, max_rank: int | None = None,
         raise ConfigError("bad config: a config must be a JSON object")
     if missing := [key for key in ("n", "eta", "xi") if key not in data]:
         raise ConfigError(f'bad config: missing key "{missing[0]}"')
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise ConfigError("bad config: options must be an object")
+    for given, known, where in ((data, CONFIG_KEYS, ""), (options, OPTION_KEYS, " in options")):
+        if unknown := [key for key in given if key not in known]:
+            # the key as echo shows it, without its quotes
+            raise ConfigError(f'bad config: unknown key "{echo(unknown[0])[1:-1]}"{where}')
     try:
         if max_rank is not None and CliffordStructure.config_rank(data) > max_rank:
             raise ConfigError(f"{command} supports rank <= {max_rank}")
         structure = CliffordStructure.from_config(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("bad config: options must be an object")
     return structure, options
 
 
@@ -285,7 +295,7 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
         "counit_algebra_map_iff_eta_zero": counit_alg == eta_zero,
         "unit_cogebra_map_iff_xi_zero": unit_cog == xi_zero,
     }
-    ant_sol = hopf.antipode_solution(structure)
+    ant_sol = hopf.solve_antipode(structure)
     antipode = _verify_antipode(structure, ant_sol)
     # solve_antipode certifies its solution on the axiom (by substitution into
     # the same step lists on either route), so uniqueness is what is left
@@ -370,7 +380,7 @@ def cmd_verify(args) -> int:
 
 def cmd_antipode(args) -> int:
     structure, _ = load_config(args.config, ANTIPODE_MAX_RANK, "antipode")
-    write_out(_verify_antipode(structure, hopf.antipode_solution(structure)), args.out)
+    write_out(_verify_antipode(structure, hopf.solve_antipode(structure)), args.out)
     return 0
 
 
@@ -396,7 +406,7 @@ def sweep_row(i2_str: str, j2_str: str) -> dict:
     structure = CliffordStructure(1, Matrix([[i2]]), Matrix([[j2]]))
     a = _parameter(structure)
     row: dict = {"i2": format_scalar(i2), "j2": format_scalar(j2), "a": format_scalar(a)}
-    ant = hopf.antipode_solution(structure)
+    ant = hopf.solve_antipode(structure)
     row["antipode_exists"] = ant.is_consistent
     row["conjecture_consistent"] = conjecture_record(structure, ant).conjecture_consistent
     sol, s, flags = _scattering(structure)

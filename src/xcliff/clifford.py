@@ -5,9 +5,11 @@ the Clifford product on multivectors, xi on co-vectors deforms the dual wedge
 the same way.  The coproduct on multivectors is obtained by transposing the
 dual product's structure constants through the determinant pairing.  So a
 structure is two cliffordizations and one transpose, built once as sparse
-maps; its tables are views read off them (see CliffordStructure).  A
-coproduct lands in Tensor2, the sparse tensor square: a
-:class:`linmap.SparseVector` keyed by blade pairs.
+maps; its tables are views read off them (see CliffordStructure), and
+only the verdicts of the bigebra laws are kept on it besides.  A coproduct
+lands in Tensor2, the sparse tensor square: a :class:`linmap.SparseVector`
+keyed by blade pairs, written as the report's coproduct table and never
+read back.
 
 Conventions (each is load-bearing; tests pin all of them):
 
@@ -52,11 +54,10 @@ from .exterior import (
     blades,
     check_dim,
     grade,
-    parse_blade_key,
     wedge_sign,
 )
 from .linmap import LinearMap, SparseVector, chain, differences, keys, structure_maps
-from .scalars import Matrix, echo, format_scalar, parse_scalar
+from .scalars import Matrix, echo, format_scalar
 
 PAIRINGS = ("inner", "straight")
 
@@ -90,11 +91,6 @@ class Tensor2(SparseVector):
     def to_json(self) -> list:
         return [[blade_key(a), blade_key(b), format_scalar(c)]
                 for (a, b), c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, dim: int, data: list) -> "Tensor2":
-        return cls(dim, {(parse_blade_key(a), parse_blade_key(b)): parse_scalar(c)
-                         for a, b, c in data})
 
 
 def _transposed(pairing: str, p: int, q: int) -> tuple[int, int]:
@@ -134,8 +130,8 @@ class CliffordStructure:
     the cliffordization by xi (the dual product) transposed: the one stored
     copy of the structure constants.  The dual product is the product of
     the structure with xi in the place of eta.  The two tables are read-only
-    views of these maps, read off on first use, as are the antipode's
-    solution set and the verdicts of the bigebra laws.  pairing ("inner" or
+    views of these maps, read off on first use; the verdicts of the bigebra
+    laws are kept in ``laws`` on first use.  pairing ("inner" or
     "straight", see the module docstring) fixes how the coproduct is
     transposed from the dual product."""
 
@@ -156,9 +152,7 @@ class CliffordStructure:
         cop = {c: {_transposed(pairing, p, q): v for (p, q), v in col.items()}
                for c, col in dual.transpose().cols.items()}
         self.maps = structure_maps(cliffordization(eta), LinearMap(1, cop))
-        # the antipode's solution set and the bigebra law verdicts {law: bool},
-        # filled on first use by hopf.antipode_solution and hopf's law checks
-        self.antipode = None
+        # the bigebra law verdicts {law: bool}, filled on first use by hopf
         self.laws: dict = {}
 
     @cached_property

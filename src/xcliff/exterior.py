@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linmap import SparseVector, dot
-from .scalars import echo, format_scalar, parse_scalar
+from .scalars import echo, format_scalar
 
 MAX_DIM = 16  # bitmask blades cap the rank at the word width we allow
 
@@ -73,18 +73,6 @@ def blade_name(bits: int) -> str:
     return "1" if bits == 0 else "e" + blade_key(bits).replace(",", "")
 
 
-def parse_blade_key(key: str) -> int:
-    if not key:
-        return 0
-    bits = 0
-    for part in key.split(","):
-        i = int(part)
-        if i < 0 or (bits >> i) & 1:
-            raise ValueError(f"bad blade key {key!r}")
-        bits |= 1 << i
-    return bits
-
-
 class Multivector(SparseVector):
     """Grade-sparse element of the exterior algebra: {blade bits: Fraction}."""
 
@@ -98,10 +86,6 @@ class Multivector(SparseVector):
             if not 0 <= bits < top:
                 raise ValueError(f"blade {bits} out of range for rank {dim}")
         super().__init__(dim, terms)
-
-    @classmethod
-    def zero(cls, dim: int) -> "Multivector":
-        return cls(dim, {})
 
     @classmethod
     def scalar(cls, dim: int, c) -> "Multivector":
@@ -125,13 +109,6 @@ class Multivector(SparseVector):
     def _term(bits: int, c: Fraction) -> str:
         """One term as c*e12; the unit blade's coefficient stands bare."""
         return f"{format_scalar(c)}*{blade_name(bits)}" if bits else format_scalar(c)
-
-    def to_json(self) -> dict:
-        return {blade_key(b): format_scalar(c) for b, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, dim: int, data: dict) -> "Multivector":
-        return cls(dim, {parse_blade_key(k): parse_scalar(v) for k, v in data.items()})
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:

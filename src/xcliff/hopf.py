@@ -28,8 +28,8 @@ A solution is read back as the sparse map S by an Unknown over the blades,
 which numbers the entries alike (:func:`antipode_map`), and the axiom is
 checked on S with the same two composites (:func:`is_antipode`).  Every endomorphism,
 the closed form included, is a LinearMap of arity 1 over the blades.
-The antipode is solved once per structure and kept on it
-(:func:`antipode_solution`).
+Each command that reads the antipode solves it once; only the law verdicts
+are kept on the structure.
 
 This module returns mathematical values only.  The reports, the
 existence-conjecture record and the dense JSON matrix of S among them, are
@@ -202,14 +202,6 @@ def solve_antipode(structure: CliffordStructure) -> AffineSolutionSet:
     if not is_antipode(structure, s):
         raise ArithmeticError("the inverse of id does not satisfy the antipode axiom")
     return AffineSolutionSet(particular=Unknown(keys(structure.n, 1)).flatten(s))
-
-
-def antipode_solution(structure: CliffordStructure) -> AffineSolutionSet:
-    """solve_antipode(structure), solved on first use and kept on the
-    structure (``structure.antipode``), so that every caller shares it."""
-    if structure.antipode is None:
-        structure.antipode = solve_antipode(structure)
-    return structure.antipode
 
 
 def antipode_map(structure: CliffordStructure, flat: tuple) -> LinearMap:

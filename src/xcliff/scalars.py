@@ -22,7 +22,7 @@ import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def echo(value) -> str:
@@ -102,23 +102,8 @@ class Matrix:
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -126,11 +111,6 @@ class Matrix:
         cols = list(zip(*other.rows)) if other.rows else []
         return Matrix([[sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
                        for row in self.rows])
-
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * Fraction(x) for a, x in zip(row, vec) if a) for row in self.rows)
 
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
@@ -148,10 +128,6 @@ class Matrix:
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError("a matrix must be a JSON array of row arrays")
         return cls([[parse_scalar(x) for x in r] for r in data])
-
-    def _same_shape(self, other: "Matrix"):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
 
 
 @dataclass

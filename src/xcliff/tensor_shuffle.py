@@ -167,8 +167,8 @@ def universal_lift(images: list[Multivector], structure: CliffordStructure):
     more is first evaluated, and kept for the evaluator's later calls: the
     empty word goes to the unit, and a longer word to the image of all but
     its last letter times that letter's image, one product step per word
-    (the product bracketed from the left).  Each length-k part of an element
-    goes through the length-k map."""
+    (the product bracketed from the left).  Each word's image is read off
+    the map of its length."""
     if len(images) != structure.n:
         raise ValueError("need one image per letter")
     for img in images:
@@ -186,12 +186,9 @@ def universal_lift(images: list[Multivector], structure: CliffordStructure):
         return by_length[k]
 
     def evaluate(x: GradedElement) -> Multivector:
-        parts: dict = {}  # length k -> the length-k part of x
-        for w, c in x.terms.items():
-            parts.setdefault(len(w), {})[w] = c
         image: dict = {}
-        for k, part in parts.items():
-            image = add(image, chain(part, word_images(k).at(0)))
+        for w, c in x.terms.items():
+            image = add(image, word_images(len(w)).cols[w], c)
         return Multivector(structure.n, {b: c for (b,), c in image.items()})
 
     return evaluate

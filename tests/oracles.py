@@ -84,7 +84,8 @@ def poly_eval_matrix(coeffs: Sequence, a: Matrix) -> Matrix:
     for i, c in enumerate(coeffs):
         c = Fraction(c)
         if c:
-            out = out + power.scale(c)
+            out = Matrix([[x + c * p for x, p in zip(ro, rp)]
+                          for ro, rp in zip(out.rows, power.rows)])
         if i + 1 < len(coeffs):
             power = power @ a
     return out
@@ -203,7 +204,7 @@ def antipode_scattering(structure: CliffordStructure) -> LinearMap | None:
     to counits by S * id = unit . counit = id * S."""
     if not hopf.bigebra_laws(structure):
         return None
-    sol = hopf.antipode_solution(structure)
+    sol = hopf.solve_antipode(structure)
     if not sol.is_unique:
         return None
     s = hopf.antipode_map(structure, sol.particular)

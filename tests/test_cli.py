@@ -150,6 +150,54 @@ def test_shuffle_command(complex_config, tmp_path):
                       "couniversal_lift_comultiplicative": True}
 
 
+def test_every_config_command_runs_at_rank_0(tmp_path):
+    cfg = write_config(tmp_path, "r0.json", 0, [], [])
+    reports = {}
+    for command in ("tables", "verify", "antipode", "sigma", "shuffle"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_text())
+    assert reports["verify"]["hard_pass"] is True
+    # the empty composite form is the identity, and an antipode exists, so
+    # the existence conjecture reads as broken at rank 0
+    assert reports["antipode"] == reports["verify"]["antipode"] == {
+        "exists": True, "unique": True, "matrix": [["1"]],
+        "xi_eta_is_identity": True, "conjecture_consistent": False}
+
+
+def test_markdown_summaries(complex_config, tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    assert main(["tables", "--markdown", "--config", complex_config, "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "# Instance tables", "", "## Product", "",
+        "- 1,1 -> 1", "- 1,e0 -> 1*e0", "- e0,1 -> 1*e0", "- e0,e0 -> -1",
+        "", "## Coproduct", "",
+        "- 1 -> 1*1(x)1 + 1*e0(x)e0", "- e0 -> 1*1(x)e0 + 1*e0(x)1"]
+    assert main(["verify", "--markdown", "--config", complex_config, "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "# Instance report", "",
+        "rank n = 1, eta = [['-1']], xi = [['1']]", "",
+        "## Hard checks",
+        *(f"- PASS {check}" for check in (
+            "antipode_closed_form_match", "antipode_unique_and_two_sided", "coassociative",
+            "coproduct_grade_pattern", "coproduct_unit_sign_pattern",
+            "counit_algebra_map_iff_eta_zero", "counit_law", "min_poly_ok",
+            "product_associative", "shuffle_couniversal_lift_comultiplicative",
+            "shuffle_universal_lift_multiplicative", "sigma_closed_form_match",
+            "unit_cogebra_map_iff_xi_zero")),
+        "", "overall: PASS", "",
+        "## Antipode",
+        "- exists: True (unique: True)",
+        "- composite-form identity: False, conjecture consistent: True (recorded)", "",
+        "## Scattering",
+        "- solution space dimension: 0",
+        "- braid_equation: False", "- coproduct_naturality: False", "- invertible: False",
+        "- product_naturality: False", "- verdict_braided: False"]
+    assert main(["sweep", "--markdown", "--a-values", "0,1,2", "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "# Sweep", "", "3 rows; conjecture consistent on 3; braid equation true/false: 1/1"]
+
+
 def test_sweep_explicit_values(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--a-values=-1,0,1/2", "--out", str(out)]) == 0
@@ -211,6 +259,20 @@ def test_matrix_not_an_array_of_arrays_is_a_parse_error(tmp_path, capsys, n, eta
 def test_config_not_an_object_or_missing_a_key_is_a_parse_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"pairng": "straight"}, 'unknown key "pairng"'),
+    ({"options": {"truncaton": 6}}, 'unknown key "truncaton" in options'),
+    ({"pairing": "straight", "options": {"truncation": 2, "pairing": "straight"}},
+     'unknown key "pairing" in options'),
+    ({"x" * 100: 1}, 'unknown key "xxxxxxxxxxxx...xxxxxxxxxxxxx"'),
+])
+def test_config_with_an_unknown_key_is_a_parse_error(tmp_path, capsys, extra, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "eta": [["1"]], "xi": [["1"]], **extra}))
     assert main(["verify", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: bad config: {message}\n"
 
@@ -729,14 +791,14 @@ def test_verify_builds_one_structure(tmp_path, monkeypatch, n, kind, pairing):
 
 
 def test_verify_fails_on_an_antipode_family_that_is_not_unique(tmp_path, monkeypatch):
-    original = hopf.antipode_solution
+    original = hopf.solve_antipode
 
     def planted(structure):
         sol = original(structure)
         shift = tuple(int(i == 0) for i in range(len(sol.particular)))
         return AffineSolutionSet(sol.particular, (shift,))
 
-    monkeypatch.setattr(hopf, "antipode_solution", planted)
+    monkeypatch.setattr(hopf, "solve_antipode", planted)
     eta, xi = _forms(2, "generic")
     cfg = write_config(tmp_path, "c.json", 2, eta, xi)
     out = tmp_path / "v.json"

@@ -424,8 +424,6 @@ def test_structure_config_roundtrip():
     assert s2.eta == s.eta and s2.xi == s.xi
 
 
-def test_tensor2_json_roundtrip():
+def test_tensor2_to_json():
     t = Tensor2(2, {(0b01, 0b10): F(-1, 2), (0, 0): F(3)})
-    data = t.to_json()
-    assert data == [["", "", "3"], ["0", "1", "-1/2"]]
-    assert Tensor2.from_json(2, data) == t
+    assert t.to_json() == [["", "", "3"], ["0", "1", "-1/2"]]

@@ -114,12 +114,12 @@ def test_antipode_residuals_are_the_convolution_defects(structure, data):
     s = data.draw(square_maps(basis, sparse_rationals))
     idm, ue = structure.maps.id, hopf.unit_counit_endo(structure)
     for (rows, rhs), (f, g) in zip(hopf.antipode_systems(structure), ((s, idm), (idm, s))):
-        defect = hopf.convolution(f, g, structure).to_matrix(basis) - ue.to_matrix(basis)
+        conv, unit = hopf.convolution(f, g, structure).to_matrix(basis), ue.to_matrix(basis)
         expected: dict = {}
         for d in range(dim):
             for c in range(dim):
-                if defect[(d, c)]:
-                    expected.setdefault((c,), {})[(d,)] = defect[(d, c)]
+                if defect := conv[(d, c)] - unit[(d, c)]:
+                    expected.setdefault((c,), {})[(d,)] = defect
         assert residuals(rows, rhs, s.to_matrix(basis)) == expected
 
 
@@ -375,7 +375,7 @@ def test_factored_antipode_route_matches_the_eight_step_route(pairing, n, eta, x
     structure = CliffordStructure(n, Matrix(eta), Matrix(xi), pairing=pairing)
     sigma = antipode_scattering(structure)
     assert sigma is not None
-    s = hopf.antipode_map(structure, hopf.antipode_solution(structure).particular)
+    s = hopf.antipode_map(structure, hopf.solve_antipode(structure).particular)
     assert sigma == LinearMap.of(keys(n, 2), eight_step_antipode_route(structure.maps, s))
 
 
