@@ -1,13 +1,14 @@
 """Command-line front end: load an (n, eta, xi) instance from JSON, run the
 analyses, emit deterministic machine-readable reports and optional markdown.
 
-This is the one module that builds reports; hopf, braiding and clifford
-return mathematical values only.  Each reading that several reports share
-is made in one place: the scattering (solve_sigma, then scattering_map, then
-braided_flags) in _scattering, the rank-1 parameter a = eta_00 xi_00 in
-_parameter and the existence-conjecture flag in conjecture_record.  Each
-fact has one report shape: the antipode, sigma and shuffle commands write
-the verify section of the same name.
+This is the one module that knows the config format (read_config checks
+every key, config_of writes it) and the one that builds reports; hopf,
+braiding and clifford return mathematical values only.  Each reading that
+several reports share is made in one place: the scattering (solve_sigma,
+then scattering_map, then braided_flags) in _scattering, the rank-1
+parameter a = eta_00 xi_00 in _parameter and the existence-conjecture flag
+in conjecture_record.  Each fact has one report shape: the antipode, sigma
+and shuffle commands write the verify section of the same name.
 
 Exit codes: 0 pass, 1 hard-invariant failure, 2 usage or parse error.
 Conjecture-style checks are recorded in reports but never gate the exit code.
@@ -26,7 +27,7 @@ from fractions import Fraction
 from . import braiding, hopf, tensor_shuffle as ts
 from .clifford import (CliffordStructure, check_counit_is_algebra_map,
                        check_unit_is_cogebra_map, coproduct_grades_ok, coproduct_unit_signs_ok)
-from .exterior import Multivector, blade_key, blade_name, blades
+from .exterior import Multivector, blade_key, blade_name, blades, check_dim
 from .linmap import LinearMap, agree, keys
 from .scalars import AffineSolutionSet, Matrix, echo, format_scalar, parse_scalar
 
@@ -61,10 +62,8 @@ class ConfigError(Exception):
 
 
 def load_config(path: str, max_rank: int | None = None,
-                command: str = "") -> tuple[CliffordStructure, dict]:
-    """The structure and options of a config file; a rank above max_rank is
-    refused with "<command> supports rank <= max_rank" before any table is
-    built."""
+                command: str = "") -> tuple[CliffordStructure, int]:
+    """The structure and word-length bound of a config file (see read_config)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -74,6 +73,15 @@ def load_config(path: str, max_rank: int | None = None,
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     except RecursionError as exc:
         raise ConfigError("config is nested too deeply to parse") from exc
+    return read_config(data, max_rank, command)
+
+
+def read_config(data, max_rank: int | None = None,
+                command: str = "") -> tuple[CliffordStructure, int]:
+    """The structure and word-length bound of a parsed config.  Every key is
+    checked the same way for every command, before any table is built: the
+    keys, the rank (refused above max_rank as "<command> supports rank <=
+    max_rank"), options.truncation (4 when absent), the forms, the pairing."""
     if not isinstance(data, dict):
         raise ConfigError("bad config: a config must be a JSON object")
     if missing := [key for key in ("n", "eta", "xi") if key not in data]:
@@ -86,12 +94,45 @@ def load_config(path: str, max_rank: int | None = None,
             # the key as echo shows it, without its quotes
             raise ConfigError(f'bad config: unknown key "{echo(unknown[0])[1:-1]}"{where}')
     try:
-        if max_rank is not None and CliffordStructure.config_rank(data) > max_rank:
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"rank must be a JSON integer, got {echo(n)}")
+        check_dim(n)
+        if max_rank is not None and n > max_rank:
             raise ConfigError(f"{command} supports rank <= {max_rank}")
-        structure = CliffordStructure.from_config(data)
-    except (KeyError, ValueError, TypeError) as exc:
+        bound = _word_bound(options.get("truncation", 4), "truncation")
+        # the structure checks the shapes and the pairing before building
+        structure = CliffordStructure(n, _form(data["eta"]), _form(data["xi"]),
+                                      pairing=data.get("pairing", "inner"))
+    except ValueError as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return structure, options
+    return structure, bound
+
+
+def _form(data) -> Matrix:
+    """A form from a JSON array of row arrays of "p/q" strings."""
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ValueError("a matrix must be a JSON array of row arrays")
+    return Matrix([[parse_scalar(x) for x in r] for r in data])
+
+
+def _word_bound(bound, source: str) -> int:
+    """A word-length bound read from source, refused unless it is a
+    non-negative integer within MAX_WORD_BOUND."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {echo(bound)}")
+    if bound > MAX_WORD_BOUND:
+        raise ConfigError(f"{source} {echo(bound)} is over the word-length budget of "
+                          f"{MAX_WORD_BOUND}")
+    return bound
+
+
+def config_of(structure: CliffordStructure) -> dict:
+    """The config read_config reads as the structure, less the default pairing."""
+    cfg = {"n": structure.n, "eta": structure.eta.to_json(), "xi": structure.xi.to_json()}
+    if structure.pairing != "inner":
+        cfg["pairing"] = structure.pairing
+    return cfg
 
 
 def dump_json(obj) -> str:
@@ -126,7 +167,7 @@ def build_tables(structure: CliffordStructure) -> dict:
 
 def cmd_tables(args) -> int:
     structure, _ = load_config(args.config, TABLES_MAX_RANK, "tables")
-    report = {"structure": structure.to_config(), "tables": build_tables(structure)}
+    report = {"structure": config_of(structure), "tables": build_tables(structure)}
     write_out(report, args.out)
     if args.markdown:
         lines = ["# Instance tables", "", "## Product", ""]
@@ -311,7 +352,7 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     if n == 1:
         hard.update(_rank1_checks(structure, ant_sol, sigma_sol, s))
     report = {
-        "structure": structure.to_config(),
+        "structure": config_of(structure),
         "coproduct_table": {blade_key(c): structure.coproduct_table[c].to_json()
                             for c in blades(n)},
         "hard_checks": hard,
@@ -350,28 +391,14 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _truncation(args, options: dict) -> int:
-    """The word-length bound: --l when given, else the config's
-    "truncation", else 4; refused above MAX_WORD_BOUND."""
-    if args.truncation is not None:
-        bound, source = args.truncation, "--l"
-        if bound < 0:
-            raise ConfigError(f"--l must be a non-negative integer, got {bound}")
-    else:
-        bound, source = options.get("truncation", 4), "truncation"
-        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-            raise ConfigError("bad config: truncation must be a non-negative integer, "
-                              f"got {echo(bound)}")
-    if bound > MAX_WORD_BOUND:
-        raise ConfigError(f"{source} {echo(bound)} is over the word-length budget of "
-                          f"{MAX_WORD_BOUND}")
-    return bound
+def _truncation(args, bound: int) -> int:
+    """The word-length bound: --l when given, else the config's bound."""
+    return bound if args.truncation is None else _word_bound(args.truncation, "--l")
 
 
 def cmd_verify(args) -> int:
-    structure, options = load_config(args.config, VERIFY_MAX_RANK, "verify")
-    bound = _truncation(args, options)
-    report = build_instance_report(structure, bound)
+    structure, bound = load_config(args.config, VERIFY_MAX_RANK, "verify")
+    report = build_instance_report(structure, _truncation(args, bound))
     write_out(report, args.out)
     if args.markdown:
         print(render_markdown(report), end="")
@@ -392,9 +419,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    structure, options = load_config(args.config, 2, "shuffle summary")
-    bound = _truncation(args, options)
-    report = _verify_shuffle(structure, bound)
+    structure, bound = load_config(args.config, 2, "shuffle summary")
+    report = _verify_shuffle(structure, _truncation(args, bound))
     write_out(report, args.out)
     return 0 if all(report.values()) else 1
 
@@ -525,6 +551,9 @@ def main(argv=None) -> int:
         args, extra = parser.parse_known_args(argv)
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # stdout holds one document: the summary, or the report
+        if getattr(args, "markdown", False) and not args.out:
+            args.parser.error("--markdown needs --out")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -9,7 +9,8 @@ maps; its tables are views read off them (see CliffordStructure), and
 only the verdicts of the bigebra laws are kept on it besides.  A coproduct
 lands in Tensor2, the sparse tensor square: a :class:`linmap.SparseVector`
 keyed by blade pairs, written as the report's coproduct table and never
-read back.
+read back.  A structure is built from its rank and forms; cli alone reads
+and writes the config format.
 
 Conventions (each is load-bearing; tests pin all of them):
 
@@ -52,7 +53,6 @@ from .exterior import (
     blade_key,
     blade_name,
     blades,
-    check_dim,
     grade,
     wedge_sign,
 )
@@ -185,28 +185,6 @@ class CliffordStructure:
     def _check(self, x):
         if x.dim != self.n:
             raise ValueError(f"rank mismatch: structure has {self.n}, value has {x.dim}")
-
-    # -- serialization ----------------------------------------------------
-
-    def to_config(self) -> dict:
-        cfg = {"n": self.n, "eta": self.eta.to_json(), "xi": self.xi.to_json()}
-        if self.pairing != "inner":
-            cfg["pairing"] = self.pairing
-        return cfg
-
-    @staticmethod
-    def config_rank(data: dict) -> int:
-        """A config's rank, checked without building anything."""
-        n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"rank must be a JSON integer, got {echo(n)}")
-        check_dim(n)
-        return n
-
-    @classmethod
-    def from_config(cls, data: dict) -> "CliffordStructure":
-        return cls(cls.config_rank(data), Matrix.from_json(data["eta"]),
-                   Matrix.from_json(data["xi"]), pairing=data.get("pairing", "inner"))
 
 
 def check_counit_is_algebra_map(structure: CliffordStructure):

@@ -28,9 +28,9 @@ from typing import Iterable
 def echo(value) -> str:
     """A value read from a config as an error message shows it: its repr
     abbreviated by reprlib (a deep list as [[[[[[[...]]]]]]], a long string
-    cut in its middle) and cut to 60 characters, so that the message stays
-    one short line whatever the value."""
-    text = reprlib.repr(value)
+    cut in its middle), non-ASCII escaped as by ascii(), and cut to 60
+    characters, all ASCII: the message stays one short line whatever the value."""
+    text = reprlib.repr(value).encode("ascii", "backslashreplace").decode()
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -120,14 +120,6 @@ class Matrix:
 
     def to_json(self) -> list:
         return [[format_scalar(a) for a in r] for r in self.rows]
-
-    @classmethod
-    def from_json(cls, data: list) -> "Matrix":
-        """A matrix from a JSON array of row arrays of "p/q" strings; any
-        other shape raises a one-line ValueError."""
-        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-            raise ValueError("a matrix must be a JSON array of row arrays")
-        return cls([[parse_scalar(x) for x in r] for r in data])
 
 
 @dataclass

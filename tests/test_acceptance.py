@@ -458,3 +458,31 @@ def test_criterion_13_conjecture_evidence_recorded(tmp_path):
           f"{aggregate['braid_eq_true']}/{aggregate['braid_eq_false']}")
     print(f"    rank-2 instances: conjecture consistent on {consistent}/10")
     assert identical
+
+
+def test_criterion_15_scattering_existence_per_pairing():
+    """Where the compatibility square has a solution, per tensor-square
+    pairing, at rank 2 (ROADMAP item 17).  Off the no-antipode loci both
+    pairings give an antipode and a unique scattering.  On them "straight"
+    still gives a scattering family, of dimension 192, and "inner" none.
+    The first config is on both loci (c0 = 0 under either pairing: eta is
+    antisymmetric and det(I - eta xi) = 0); the second is a point of the
+    straight locus det(I - eta xi) = 0, with det(eta_s) = 0 as well; the
+    third has c0 = -4 under both."""
+    no_antipode = {"straight": (False, 192), "inner": (False, None)}
+    configs = [
+        ([[0, 1], [-1, 0]], [[0, -3], [1, 1]], no_antipode),
+        ([[1, 0], [0, 0]], [[1, 0], [0, 1]], no_antipode),
+        ([[1, 2], [0, 1]], [[1, 0], [1, 1]], {"straight": (True, 0), "inner": (True, 0)}),
+    ]
+    ok = True
+    for eta, xi, expected in configs:
+        for pairing, (antipode, dimension) in expected.items():
+            s = CliffordStructure(2, Matrix(eta), Matrix(xi), pairing=pairing)
+            sol = braiding.solve_sigma(s)
+            found = (hopf.solve_antipode(s).is_consistent,
+                     sol.dimension if sol.is_consistent else None)
+            ok = ok and found == (antipode, dimension)
+    _report(15, ok, "scattering exists on the no-antipode locus under straight only; "
+                    "unique off it under both pairings")
+    assert ok

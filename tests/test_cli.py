@@ -1,12 +1,16 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xcliff import braiding, cli, hopf, tensor_shuffle as ts
 from xcliff.cli import main, sweep_row
@@ -198,6 +202,17 @@ def test_markdown_summaries(complex_config, tmp_path, capsys):
         "# Sweep", "", "3 rows; conjecture consistent on 3; braid equation true/false: 1/1"]
 
 
+@pytest.mark.parametrize("command", ["tables", "verify", "sweep"])
+def test_markdown_without_out_is_a_usage_error(complex_config, capsys, command):
+    # stdout would hold the JSON report and then the summary
+    config = [] if command == "sweep" else ["--config", complex_config]
+    assert main([command, "--markdown", *config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: xcliff {command} ")
+    assert captured.err.endswith(f"\nxcliff {command}: error: --markdown needs --out\n")
+
+
 def test_sweep_explicit_values(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--a-values=-1,0,1/2", "--out", str(out)]) == 0
@@ -317,6 +332,20 @@ def test_bad_config_value_is_echoed_in_one_short_line(tmp_path, config, shown):
     err = run.stderr
     assert err.startswith("error: bad config:") and shown in err
     assert err.count("\n") == 1 and len(err) <= 200
+
+
+def test_non_ascii_config_value_is_echoed_escaped(tmp_path, capsys):
+    # escaped, the cut at 60 characters is a cut at 60 bytes: 25 letters of
+    # 4 bytes each, shown raw, made a 252-byte line
+    wide = "\U0001d538" * 25
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 1, "eta": FORM, "xi": FORM, "pairing": [wide, wide]}))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: bad config: pairing must be one of inner, straight, got "
+                   "['\\U0001d538\\U0001d538\\U0001d538\\U0001d538\\U0001d538\\U000...\n")
+    assert len(err.encode()) < 200
+    assert echo("\u00e9") == "'\\xe9'"
 
 
 def test_short_config_values_are_echoed_whole():
@@ -456,14 +485,65 @@ def test_verify_decides_each_scattering_and_word_fact_once(tmp_path, monkeypatch
     assert (len(defect), words) == (0, [(4, False)])
 
 
-@pytest.mark.parametrize("command", ["verify", "shuffle"])
-@pytest.mark.parametrize("truncation", [[1], "x", -1, 2.9, True, "3"])
+BAD_TRUNCATIONS = [[1], "x", -1, 2.9, True, "3"]
+
+
+@pytest.mark.parametrize("command", ["verify", "shuffle", "tables", "antipode", "sigma"])
+@pytest.mark.parametrize("truncation", BAD_TRUNCATIONS)
 def test_bad_truncation_in_config_is_a_parse_error(tmp_path, capsys, command, truncation):
     cfg = write_config(tmp_path, "c.json", 1, [["-1"]], [["1"]],
                        options={"truncation": truncation})
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("truncation", BAD_TRUNCATIONS)
+def test_bad_truncation_in_config_is_refused_under_the_l_flag(tmp_path, capsys, truncation):
+    cfg = write_config(tmp_path, "c.json", 1, [["-1"]], [["1"]],
+                       options={"truncation": truncation})
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", cfg, "--l", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: truncation") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# a valid rank-1 config; the fuzz replaces one of its keys, or the
+# truncation in its options, with a drawn JSON value
+FUZZ_BASE = {"n": 1, "eta": [["2"]], "xi": [["-1/3"]], "pairing": "straight",
+             "options": {"truncation": 3}}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(key=st.sampled_from(["n", "eta", "xi", "pairing", "options", "truncation"]),
+       value=JSON_VALUES)
+def test_every_config_command_reads_a_fuzzed_config_alike(key, value):
+    # one reader checks the config for every command, and at rank <= 1 no
+    # command's rank budget applies: either all refuse it or none does
+    config = json.loads(json.dumps(FUZZ_BASE))
+    (config["options"] if key == "truncation" else config)[key] = value
+    refused = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        for command in ("tables", "verify", "antipode", "sigma", "shuffle"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", os.path.join(tmp, "o.json")])
+            assert code in (0, 1, 2)
+            if code == 2:
+                line = err.getvalue()
+                assert line.startswith("error: ") and line.count("\n") == 1
+                assert line.endswith("\n") and len(line.encode()) < 200
+            refused.add(code == 2)
+    assert len(refused) == 1
 
 
 @pytest.fixture
@@ -702,7 +782,7 @@ def test_bounded_pair_lift_is_the_lift_squared_within_the_bound(n, bound):
     # the comultiplicativity check's one map equals colifted (x) colifted
     # followed by the projection onto the word pairs within the bound
     eta, xi = GENERIC_FORMS[n]
-    s = CliffordStructure.from_config({"n": n, "eta": eta, "xi": xi})
+    s, _ = cli.read_config({"n": n, "eta": eta, "xi": xi})
     colift = ts.couniversal_lift(ts.grade1_projection(s), s, bound)
     colifted = cli._as_map(blades(n), lambda c: colift(Multivector.blade(n, c)))
     within_bound = LinearMap(2, {p: {p: F(1)} for p in ts.word_maps(n, bound).m.cols})
@@ -766,7 +846,7 @@ def test_braided_iff_discrepancy_reads_invertible_and_braid(n, kind, pairing, di
     # flags (T, T, xi = 0, eta = 0), so the iff holds although the four-flag
     # verdict is false; under "inner" the rank-2 flags are (T, F, F, F).
     eta, xi = _forms(n, kind)
-    structure = CliffordStructure.from_config(
+    structure, _ = cli.read_config(
         {"n": n, "eta": eta, "xi": xi, "pairing": pairing})
     report = cli.build_instance_report(structure, 2)
     assert report["hard_pass"] is True

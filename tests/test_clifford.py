@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from xcliff.cli import config_of, read_config
 from xcliff.clifford import (CliffordStructure, Tensor2, check_counit_is_algebra_map,
                              check_unit_is_cogebra_map, coproduct_grades_ok,
                              coproduct_unit_signs_ok, xi_gram_determinant)
@@ -340,12 +341,12 @@ def test_unknown_pairing_rejected():
 
 def test_structure_config_roundtrip_keeps_pairing():
     s = CliffordStructure(2, Matrix.identity(2), Matrix([[0, 1], [0, 0]]), pairing="straight")
-    cfg = s.to_config()
+    cfg = config_of(s)
     assert cfg["pairing"] == "straight"
-    s2 = CliffordStructure.from_config(cfg)
+    s2, _ = read_config(cfg)
     assert s2.pairing == "straight"
     assert s2.coproduct_table == s.coproduct_table
-    assert CliffordStructure.from_config(complex_structure(1, 2).to_config()).pairing == "inner"
+    assert read_config(config_of(complex_structure(1, 2)))[0].pairing == "inner"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -418,9 +419,9 @@ def test_unit_cogebra_map_iff_form_vanishes():
 
 def test_structure_config_roundtrip():
     s = complex_structure(-1, F(1, 2))
-    cfg = s.to_config()
+    cfg = config_of(s)
     assert cfg == {"n": 1, "eta": [["-1"]], "xi": [["1/2"]]}
-    s2 = CliffordStructure.from_config(cfg)
+    s2, _ = read_config(cfg)
     assert s2.eta == s.eta and s2.xi == s.xi
 
 

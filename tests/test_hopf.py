@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xcliff import cli
 from xcliff.cli import _verify_antipode, sweep_row
-from xcliff.clifford import PAIRINGS, CliffordStructure
+from xcliff.clifford import PAIRINGS, CliffordStructure, xi_gram_determinant
 from xcliff.exterior import Multivector, blades, grade
 from xcliff.hopf import (antipode_map, complex_antipode_closed_form, convolution,
                          solve_antipode, unit_counit_endo)
@@ -399,3 +399,53 @@ def test_verify_evaluates_each_law_once(monkeypatch):
     assert len(products) == 1
     assert s.laws == {"product_associative": True, "unital": True,
                       "coassociative": True, "counital": True}
+
+
+# -- the antipode-existence laws ------------------------------------------------
+
+def _det(m: Matrix) -> F:
+    every = (1 << m.nrows) - 1
+    return xi_gram_determinant(m, every, every)
+
+
+def _symmetric_part(m: Matrix) -> Matrix:
+    return Matrix([[(m[(i, j)] + m[(j, i)]) / 2 for j in range(m.ncols)]
+                   for i in range(m.nrows)])
+
+
+def existence_constant(eta: Matrix, xi: Matrix, pairing: str) -> F:
+    """The laws' c_0: -det(I - eta xi)^(2^(n-1)) under "straight", and at
+    rank 2 under "inner" -det(I - eta xi)^2 + 16 det(eta_s) det(xi_s), with
+    eta_s = (eta + eta^T)/2 and xi_s alike."""
+    n = eta.nrows
+    composite = eta @ xi
+    c0 = -_det(Matrix([[(i == j) - composite[(i, j)] for j in range(n)]
+                       for i in range(n)])) ** (2 ** (n - 1))
+    if pairing == "inner":
+        c0 += 16 * _det(_symmetric_part(eta)) * _det(_symmetric_part(xi))
+    return c0
+
+
+def small_forms(n: int):
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix)
+
+
+@pytest.mark.parametrize("n, pairing, examples", [
+    (1, "straight", 20), (2, "straight", 20), (3, "straight", 8), (2, "inner", 20)])
+def test_constant_term_of_id_follows_the_existence_law(n, pairing, examples):
+    # the law is c_0 of the polynomial of degree 2^n that id satisfies; where
+    # id's minimal polynomial is a proper factor of it (at zero forms, say)
+    # its c_0 is another number, zero exactly when the law's is
+    @settings(derandomize=True, database=None, max_examples=examples, deadline=None)
+    @given(eta=small_forms(n), xi=small_forms(n))
+    def check(eta, xi):
+        c = hopf.id_powers(CliffordStructure(n, eta, xi, pairing=pairing))[1]
+        law = existence_constant(eta, xi, pairing)
+        if len(c) == 2 ** n:
+            assert c[0] == law
+        else:
+            assert (c[0] == 0) == (law == 0)
+
+    check()
