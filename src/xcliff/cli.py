@@ -38,8 +38,9 @@ VERIFY_MAX_RANK = 3
 # 2-vCPU host)
 TABLES_MAX_RANK = 6
 ANTIPODE_MAX_RANK = 5
-# sigma reads the braided flags of its scattering: on generic rank-4 forms
-# they did not finish in 12 minutes (CPython 3.11, a shared 2-vCPU host)
+# sigma reads the braided flags of its scattering: at rank 4, generic forms
+# under "inner" took 184-333 s, 164-172 s of it sigma's exact rank (the other
+# 9 family x pairing reports 0.17-3.16 s; CPython 3.11, a shared 2-vCPU host)
 SCATTERING_MAX_RANK = 3
 # the word-length budget of verify and shuffle: a rank-2 shuffle at bound 8
 # takes about 1 s, and each further length multiplies its time and memory
@@ -503,13 +504,14 @@ def cmd_sweep(args) -> int:
 # -- entry ---------------------------------------------------------------------
 
 class Parser(argparse.ArgumentParser):
-    """argparse's parser with its "prog: error: ..." line cut to 200
-    characters, so that a long bad value or argument is not echoed whole;
-    the subcommand parsers are made from the same class."""
+    """argparse's parser with its "prog: error: ..." line escaped as by
+    ascii() and cut to 200 characters, so at most 200 bytes: a long or wide
+    bad value or argument is not echoed whole.  The subcommand parsers are
+    made from the same class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        line = f"{self.prog}: error: {message}"
+        line = f"{self.prog}: error: {message}".encode("ascii", "backslashreplace").decode()
         self.exit(2, (line if len(line) <= 200 else line[:197] + "...") + "\n")
 
 

@@ -1,6 +1,6 @@
 """Word algebras at a truncation bound: concatenation and shuffle products,
 their coproducts, the word pairing, lifts between the deformed-algebra world
-and the word world, and the permutation-summed symmetrizer.
+and the word world, and the braided symmetrizer.
 
 Words are tuples of letters in {0, ..., n-1}.  Elements are sparse vectors
 keyed by words (:class:`linmap.SparseVector`); they carry a bound L and an
@@ -283,10 +283,6 @@ class WordOperator(LinearMap):
     def identity(cls, dim: int, k: int) -> "WordOperator":
         return cls.of_steps(dim, k, [])
 
-    @classmethod
-    def zero(cls, dim: int, k: int) -> "WordOperator":
-        return cls(dim, k, {w: {} for w in letter_words(dim, k)})
-
     def __add__(self, other: "WordOperator") -> "WordOperator":
         return WordOperator(self.dim, self.arity,
                             {w: add(col, other.cols[w]) for w, col in self.cols.items()})
@@ -315,38 +311,26 @@ def check_letter_braid_equation(sigma: LinearMap, n: int) -> bool:
     return agree(letter_words(n, 3), *braid_relation(sigma))
 
 
-def _reduced_word(perm: tuple) -> list[int]:
-    """Adjacent-transposition word sorting the permutation (bubble sort), so
-    its length is the inversion count."""
-    w = list(perm)
-    word = []
-    i = 0
-    while i < len(w) - 1:
-        if w[i] > w[i + 1]:
-            w[i], w[i + 1] = w[i + 1], w[i]
-            word.append(i + 1)  # 1-based adjacent position
-            if i:
-                i -= 1
-        else:
-            i += 1
-    return word
-
-
 def quantum_symmetrizer(sigma: LinearMap, k: int, n: int) -> WordOperator:
-    """Sum over all permutations of the braid-lifted reduced words.
+    """The braided factorial [k]! on length-k words: the sum over all
+    permutations of their braid-lifted reduced words.  It is built by the
+    recursion [m]! = ([m-1]! (x) id) C_m, with s_i the crossing at letters
+    i, i+1 and C_m = 1 + s_{m-1} + s_{m-1}s_{m-2} + ... + s_{m-1}...s_1,
+    whose terms cross one letter past every letter after it.
 
-    Well-defined only when the letter crossing satisfies the braid equation
-    (distant lifts always commute); that precondition is checked and violations
-    are rejected."""
+    Well-defined, and equal to the sum, only when the letter crossing
+    satisfies the braid equation (distant lifts always commute); that
+    precondition is checked and violations are rejected."""
     if k < 2:
         return WordOperator.identity(n, k)
     if not check_letter_braid_equation(sigma, n):
         raise ValueError("letter crossing does not satisfy the braid equation")
-    total = WordOperator.zero(n, k)
-    for perm in itertools.permutations(range(k)):
-        # the product s_i1 ... s_im of the reduced word acts rightmost first
-        steps = [sigma.at(i - 1) for i in reversed(_reduced_word(perm))]
-        total = total + WordOperator.of_steps(n, k, steps)
+    total = WordOperator.identity(n, 1)
+    for m in range(2, k + 1):
+        moves = WordOperator.identity(n, m)
+        for j in range(m - 1):
+            moves = moves + WordOperator.of_steps(n, m, [sigma.at(i) for i in range(j, m - 1)])
+        total = WordOperator.of_steps(n, m, [moves.at(0), total.at(0)])
     return total
 
 

@@ -2,14 +2,15 @@
 command runs.
 
 Dense linear algebra over ``scalars.Matrix`` (solve, rank, invertibility and
-the minimal polynomial), grade projections, the pairing of a dual tensor
-square, the closed-form unshuffle coproduct, endomorphisms from blade
-images, the graded switch, the square's routed side as one composite, the
-compatibility square linearized in all 16^n scattering entries, the
-scattering's closed form from the antipode, the powers of id found by
-solves, the 12-parameter scattering family at parameter product 1, the
-module action and the braid lifts of a letter crossing.
-Each is built on the program's own types and sparse maps.
+the minimal polynomial), grade projections, the exterior power of a
+matrix, the pairing of a dual tensor square, the closed-form unshuffle
+coproduct, endomorphisms from blade images, the graded switch, the
+square's routed side as one composite, the compatibility square
+linearized in all 16^n scattering entries, the scattering's closed form
+from the antipode, the powers of id found by solves, the 12-parameter
+scattering family at parameter product 1, the module action and the braid
+lifts of a letter crossing.  Each is built on the program's own types and
+sparse maps.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from xcliff import hopf
 from xcliff.braiding import _check_scattering, _direct
-from xcliff.clifford import CliffordStructure, Tensor2
+from xcliff.clifford import CliffordStructure, Tensor2, xi_gram_determinant
 from xcliff.exterior import Multivector, blade_indices, blades, grade, wedge_sign
 from xcliff.hopf import _check_endo
 from xcliff.linmap import LinearMap, Unknown, chain, keys, linearize
@@ -101,6 +102,14 @@ def grade_project(x: Multivector, k: int) -> Multivector:
 
 def basis_blades_of_grade(dim: int, k: int) -> list[int]:
     return [b for b in blades(dim) if grade(b) == k]
+
+
+def exterior_power(g: Matrix, n: int) -> LinearMap:
+    """The exterior power of g (column i the image of e_i): the blade e_S
+    goes to the wedge of the images of its vectors, the sum over the blades
+    T of its grade of the minor det g[T, S] times e_T."""
+    return LinearMap(1, {(s,): {(t,): d for t in blades(n) if (d := xi_gram_determinant(g, t, s))}
+                         for s in blades(n)})
 
 
 # -- the coproduct and its pairing -------------------------------------------

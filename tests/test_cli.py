@@ -662,6 +662,21 @@ def test_long_usage_error_is_cut(capsys, argv):
     assert len(err.encode()) < 400 and err.endswith("...\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "\U0001d538" * 300],
+    ["verify", "--config", "c.json", "--l", "\u00e9" * 300],
+], ids=["seed", "l"])
+def test_non_ascii_usage_error_is_escaped_and_cut(capsys, argv):
+    # the cut counts characters, so the line is at most 200 bytes only once
+    # it is ASCII: raw, 197 letters of U+1D538 alone are 788 bytes
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and err.endswith(errors[0] + "\n")
+    assert err.isascii() and len(errors[0]) <= 200 and len(err.encode()) < 400
+    assert "argument --" in errors[0] and errors[0].endswith("...")
+
+
 def test_short_usage_error_is_shown_whole(capsys):
     assert main(["sweep", "--samples", "abc"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (

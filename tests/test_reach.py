@@ -42,7 +42,6 @@ ALLOWED = {
     "tensor_shuffle._shuffles": "the shuffle rule of shuffle_product",
     "tensor_shuffle._unshuffles": "the unshuffle rule of unshuffle_coproduct",
     "tensor_shuffle.check_letter_braid_equation": "the precondition of quantum_symmetrizer",
-    "tensor_shuffle._reduced_word": "called only by quantum_symmetrizer",
     "tensor_shuffle.letter_switch": "the crossing of perfbench's symmetrizer reference",
     "tensor_shuffle.zero_letter_crossing": "the default crossing of zero_braid_bigebra_check",
     "tensor_shuffle.cross_words": "called only by zero_braid_bigebra_check",

@@ -6,6 +6,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xcliff.braiding import closed_form_sigma
 from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector, blades
 from xcliff.linmap import LinearMap, agree
@@ -540,7 +541,7 @@ def test_zero_braid_check_matches_oracle(crossing, bound):
 
 
 @ORACLE_SETTINGS
-@given(letter_crossings(), st.sampled_from([2, 3, 4]))
+@given(letter_crossings(), st.sampled_from([2, 3, 4, 5]))
 def test_symmetrizer_matches_oracle(crossing, k):
     n, sigma = crossing
     assert [op.cols for op in braid_lift(sigma, k, n)] == _oracle_lifts(
@@ -552,6 +553,24 @@ def test_symmetrizer_matches_oracle(crossing, k):
             quantum_symmetrizer(sigma, k, n)
         return
     assert quantum_symmetrizer(sigma, k, n).cols == want
+
+
+@pytest.mark.parametrize("j2", [1, -2, F(1, 3)])
+def test_symmetrizer_matches_oracle_on_the_rank1_scattering(j2):
+    # the scattering at i2 = 0 is braided and not diagonal: 1 (x) 1 goes to
+    # 1 (x) 1 - j2 i (x) i; its blades 0 and 1 are read as the two letters
+    sigma = closed_form_sigma(0, j2)
+    assert check_letter_braid_equation(sigma, 2) and sigma.cols[(0, 0)][(1, 1)] == -j2
+    for k in range(2, 6):
+        assert quantum_symmetrizer(sigma, k, 2).cols == _oracle_symmetrizer(sigma, k, 2)
+    assert exterior_image_dimensions(sigma, 2, 5) == [1, 2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_switch_symmetrizer_ranks_through_length_6(n):
+    assert exterior_image_dimensions(letter_switch(n), n, 6) == [
+        comb(n + k - 1, k) for k in range(7)]
+    assert exterior_image_dimensions(letter_switch(n, -1), n, 6) == [comb(n, k) for k in range(7)]
 
 
 @pytest.mark.parametrize("shuffle", [False, True])
