@@ -1,5 +1,6 @@
-"""Command-line front end: load an (n, eta, xi) instance from JSON, run the
-analyses, emit deterministic machine-readable reports and optional markdown.
+"""Command-line front end: load an instance (n, eta, xi, pairing) from a
+UTF-8 JSON config, run the analyses (words up to length --l, 4 by default),
+emit deterministic machine-readable reports and optional markdown.
 
 This is the one module that knows the config format (read_config checks
 every key, config_of writes it) and the one that builds reports; hopf,
@@ -29,7 +30,8 @@ from .clifford import (CliffordStructure, check_counit_is_algebra_map,
                        check_unit_is_cogebra_map, coproduct_grades_ok, coproduct_unit_signs_ok)
 from .exterior import Multivector, blade_key, blade_name, blades, check_dim
 from .linmap import LinearMap, agree, keys
-from .scalars import AffineSolutionSet, Matrix, echo, format_scalar, parse_scalar
+from .scalars import (MAX_SCALAR_DIGITS, AffineSolutionSet, Matrix, echo, format_scalar,
+                      parse_scalar)
 
 VERIFY_MAX_RANK = 3
 # tables and antipode build both cliffordizations over 4^n blade pairs first:
@@ -52,10 +54,9 @@ MAX_WORD_BOUND = 8
 MAX_SWEEP_ROWS = 50_000
 
 
-# the keys a config may hold, and those its "options" object may hold; any
-# other key is refused, so that a misspelled one is not silently ignored
-CONFIG_KEYS = ("n", "eta", "xi", "pairing", "options")
-OPTION_KEYS = ("truncation",)
+# the keys a config may hold: the instance (n, eta, xi, pairing); any other
+# key is refused, so that a misspelled one is not silently ignored
+CONFIG_KEYS = ("n", "eta", "xi", "pairing")
 
 
 class ConfigError(Exception):
@@ -63,13 +64,15 @@ class ConfigError(Exception):
 
 
 def load_config(path: str, max_rank: int | None = None,
-                command: str = "") -> tuple[CliffordStructure, int]:
-    """The structure and word-length bound of a config file (see read_config)."""
+                command: str = "") -> CliffordStructure:
+    """The structure of a config file of UTF-8 JSON text (see read_config)."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 (byte {exc.start}): {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     except RecursionError as exc:
@@ -77,23 +80,27 @@ def load_config(path: str, max_rank: int | None = None,
     return read_config(data, max_rank, command)
 
 
-def read_config(data, max_rank: int | None = None,
-                command: str = "") -> tuple[CliffordStructure, int]:
-    """The structure and word-length bound of a parsed config.  Every key is
-    checked the same way for every command, before any table is built: the
-    keys, the rank (refused above max_rank as "<command> supports rank <=
-    max_rank"), options.truncation (4 when absent), the forms, the pairing."""
+def _json_int(text: str) -> int:
+    """A JSON integer of a config, its digits counted before it is read: main
+    lifts CPython's digit limit, so the scalars' budget holds it instead."""
+    if (digits := len(text.lstrip("-"))) > MAX_SCALAR_DIGITS:
+        raise ConfigError(f"bad config: an integer of {digits} digits is over the digit "
+                          f"budget of {MAX_SCALAR_DIGITS}")
+    return int(text)
+
+
+def read_config(data, max_rank: int | None = None, command: str = "") -> CliffordStructure:
+    """The structure of a parsed config.  Every key is checked the same way
+    for every command, before any table is built: the keys, the rank (refused
+    above max_rank as "<command> supports rank <= max_rank"), the forms, the
+    pairing."""
     if not isinstance(data, dict):
         raise ConfigError("bad config: a config must be a JSON object")
     if missing := [key for key in ("n", "eta", "xi") if key not in data]:
         raise ConfigError(f'bad config: missing key "{missing[0]}"')
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("bad config: options must be an object")
-    for given, known, where in ((data, CONFIG_KEYS, ""), (options, OPTION_KEYS, " in options")):
-        if unknown := [key for key in given if key not in known]:
-            # the key as echo shows it, without its quotes
-            raise ConfigError(f'bad config: unknown key "{echo(unknown[0])[1:-1]}"{where}')
+    if unknown := [key for key in data if key not in CONFIG_KEYS]:
+        # the key as echo shows it, without its quotes
+        raise ConfigError(f'bad config: unknown key "{echo(unknown[0])[1:-1]}"')
     try:
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
@@ -101,13 +108,11 @@ def read_config(data, max_rank: int | None = None,
         check_dim(n)
         if max_rank is not None and n > max_rank:
             raise ConfigError(f"{command} supports rank <= {max_rank}")
-        bound = _word_bound(options.get("truncation", 4), "truncation")
         # the structure checks the shapes and the pairing before building
-        structure = CliffordStructure(n, _form(data["eta"]), _form(data["xi"]),
-                                      pairing=data.get("pairing", "inner"))
+        return CliffordStructure(n, _form(data["eta"]), _form(data["xi"]),
+                                 pairing=data.get("pairing", "inner"))
     except ValueError as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return structure, bound
 
 
 def _form(data) -> Matrix:
@@ -117,13 +122,12 @@ def _form(data) -> Matrix:
     return Matrix([[parse_scalar(x) for x in r] for r in data])
 
 
-def _word_bound(bound, source: str) -> int:
-    """A word-length bound read from source, refused unless it is a
-    non-negative integer within MAX_WORD_BOUND."""
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {echo(bound)}")
+def _word_bound(bound: int) -> int:
+    """The bound --l, refused unless it is non-negative and within MAX_WORD_BOUND."""
+    if bound < 0:
+        raise ValueError(f"--l must be a non-negative integer, got {echo(bound)}")
     if bound > MAX_WORD_BOUND:
-        raise ConfigError(f"{source} {echo(bound)} is over the word-length budget of "
+        raise ConfigError(f"--l {echo(bound)} is over the word-length budget of "
                           f"{MAX_WORD_BOUND}")
     return bound
 
@@ -167,7 +171,7 @@ def build_tables(structure: CliffordStructure) -> dict:
 
 
 def cmd_tables(args) -> int:
-    structure, _ = load_config(args.config, TABLES_MAX_RANK, "tables")
+    structure = load_config(args.config, TABLES_MAX_RANK, "tables")
     report = {"structure": config_of(structure), "tables": build_tables(structure)}
     write_out(report, args.out)
     if args.markdown:
@@ -392,14 +396,9 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _truncation(args, bound: int) -> int:
-    """The word-length bound: --l when given, else the config's bound."""
-    return bound if args.truncation is None else _word_bound(args.truncation, "--l")
-
-
 def cmd_verify(args) -> int:
-    structure, bound = load_config(args.config, VERIFY_MAX_RANK, "verify")
-    report = build_instance_report(structure, _truncation(args, bound))
+    structure = load_config(args.config, VERIFY_MAX_RANK, "verify")
+    report = build_instance_report(structure, _word_bound(args.truncation))
     write_out(report, args.out)
     if args.markdown:
         print(render_markdown(report), end="")
@@ -407,21 +406,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_antipode(args) -> int:
-    structure, _ = load_config(args.config, ANTIPODE_MAX_RANK, "antipode")
+    structure = load_config(args.config, ANTIPODE_MAX_RANK, "antipode")
     write_out(_verify_antipode(structure, hopf.solve_antipode(structure)), args.out)
     return 0
 
 
 def cmd_sigma(args) -> int:
-    structure, _ = load_config(args.config, SCATTERING_MAX_RANK, "sigma")
+    structure = load_config(args.config, SCATTERING_MAX_RANK, "sigma")
     sol, _, flags = _scattering(structure)
     write_out(_verify_sigma(structure, sol, flags), args.out)
     return 0
 
 
 def cmd_shuffle(args) -> int:
-    structure, bound = load_config(args.config, 2, "shuffle summary")
-    report = _verify_shuffle(structure, _truncation(args, bound))
+    structure = load_config(args.config, 2, "shuffle summary")
+    report = _verify_shuffle(structure, _word_bound(args.truncation))
     write_out(report, args.out)
     return 0 if all(report.values()) else 1
 
@@ -537,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("tables", "verify", "sweep"):
             p.add_argument("--markdown", action="store_true", help="print a human summary")
         if name in ("verify", "shuffle"):
-            p.add_argument("--l", dest="truncation", type=int, default=None,
-                           help="word-length truncation bound")
+            p.add_argument("--l", dest="truncation", type=int, default=4,
+                           help="word-length truncation bound (default 4)")
 
     p = parsers["sweep"]
     p.add_argument("--samples", type=int, default=0, help="random parameter pairs")
@@ -558,11 +557,19 @@ def main(argv=None) -> int:
             args.parser.error("--markdown needs --out")
     except SystemExit as exc:
         return 2 if exc.code else 0
+    # exact reports may print ints past CPython's default digit limit: it is
+    # lifted for the command only, after the options are read under it (the
+    # config's ints and scalars are held to MAX_SCALAR_DIGITS instead)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

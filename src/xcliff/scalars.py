@@ -25,6 +25,14 @@ from math import gcd, lcm
 from typing import Iterable
 
 
+# the digit budget of a scalar's numerator and of its denominator, CPython's
+# default int-from-str limit, which cli.main lifts to print exact reports:
+# reading an int is quadratic in its digits (0.1 ms at 4300, 6.8 s at a
+# million).  It bounds the parse, not the solves: a rank-2 verify of generic
+# 1000-digit forms took 126 s (CPython 3.11, a shared 2-vCPU host)
+MAX_SCALAR_DIGITS = 4300
+
+
 def echo(value) -> str:
     """A value read from a config as an error message shows it: its repr
     abbreviated by reprlib (a deep list as [[[[[[[...]]]]]]], a long string
@@ -36,11 +44,14 @@ def echo(value) -> str:
 
 def parse_scalar(s: str) -> Fraction:
     """Parse a "p/q" or "p" string (an optional sign, ASCII digits, and an
-    optional "/" with ASCII digits, around which blanks are stripped) into
-    an exact rational.  Anything else, a zero denominator, a decimal point,
-    an underscore or an exponent included, raises a one-line ValueError."""
+    optional "/" with ASCII digits, at most MAX_SCALAR_DIGITS each, blanks
+    stripped around them) into an exact rational.  Anything else, a zero
+    denominator, a decimal point, an underscore or an exponent included,
+    raises a one-line ValueError."""
     if not isinstance(s, str) or not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s.strip()):
         raise ValueError(f'scalar must be a "p/q" string, got {echo(s)}')
+    if any(len(part) > MAX_SCALAR_DIGITS for part in s.strip().lstrip("+-").split("/")):
+        raise ValueError(f"scalar {echo(s)} is over the digit budget of {MAX_SCALAR_DIGITS}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

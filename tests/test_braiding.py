@@ -13,7 +13,7 @@ from xcliff.cli import _rank1_checks, _scattering, _verify_sigma
 from xcliff.clifford import PAIRINGS, CliffordStructure, Tensor2
 from xcliff.exterior import Multivector
 from xcliff.linmap import LinearMap, chain, differences, keys
-from xcliff.scalars import Matrix, invert, solve_sparse_system
+from xcliff.scalars import AffineSolutionSet, Matrix, invert, solve_sparse_system
 
 from oracles import (_routed, antipode_scattering, is_invertible, minimal_polynomial,
                      module_action, poly_eval_matrix, scattering_system, solve_linear_system,
@@ -573,6 +573,47 @@ def test_no_antipode_solves_the_linear_system(monkeypatch, n, form, pairing, dim
     sol = solve_sigma(s)
     assert solves == [1 << (2 * n)] * 2
     assert sol.dimension == dim
+
+
+# the square's first factor (lambda) has a solution and its second (rho)
+# none: under "inner" there is no scattering, under "straight" there is one
+ONLY_LAMBDA2 = (Matrix([[-1, -1], [1, 0]]), Matrix([[0, 2], [-1, F(1, 2)]]))
+
+
+def test_second_factor_without_a_solution_leaves_the_square_without_one(monkeypatch):
+    s = CliffordStructure(2, *ONLY_LAMBDA2)
+    solved = []
+    original = braiding.solve_sparse_system
+    monkeypatch.setattr(braiding, "solve_sparse_system",
+                        lambda *args: solved.append(original(*args)) or solved[-1])
+    sol = solve_sigma(s)
+    assert [f.is_consistent for f in solved] == [True, False]
+    monkeypatch.undo()
+    assert not sol.is_consistent and sol == linear_system_sigma(s)
+    assert not hopf.solve_antipode(s).is_consistent
+    assert solve_sigma(CliffordStructure(2, *ONLY_LAMBDA2, pairing="straight")).is_consistent
+
+
+def test_square_certificate_sees_a_wrong_second_factor_solution(monkeypatch):
+    # one nonzero entry of rho's particular solution, raised by 1, no longer
+    # solves the square, and the substitution into it says so
+    solved = []
+    original = braiding.solve_sparse_system
+
+    def bumped(*args):
+        sol = original(*args)
+        solved.append(sol)
+        if len(solved) == 2:
+            p = list(sol.particular)
+            i = next(i for i, v in enumerate(p) if v)
+            p[i] += 1
+            sol = AffineSolutionSet(tuple(p), sol.nullspace_basis)
+        return sol
+
+    monkeypatch.setattr(braiding, "solve_sparse_system", bumped)
+    with pytest.raises(ArithmeticError, match="compatibility square"):
+        solve_sigma(CliffordStructure(2, *GENERIC2))
+    assert len(solved) == 2
 
 
 def test_broken_coassociativity_solves_the_linear_system(monkeypatch):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from xcliff.cli import main, sweep_row
 from xcliff.clifford import CliffordStructure
 from xcliff.exterior import Multivector, blades
 from xcliff.linmap import LinearMap, keys
-from xcliff.scalars import AffineSolutionSet, Matrix, echo
+from xcliff.scalars import MAX_SCALAR_DIGITS, AffineSolutionSet, Matrix, echo, parse_scalar
 
 
 def write_config(tmp_path, name, n, eta, xi, options=None):
@@ -280,9 +281,9 @@ def test_config_not_an_object_or_missing_a_key_is_a_parse_error(tmp_path, capsys
 
 @pytest.mark.parametrize("extra, message", [
     ({"pairng": "straight"}, 'unknown key "pairng"'),
-    ({"options": {"truncaton": 6}}, 'unknown key "truncaton" in options'),
-    ({"pairing": "straight", "options": {"truncation": 2, "pairing": "straight"}},
-     'unknown key "pairing" in options'),
+    # the word-length bound is --l alone, not a key of the instance
+    ({"options": {"truncation": 4}}, 'unknown key "options"'),
+    ({"pairing": "straight", "truncation": 2}, 'unknown key "truncation"'),
     ({"x" * 100: 1}, 'unknown key "xxxxxxxxxxxx...xxxxxxxxxxxxx"'),
 ])
 def test_config_with_an_unknown_key_is_a_parse_error(tmp_path, capsys, extra, message):
@@ -312,16 +313,16 @@ LONG = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"  # how a long string of x's is echoed
 
 
 @pytest.mark.parametrize("config, shown", [
-    ({"n": 1, "eta": FORM, "xi": FORM, "options": {"truncation": DEEP}}, "[[[[[[[...]]]]]]]"),
+    ({"n": 1, "eta": FORM, "xi": DEEP}, "[[[[[[[...]]]]]]]"),
     ({"n": DEEP, "eta": FORM, "xi": FORM}, "[[[[[[[...]]]]]]]"),
     ({"n": 1, "eta": FORM, "xi": FORM, "pairing": DEEP}, "[[[[[[[...]]]]]]]"),
     ({"n": 1, "eta": [[DEEP]], "xi": FORM}, "[[[[[[[...]]]]]]]"),
     ({"n": 1, "eta": [["x" * 100000]], "xi": FORM}, LONG),
     # reprlib keeps six strings of a row, so the echo itself is cut
-    ({"n": 1, "eta": FORM, "xi": FORM, "options": {"truncation": [["x" * 50] * 10] * 10}},
+    ({"n": 1, "eta": FORM, "xi": FORM, "pairing": [["x" * 50] * 10] * 10},
      f"[[{LONG}, 'xxxxxxxxxxxx...xxxxxxx...\n"),
-], ids=["deep-truncation", "deep-n", "deep-pairing", "deep-eta-entry", "long-scalar",
-        "wide-truncation"])
+], ids=["deep-xi", "deep-n", "deep-pairing", "deep-eta-entry", "long-scalar",
+        "wide-pairing"])
 def test_bad_config_value_is_echoed_in_one_short_line(tmp_path, config, shown):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config).replace(json.dumps(DEEP), DEEP_TEXT))
@@ -346,6 +347,89 @@ def test_non_ascii_config_value_is_echoed_escaped(tmp_path, capsys):
                    "['\\U0001d538\\U0001d538\\U0001d538\\U0001d538\\U0001d538\\U000...\n")
     assert len(err.encode()) < 200
     assert echo("\u00e9") == "'\\xe9'"
+
+
+# 1 and 2500 zeros: a = eta_00 xi_00 = 10^5000, so the rank-1 antipode's
+# entries 1/(1 - a) and -1/(1 - a) have 5003 characters, past CPython's
+# default limit of 4300 digits on an int's str
+BIG = "1" + "0" * 2500
+NINES = "9" * 5000  # 10^5000 - 1 = -(1 - a)
+
+
+@pytest.mark.parametrize("command", ["antipode", "verify"])
+def test_config_of_long_scalars_is_reported(tmp_path, command):
+    cfg = write_config(tmp_path, "big.json", 1, [[BIG]], [[BIG]])
+    out = tmp_path / "o.json"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    if command == "antipode":
+        assert report["matrix"] == [[f"-1/{NINES}", "0"], ["0", f"1/{NINES}"]]
+    else:
+        assert report["hard_pass"] is True
+        assert report["antipode"]["matrix"] == [[f"-1/{NINES}", "0"], ["0", f"1/{NINES}"]]
+    # the limit is lifted for the command only
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("scalar", ["1" * (MAX_SCALAR_DIGITS + 1),
+                                    "-1/" + "3" * (MAX_SCALAR_DIGITS + 1), "1" * 5001],
+                         ids=["numerator", "denominator", "5001-digits"])
+def test_scalar_over_the_digit_budget_is_a_parse_error(tmp_path, capsys, scalar):
+    cfg = write_config(tmp_path, "c.json", 1, [[scalar]], [["1"]])
+    assert main(["antipode", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: scalar ") and err.count("\n") == 1
+    assert f"over the digit budget of {MAX_SCALAR_DIGITS}\n" in err and len(err) < 200
+    assert "set_int_max_str_digits" not in err
+    # at the budget a scalar is read, with or without the command's lifted limit
+    at_budget = "7" * MAX_SCALAR_DIGITS + "/" + "3" * MAX_SCALAR_DIGITS
+    assert parse_scalar(at_budget) == F(int("7" * MAX_SCALAR_DIGITS), int("3" * MAX_SCALAR_DIGITS))
+
+
+@pytest.mark.parametrize("config", ['{"n": %s, "eta": [["1"]], "xi": [["1"]]}',
+                                    '{"n": 1, "eta": [[%s]], "xi": [["1"]]}'],
+                         ids=["n", "eta-entry"])
+def test_json_integer_over_the_digit_budget_is_refused_unread(tmp_path, capsys, config):
+    # the command runs with CPython's digit limit lifted, so a JSON integer's
+    # digits are counted before it is read: reading a million is 6.8 s
+    path = tmp_path / "c.json"
+    path.write_text(config % ("1" * 10**6))
+    start = time.process_time()
+    assert main(["verify", "--config", str(path)]) == 2
+    assert time.process_time() - start < 2
+    assert capsys.readouterr().err == ("error: bad config: an integer of 1000000 digits is over "
+                                       f"the digit budget of {MAX_SCALAR_DIGITS}\n")
+
+
+def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 1, "eta": [["1"]], "xi": [["1"]]}'.encode("utf-16-le"))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: config is not UTF-8 (byte 0): invalid start byte\n"
+
+
+def test_truncated_config_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text('{"n": 1, "eta": [["1"]]')
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON (line 1): ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("env", [{"PYTHONUTF8": "1"},
+                                 {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}],
+                         ids=["utf8-mode", "c-locale"])
+def test_config_is_read_as_utf8_whatever_the_locale(tmp_path, env):
+    path = tmp_path / "pairing.json"
+    path.write_bytes('{"n": 1, "eta": [["1"]], "xi": [["1"]], "pairing": "stra\u00efght"}'
+                     .encode("utf-8"))
+    run = subprocess.run([sys.executable, "-m", "xcliff.cli", "verify", "--config", str(path)],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": SRC, **env})
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == ("error: bad config: pairing must be one of inner, straight, "
+                          "got 'stra\\xefght'\n")
 
 
 def test_short_config_values_are_echoed_whole():
@@ -486,16 +570,18 @@ def test_verify_decides_each_scattering_and_word_fact_once(tmp_path, monkeypatch
 
 
 BAD_TRUNCATIONS = [[1], "x", -1, 2.9, True, "3"]
+OPTIONS_REFUSED = 'error: bad config: unknown key "options"\n'
 
 
 @pytest.mark.parametrize("command", ["verify", "shuffle", "tables", "antipode", "sigma"])
 @pytest.mark.parametrize("truncation", BAD_TRUNCATIONS)
 def test_bad_truncation_in_config_is_a_parse_error(tmp_path, capsys, command, truncation):
+    # a config holds the instance only: a bound in it, whatever its value,
+    # is refused by every command alike as an unknown key
     cfg = write_config(tmp_path, "c.json", 1, [["-1"]], [["1"]],
                        options={"truncation": truncation})
     assert main([command, "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad config:") and err.count("\n") == 1
+    assert capsys.readouterr().err == OPTIONS_REFUSED
 
 
 @pytest.mark.parametrize("truncation", BAD_TRUNCATIONS)
@@ -504,15 +590,22 @@ def test_bad_truncation_in_config_is_refused_under_the_l_flag(tmp_path, capsys, 
                        options={"truncation": truncation})
     out = tmp_path / "v.json"
     assert main(["verify", "--config", cfg, "--l", "3", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad config: truncation") and err.count("\n") == 1
+    assert capsys.readouterr().err == OPTIONS_REFUSED
     assert not out.exists()
 
 
-# a valid rank-1 config; the fuzz replaces one of its keys, or the
-# truncation in its options, with a drawn JSON value
-FUZZ_BASE = {"n": 1, "eta": [["2"]], "xi": [["-1/3"]], "pairing": "straight",
-             "options": {"truncation": 3}}
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+@pytest.mark.parametrize("bound", ["[1]", "x", "2.9", "True"])
+def test_bad_l_flag_is_a_usage_error(complex_config, tmp_path, capsys, command, bound):
+    out = tmp_path / "o.json"
+    assert main([command, "--config", complex_config, "--l", bound, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[-1].startswith(f"xcliff {command}: error: argument --l")
+
+
+# a valid rank-1 config; the fuzz replaces one of its keys with a drawn JSON value
+FUZZ_BASE = {"n": 1, "eta": [["2"]], "xi": [["-1/3"]], "pairing": "straight"}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -521,13 +614,12 @@ JSON_VALUES = st.recursive(
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(key=st.sampled_from(["n", "eta", "xi", "pairing", "options", "truncation"]),
-       value=JSON_VALUES)
+@given(key=st.sampled_from(list(FUZZ_BASE)), value=JSON_VALUES)
 def test_every_config_command_reads_a_fuzzed_config_alike(key, value):
     # one reader checks the config for every command, and at rank <= 1 no
     # command's rank budget applies: either all refuse it or none does
     config = json.loads(json.dumps(FUZZ_BASE))
-    (config["options"] if key == "truncation" else config)[key] = value
+    config[key] = value
     refused = set()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
@@ -567,8 +659,14 @@ def test_zero_truncation_flag_is_read_as_zero(complex_config, tmp_path, recorded
     assert recorded_bounds == [0]
 
 
+@pytest.mark.parametrize("command", ["verify", "shuffle"])
+def test_bound_without_the_l_flag_is_4(complex_config, tmp_path, recorded_bounds, command):
+    assert main([command, "--config", complex_config, "--out", str(tmp_path / "o.json")]) == 0
+    assert recorded_bounds == [4]
+
+
 def test_zero_truncation_passes_every_shuffle_flag(complex_config):
-    structure, _ = cli.load_config(complex_config)
+    structure = cli.load_config(complex_config)
     assert all(cli._verify_shuffle(structure, 0).values())
 
 
@@ -591,6 +689,7 @@ def test_bound_is_passed_through_up_to_the_budget(complex_config, tmp_path, reco
 @pytest.mark.parametrize("command", ["verify", "shuffle"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bound_over_the_budget_is_refused(tmp_path, capsys, command, source):
+    # a bound in the config is refused with the config, as an unknown key
     over = cli.MAX_WORD_BOUND + 1
     options = {"truncation": over} if source == "config" else None
     cfg = write_config(tmp_path, "c.json", 2, [["1", "1/2"], ["-1", "2"]],
@@ -599,8 +698,11 @@ def test_bound_over_the_budget_is_refused(tmp_path, capsys, command, source):
     flag = ["--l", str(over)] if source == "flag" else []
     assert main([command, "--config", cfg, "--out", str(out)] + flag) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"budget of {cli.MAX_WORD_BOUND}" in err
-    assert err.count("\n") == 1
+    if source == "flag":
+        assert err.startswith("error:") and f"budget of {cli.MAX_WORD_BOUND}" in err
+        assert err.count("\n") == 1
+    else:
+        assert err == OPTIONS_REFUSED
     assert not out.exists()
 
 
@@ -754,7 +856,7 @@ def test_straight_pairing_coproduct_is_the_transposed_table(tmp_path):
     for pairing in ("inner", "straight"):
         path = tmp_path / f"{pairing}.json"
         path.write_text(json.dumps({"n": 2, "eta": eta, "xi": xi, "pairing": pairing}))
-        structure, _ = cli.load_config(str(path))
+        structure = cli.load_config(str(path))
         tables[pairing] = {c: t.terms for c, t in structure.coproduct_table.items()}
     assert tables["straight"] == {c: {(b, a): v for (a, b), v in t.items()}
                                   for c, t in tables["inner"].items()}
@@ -797,7 +899,7 @@ def test_bounded_pair_lift_is_the_lift_squared_within_the_bound(n, bound):
     # the comultiplicativity check's one map equals colifted (x) colifted
     # followed by the projection onto the word pairs within the bound
     eta, xi = GENERIC_FORMS[n]
-    s, _ = cli.read_config({"n": n, "eta": eta, "xi": xi})
+    s = cli.read_config({"n": n, "eta": eta, "xi": xi})
     colift = ts.couniversal_lift(ts.grade1_projection(s), s, bound)
     colifted = cli._as_map(blades(n), lambda c: colift(Multivector.blade(n, c)))
     within_bound = LinearMap(2, {p: {p: F(1)} for p in ts.word_maps(n, bound).m.cols})
@@ -861,7 +963,7 @@ def test_braided_iff_discrepancy_reads_invertible_and_braid(n, kind, pairing, di
     # flags (T, T, xi = 0, eta = 0), so the iff holds although the four-flag
     # verdict is false; under "inner" the rank-2 flags are (T, F, F, F).
     eta, xi = _forms(n, kind)
-    structure, _ = cli.read_config(
+    structure = cli.read_config(
         {"n": n, "eta": eta, "xi": xi, "pairing": pairing})
     report = cli.build_instance_report(structure, 2)
     assert report["hard_pass"] is True

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xcliff.cli import config_of, read_config
+from xcliff.cli import build_instance_report, config_of, read_config
 from xcliff.clifford import (CliffordStructure, Tensor2, check_counit_is_algebra_map,
                              check_unit_is_cogebra_map, coproduct_grades_ok,
                              coproduct_unit_signs_ok, xi_gram_determinant)
@@ -343,10 +343,10 @@ def test_structure_config_roundtrip_keeps_pairing():
     s = CliffordStructure(2, Matrix.identity(2), Matrix([[0, 1], [0, 0]]), pairing="straight")
     cfg = config_of(s)
     assert cfg["pairing"] == "straight"
-    s2, _ = read_config(cfg)
+    s2 = read_config(cfg)
     assert s2.pairing == "straight"
     assert s2.coproduct_table == s.coproduct_table
-    assert read_config(config_of(complex_structure(1, 2)))[0].pairing == "inner"
+    assert read_config(config_of(complex_structure(1, 2))).pairing == "inner"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -358,6 +358,16 @@ def test_coproduct_grade_compatibility(n):
         for (a, b) in s.coproduct_table[c].terms:
             total = grade(a) + grade(b)
             assert total >= grade(c) and (total - grade(c)) % 2 == 0
+
+
+def test_grade_check_sees_a_planted_coproduct_entry():
+    # e0 (x) e1 in coproduct(e0) has grade 2 over grade 1: an odd step
+    s = CliffordStructure(2, Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]]))
+    s.maps.cop.cols[(0b01,)][(0b01, 0b10)] = F(1)
+    assert not coproduct_grades_ok(s)
+    report = build_instance_report(s, 2)
+    assert report["hard_checks"]["coproduct_grade_pattern"] is False
+    assert report["hard_pass"] is False
 
 
 def _planted_unit_coproduct(pairing, plant):
@@ -421,7 +431,7 @@ def test_structure_config_roundtrip():
     s = complex_structure(-1, F(1, 2))
     cfg = config_of(s)
     assert cfg == {"n": 1, "eta": [["-1"]], "xi": [["1/2"]]}
-    s2, _ = read_config(cfg)
+    s2 = read_config(cfg)
     assert s2.eta == s.eta and s2.xi == s.xi
 
 

@@ -173,7 +173,7 @@ def config_data(name):
 
 @pytest.mark.parametrize("name", list(SCATTERING))
 def test_scattering_matches_golden_digest(name):
-    s, _ = read_config(config_data(name))
+    s = read_config(config_data(name))
     sigma = braiding.scattering_map(s, braiding.solve_sigma(s).particular).to_matrix(keys(s.n, 2))
     assert hashlib.sha256(json.dumps(sigma.to_json()).encode()).hexdigest() == SCATTERING[name]
 

@@ -149,6 +149,23 @@ def test_antipode_two_sided_axiom_resubstitutes():
             assert convolution(idm, m, s) == ue
 
 
+@pytest.mark.parametrize("n, eta, xi", [(1, [[-1]], [[1]]),
+                                        (2, [[1, F(1, 2)], [-1, 2]], [[1, -1], [F(1, 2), 1]])])
+def test_antipode_certificate_sees_a_wrong_relation(monkeypatch, n, eta, xi):
+    # c_1 ... c_(k-1) each raised by 1: the inverse of id read from the
+    # wrong relation fails the antipode axiom on substitution
+    original = hopf.id_powers
+
+    def wrong(structure):
+        powers, c = original(structure)
+        assert len(c) >= 2
+        return powers, (c[0],) + tuple(cj + 1 for cj in c[1:])
+
+    monkeypatch.setattr(hopf, "id_powers", wrong)
+    with pytest.raises(ArithmeticError, match="antipode axiom"):
+        solve_antipode(CliffordStructure(n, Matrix(eta), Matrix(xi)))
+
+
 def test_zero_xi_antipode_low_grades():
     # with the co-vector form zero the antipode exists for every eta and acts
     # as 1 -> 1, v -> -v; the bivector image picks up a fixed -3 dilation plus
