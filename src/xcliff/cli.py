@@ -99,8 +99,9 @@ def read_config(data, max_rank: int | None = None, command: str = "") -> Cliffor
     if missing := [key for key in ("n", "eta", "xi") if key not in data]:
         raise ConfigError(f'bad config: missing key "{missing[0]}"')
     if unknown := [key for key in data if key not in CONFIG_KEYS]:
-        # the key as echo shows it, without its quotes
-        raise ConfigError(f'bad config: unknown key "{echo(unknown[0])[1:-1]}"')
+        # the key as echo shows it, without its quotes (a cut key has no closing one)
+        shown = echo(unknown[0])
+        raise ConfigError(f'bad config: unknown key "{shown[1:].removesuffix(shown[0])}"')
     try:
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
@@ -333,9 +334,9 @@ def build_instance_report(structure: CliffordStructure, bound: int) -> dict:
     # transposed dual product and the zero-xi unshuffle hold for every
     # instance of a rank and pairing, and are proved once in the tests
     hard = {
-        "product_associative": hopf.product_associative(structure),
-        "coassociative": hopf.coassociative(structure),
-        "counit_law": hopf.counital(structure),
+        "product_associative": structure.product_associative,
+        "coassociative": structure.coassociative,
+        "counit_law": structure.counital,
         "coproduct_grade_pattern": coproduct_grades_ok(structure),
         "coproduct_unit_sign_pattern": coproduct_unit_signs_ok(structure),
         "counit_algebra_map_iff_eta_zero": counit_alg == eta_zero,

@@ -6,7 +6,9 @@ the same way.  The coproduct on multivectors is obtained by transposing the
 dual product's structure constants through the determinant pairing.  So a
 structure is two cliffordizations and one transpose, built once as sparse
 maps; its tables are views read off them (see CliffordStructure), and
-only the verdicts of the bigebra laws are kept on it besides.  A coproduct
+the four bigebra laws (associativity, the unit law, coassociativity, the
+counit law) are step-list identities on them, each decided once per
+structure and kept on it as a verdict.  A coproduct
 lands in Tensor2, the sparse tensor square: a :class:`linmap.SparseVector`
 keyed by blade pairs, written as the report's coproduct table and never
 read back.  A structure is built from its rank and forms; cli alone reads
@@ -56,7 +58,7 @@ from .exterior import (
     grade,
     wedge_sign,
 )
-from .linmap import LinearMap, SparseVector, chain, differences, keys, structure_maps
+from .linmap import LinearMap, SparseVector, agree, chain, differences, keys, structure_maps
 from .scalars import Matrix, echo, format_scalar
 
 PAIRINGS = ("inner", "straight")
@@ -130,10 +132,10 @@ class CliffordStructure:
     the cliffordization by xi (the dual product) transposed: the one stored
     copy of the structure constants.  The dual product is the product of
     the structure with xi in the place of eta.  The two tables are read-only
-    views of these maps, read off on first use; the verdicts of the bigebra
-    laws are kept in ``laws`` on first use.  pairing ("inner" or
-    "straight", see the module docstring) fixes how the coproduct is
-    transposed from the dual product."""
+    views of these maps, and the verdicts of the four bigebra laws are
+    decided on them; each is read off or decided on first use and kept.
+    pairing ("inner" or "straight", see the module docstring) fixes how
+    the coproduct is transposed from the dual product."""
 
     def __init__(self, n: int, eta: Matrix, xi: Matrix, pairing: str = "inner"):
         if pairing not in PAIRINGS:
@@ -152,8 +154,6 @@ class CliffordStructure:
         cop = {c: {_transposed(pairing, p, q): v for (p, q), v in col.items()}
                for c, col in dual.transpose().cols.items()}
         self.maps = structure_maps(cliffordization(eta), LinearMap(1, cop))
-        # the bigebra law verdicts {law: bool}, filled on first use by hopf
-        self.laws: dict = {}
 
     @cached_property
     def product_table(self) -> dict:
@@ -164,6 +164,32 @@ class CliffordStructure:
     def coproduct_table(self) -> dict:
         """{c: coproduct(e_c) as a Tensor2}."""
         return {c: Tensor2(self.n, col) for (c,), col in self.maps.cop.cols.items()}
+
+    # -- the bigebra laws -------------------------------------------------
+
+    @cached_property
+    def product_associative(self) -> bool:
+        """product . (product (x) id) = product . (id (x) product)."""
+        m = self.maps.m
+        return agree(keys(self.n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
+
+    @cached_property
+    def unital(self) -> bool:
+        """product . (unit (x) id) = id = product . (id (x) unit)."""
+        unit, m = self.maps.unit, self.maps.m
+        return all(agree(keys(self.n, 1), [unit.at(side), m.at(0)], []) for side in (0, 1))
+
+    @cached_property
+    def coassociative(self) -> bool:
+        """(coproduct (x) id) . coproduct = (id (x) coproduct) . coproduct."""
+        cop = self.maps.cop
+        return agree(keys(self.n, 1), [cop.at(0), cop.at(0)], [cop.at(0), cop.at(1)])
+
+    @cached_property
+    def counital(self) -> bool:
+        """(counit (x) id) . coproduct = id = (id (x) counit) . coproduct."""
+        cop, counit = self.maps.cop, self.maps.counit
+        return all(agree(keys(self.n, 1), [cop.at(0), counit.at(side)], []) for side in (0, 1))
 
     # -- algebra ----------------------------------------------------------
 

@@ -6,9 +6,9 @@ coproduct, written once as a step list over the sparse maps of
 identity against unit . counit.
 
 The bigebra laws (associativity, the unit law, coassociativity and the
-counit law) are step-list identities here too.  Each is evaluated once per
-structure and kept on it (``structure.laws``), shared by the ``verify`` hard
-checks and the antipode solver.  When they hold, the convolution algebra is
+counit law) are verdicts of the structure itself, each evaluated once and
+kept on it (clifford.CliffordStructure); :func:`bigebra_laws` reads the
+four for the antipode solver.  When they hold, the convolution algebra is
 associative with unit u . counit, so an antipode is unique and exists iff
 the constant term c_0 of the minimal polynomial of id is nonzero.
 :func:`solve_antipode` finds that polynomial as a Krylov sequence: the
@@ -28,8 +28,8 @@ A solution is read back as the sparse map S by an Unknown over the blades,
 which numbers the entries alike (:func:`antipode_map`), and the axiom is
 checked on S with the same two composites (:func:`is_antipode`).  Every endomorphism,
 the closed form included, is a LinearMap of arity 1 over the blades.
-Each command that reads the antipode solves it once; only the law verdicts
-are kept on the structure.
+Each command that reads the antipode solves it once, and nothing of it is
+kept on the structure.
 
 This module returns mathematical values only.  The reports, the
 existence-conjecture record and the dense JSON matrix of S among them, are
@@ -38,7 +38,6 @@ built by :mod:`xcliff.cli`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
 
 from .clifford import CliffordStructure
 from .linmap import LinearMap, Unknown, add, agree, keys, linearize
@@ -71,54 +70,10 @@ def convolution(f: LinearMap, g: LinearMap, structure: CliffordStructure) -> Lin
     return LinearMap.of(keys(structure.n, 1), _convolution(structure.maps, f, g))
 
 
-def associative(m: LinearMap, n: int) -> bool:
-    """m . (m (x) id) = m . (id (x) m) on every rank-n blade triple."""
-    return agree(keys(n, 3), [m.at(0), m.at(0)], [m.at(1), m.at(0)])
-
-
-def _kept(law):
-    """A law of a structure, evaluated on first use and kept in
-    ``structure.laws`` under its name, so that every caller shares it."""
-    @wraps(law)
-    def kept(structure: CliffordStructure) -> bool:
-        verdicts = structure.laws
-        if law.__name__ not in verdicts:
-            verdicts[law.__name__] = law(structure)
-        return verdicts[law.__name__]
-    return kept
-
-
-@_kept
-def product_associative(structure: CliffordStructure) -> bool:
-    return associative(structure.maps.m, structure.n)
-
-
-@_kept
-def unital(structure: CliffordStructure) -> bool:
-    """product . (unit (x) id) = id = product . (id (x) unit)."""
-    unit, m = structure.maps.unit, structure.maps.m
-    return all(agree(keys(structure.n, 1), [unit.at(side), m.at(0)], []) for side in (0, 1))
-
-
-@_kept
-def coassociative(structure: CliffordStructure) -> bool:
-    """(coproduct (x) id) . coproduct = (id (x) coproduct) . coproduct."""
-    cop = structure.maps.cop
-    return agree(keys(structure.n, 1), [cop.at(0), cop.at(0)], [cop.at(0), cop.at(1)])
-
-
-@_kept
-def counital(structure: CliffordStructure) -> bool:
-    """(counit (x) id) . coproduct = id = (id (x) counit) . coproduct."""
-    cop, counit = structure.maps.cop, structure.maps.counit
-    return all(agree(keys(structure.n, 1), [cop.at(0), counit.at(side)], [])
-               for side in (0, 1))
-
-
 def bigebra_laws(structure: CliffordStructure) -> bool:
     """Associativity, the unit law, coassociativity and the counit law."""
-    return (product_associative(structure) and unital(structure)
-            and coassociative(structure) and counital(structure))
+    return (structure.product_associative and structure.unital
+            and structure.coassociative and structure.counital)
 
 
 def _antipode_axiom(maps, s) -> list[tuple[list, list]]:

@@ -31,7 +31,7 @@ from xcliff.tensor_shuffle import (GradedElement, concat_product, couniversal_li
 import oracles
 from oracles import (basis_blades_of_grade, dkp_coproduct, is_invertible, pair_tensor2,
                      solve_linear_system)
-from random_forms import random_form, random_nonzero_rational
+from random_forms import complex_structure, random_form, random_nonzero_rational
 
 
 def _report(num: int, ok: bool, desc: str):
@@ -42,10 +42,6 @@ def _conjecture_record(s):
     """The antipode solved here and the conjecture record from it."""
     sol = hopf.solve_antipode(s)
     return sol, cli.conjecture_record(s, sol)
-
-
-def complex_structure(i2, j2):
-    return CliffordStructure(1, Matrix([[F(i2)]]), Matrix([[F(j2)]]))
 
 
 def sample_parameter_pairs(seed: int, count: int, exclude_unit=True):

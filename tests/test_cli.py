@@ -118,6 +118,16 @@ def test_verify_deterministic(complex_config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["verify", "antipode"])
+def test_report_without_out_is_written_to_stdout(complex_config, tmp_path, capsysbinary,
+                                                 command):
+    out = tmp_path / "r.json"
+    assert main([command, "--config", complex_config, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main([command, "--config", complex_config]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_antipode_command(complex_config, tmp_path):
     out = tmp_path / "a.json"
     assert main(["antipode", "--config", complex_config, "--out", str(out)]) == 0
@@ -285,12 +295,21 @@ def test_config_not_an_object_or_missing_a_key_is_a_parse_error(tmp_path, capsys
     ({"options": {"truncation": 4}}, 'unknown key "options"'),
     ({"pairing": "straight", "truncation": 2}, 'unknown key "truncation"'),
     ({"x" * 100: 1}, 'unknown key "xxxxxxxxxxxx...xxxxxxxxxxxxx"'),
+    # escaped, the key runs past echo's cut, whose "..." is kept whole
+    ({"\U0001d538" * 40: 1}, 'unknown key "' + "\\U0001d538" * 5 + '\\U0001..."'),
 ])
 def test_config_with_an_unknown_key_is_a_parse_error(tmp_path, capsys, extra, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 1, "eta": [["1"]], "xi": [["1"]], **extra}))
     assert main(["verify", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
+
+def test_ragged_form_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"n": 2, "eta": [["1", "2"], ["3"]], "xi": [["1", "0"], ["0", "1"]]}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad config: ragged rows\n"
 
 
 def test_config_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
@@ -687,22 +706,15 @@ def test_bound_is_passed_through_up_to_the_budget(complex_config, tmp_path, reco
 
 
 @pytest.mark.parametrize("command", ["verify", "shuffle"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_bound_over_the_budget_is_refused(tmp_path, capsys, command, source):
-    # a bound in the config is refused with the config, as an unknown key
+def test_bound_over_the_budget_is_refused(tmp_path, capsys, command):
     over = cli.MAX_WORD_BOUND + 1
-    options = {"truncation": over} if source == "config" else None
     cfg = write_config(tmp_path, "c.json", 2, [["1", "1/2"], ["-1", "2"]],
-                       [["1", "-1"], ["1/2", "1"]], options=options)
+                       [["1", "-1"], ["1/2", "1"]])
     out = tmp_path / "o.json"
-    flag = ["--l", str(over)] if source == "flag" else []
-    assert main([command, "--config", cfg, "--out", str(out)] + flag) == 2
+    assert main([command, "--config", cfg, "--out", str(out), "--l", str(over)]) == 2
     err = capsys.readouterr().err
-    if source == "flag":
-        assert err.startswith("error:") and f"budget of {cli.MAX_WORD_BOUND}" in err
-        assert err.count("\n") == 1
-    else:
-        assert err == OPTIONS_REFUSED
+    assert err.startswith("error:") and f"budget of {cli.MAX_WORD_BOUND}" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

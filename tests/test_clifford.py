@@ -13,15 +13,7 @@ from xcliff.exterior import (Multivector, blades, contract_sign, det_pairing, gr
 from xcliff.scalars import Matrix
 
 from oracles import basis_blades_of_grade, dkp_coproduct, pair_tensor2
-from random_forms import random_form
-
-
-def mv(n, bits, c=1):
-    return Multivector.blade(n, bits, c)
-
-
-def complex_structure(i2, j2):
-    return CliffordStructure(1, Matrix([[F(i2)]]), Matrix([[F(j2)]]))
+from random_forms import complex_structure, forms, mv, random_form
 
 
 def zero_structure(n):
@@ -169,19 +161,6 @@ def chevalley_table(form: Matrix) -> dict:
         return cache[(s, t)]
 
     return {(s, t): product(s, t) for s in blades(form.nrows) for t in blades(form.nrows)}
-
-
-rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-
-
-def forms(n: int, kind: str):
-    if kind == "zero":
-        return st.just(Matrix.zeros(n, n))
-    if kind == "diagonal":
-        return st.lists(rationals, min_size=n, max_size=n).map(
-            lambda d: Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
-    return st.lists(st.lists(rationals, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix)
 
 
 @st.composite

@@ -14,7 +14,8 @@ from xcliff.linmap import agree, keys
 from xcliff.scalars import Matrix, invert
 
 from oracles import exterior_power, is_invertible
-from test_sign_change import FAMILIES, GENERIC, forms
+from random_forms import FAMILIES, forms
+from test_sign_change import GENERIC
 
 RANK3 = (Matrix([[1, "1/2", 0], [-1, 2, 1], [0, "1/3", 1]]),
          Matrix([[1, 0, "-1/2"], [2, 1, 0], [0, -1, 1]]),

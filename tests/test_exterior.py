@@ -6,10 +6,7 @@ from xcliff.exterior import (Multivector, blades, contract, det_pairing, grade,
                              wedge, blade_key)
 
 from oracles import grade_project
-
-
-def mv(n, bits, c=1):
-    return Multivector.blade(n, bits, c)
+from random_forms import mv
 
 
 def test_wedge_ascending():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xcliff import cli
+from xcliff import cli, clifford
 from xcliff.cli import _verify_antipode, sweep_row
 from xcliff.clifford import PAIRINGS, CliffordStructure, xi_gram_determinant
 from xcliff.exterior import Multivector, blades, grade
@@ -15,7 +15,8 @@ from xcliff.linmap import LinearMap, keys
 from xcliff.scalars import Matrix
 
 from oracles import apply_endo, endo_from_images, id_powers_by_solve
-from random_forms import random_form, random_nonzero_rational
+from random_forms import (FAMILIES, complex_structure, forms, random_form,
+                          random_nonzero_rational)
 from test_braiding import no_antipode_forms
 
 
@@ -23,10 +24,6 @@ def conjecture_record(s):
     """The antipode solved here and the conjecture record from it."""
     sol = hopf.solve_antipode(s)
     return sol, cli.conjecture_record(s, sol)
-
-
-def complex_structure(i2, j2):
-    return CliffordStructure(1, Matrix([[F(i2)]]), Matrix([[F(j2)]]))
 
 
 def test_convolution_of_identity_doubles_primitives():
@@ -248,34 +245,19 @@ def test_bigebra_laws_hold_at_sampled_forms(n, pairing):
     rng = random.Random(900 + n)
     for _ in range(3):
         s = CliffordStructure(n, random_form(n, rng), random_form(n, rng), pairing=pairing)
-        assert hopf.product_associative(s) and hopf.unital(s)
-        assert hopf.coassociative(s) and hopf.counital(s)
+        assert s.product_associative and s.unital
+        assert s.coassociative and s.counital
         assert hopf.bigebra_laws(s)
 
 
 def test_unit_law_fails_on_a_planted_product_entry():
     s = complex_structure(2, F(1, 3))
     s.maps.m.cols[(0, 1)][(1,)] += 1  # 1 * e1 = 2 e1
-    assert not hopf.unital(s)
+    assert not s.unital
     assert not hopf.bigebra_laws(s)
 
 
 # -- the antipode as the convolution inverse of id ----------------------------------------
-
-rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-# each family's (eta, xi) kinds, as in the benchmark's configs
-FAMILIES = {"generic": ("generic", "generic"), "diagonal": ("diagonal", "diagonal"),
-            "xi0": ("generic", "zero"), "eta0": ("zero", "generic"), "zero": ("zero", "zero")}
-
-
-def forms(n: int, kind: str):
-    if kind == "zero":
-        return st.just(Matrix.zeros(n, n))
-    if kind == "diagonal":
-        return st.lists(rationals, min_size=n, max_size=n).map(
-            lambda d: Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
-    return st.lists(st.lists(rationals, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix)
 
 
 @st.composite
@@ -402,20 +384,21 @@ def test_verify_evaluates_each_law_once(monkeypatch):
     # only associativity checks of this structure's product map are counted
     s = CliffordStructure(2, Matrix([[1, F(1, 2)], [-1, 2]]), Matrix([[1, -1], [F(1, 2), 1]]))
     products = []
-    original = hopf.associative
+    original = clifford.agree
 
-    def counted(m, n):
-        if m is s.maps.m:
-            products.append(m)
-        return original(m, n)
+    def counted(inputs, lhs, rhs):
+        if all(f is s.maps.m for f, _ in lhs + rhs):
+            products.append(lhs)
+        return original(inputs, lhs, rhs)
 
-    monkeypatch.setattr(hopf, "associative", counted)
+    monkeypatch.setattr(clifford, "agree", counted)
     report = cli.build_instance_report(s, 2)
     assert report["hard_pass"] and report["antipode"]["unique"]
     assert report["sigma"]["solution_space_dim"] == 0
     assert len(products) == 1
-    assert s.laws == {"product_associative": True, "unital": True,
-                      "coassociative": True, "counital": True}
+    # the four verdicts are kept on the structure itself
+    laws = ("product_associative", "unital", "coassociative", "counital")
+    assert {law: vars(s).get(law) for law in laws} == dict.fromkeys(laws, True)
 
 
 # -- the antipode-existence laws ------------------------------------------------

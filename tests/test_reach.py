@@ -26,7 +26,6 @@ from xcliff import cli
 from test_bench_contract import tracer
 
 ALLOWED = {
-    "hopf._kept": "a decorator, applied when hopf is imported",
     "hopf.solve_antipode_system": "the antipode's guard when a bigebra law fails, "
                                   "which no bilinear form makes happen",
     "exterior.contract_sign": "called only by contract",

@@ -16,20 +16,7 @@ from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.exterior import blade_indices
 from xcliff.scalars import Matrix, parse_scalar
 
-rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-# each family's (eta, xi) kinds, as in the benchmark's configs
-FAMILIES = {"generic": ("generic", "generic"), "diagonal": ("diagonal", "diagonal"),
-            "xi0": ("generic", "zero"), "eta0": ("zero", "generic"), "zero": ("zero", "zero")}
-
-
-def forms(n: int, kind: str):
-    if kind == "zero":
-        return st.just(Matrix.zeros(n, n))
-    if kind == "diagonal":
-        return st.lists(rationals, min_size=n, max_size=n).map(
-            lambda d: Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
-    return st.lists(st.lists(rationals, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix)
+from random_forms import FAMILIES, forms
 
 
 def flip_signs(form: Matrix, signs: list) -> Matrix:
