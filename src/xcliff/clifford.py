@@ -205,9 +205,6 @@ class CliffordStructure:
         self._check(x)
         return Tensor2(self.n, chain({(c,): v for c, v in x.terms.items()}, self.maps.cop.at(0)))
 
-    def unit(self, c) -> Multivector:
-        return Multivector.scalar(self.n, c)
-
     def _check(self, x):
         if x.dim != self.n:
             raise ValueError(f"rank mismatch: structure has {self.n}, value has {x.dim}")

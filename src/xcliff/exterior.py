@@ -88,14 +88,6 @@ class Multivector(SparseVector):
         super().__init__(dim, terms)
 
     @classmethod
-    def scalar(cls, dim: int, c) -> "Multivector":
-        return cls(dim, {0: Fraction(c)})
-
-    @classmethod
-    def basis_vector(cls, dim: int, i: int) -> "Multivector":
-        return cls(dim, {1 << i: Fraction(1)})
-
-    @classmethod
     def blade(cls, dim: int, bits: int, c=1) -> "Multivector":
         return cls(dim, {bits: Fraction(c)})
 

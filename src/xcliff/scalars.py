@@ -126,9 +126,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def to_json(self) -> list:
         return [[format_scalar(a) for a in r] for r in self.rows]
 
@@ -302,7 +299,7 @@ def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
 def invert(a: Matrix) -> Matrix:
     """Exact inverse, the solution X of A X = I; raises SingularMatrixError
     (with rank) when singular, where A X = I has no solution."""
-    if not a.is_square():
+    if a.nrows != a.ncols:
         raise ValueError("invert requires a square matrix")
     n, rows = a.nrows, [dict(enumerate(row)) for row in a.rows]
     sol = solve_sparse_system(rows, [{i: 1} for i in range(n)], n, n)

@@ -14,13 +14,14 @@ holds either word bi-gebra as StructureMaps over word tensors (tuples of
 words), whose columns are the rules on basis words.  A letter crossing is a
 map on letter pairs, used as it is once its letters are checked against the
 alphabet; its steps at adjacent positions of a letter string give the
-symmetrizer's terms and the crossing of two words.  The letter
-map of the co-universal lift is a map from blades to letters.  The
-universal lift builds the images of all the words of one length as one
-map, once per lift, from the map of the length before; the co-universal
-lift runs its coproduct layers in integers over one running denominator.
-The compatibility square and the braid relation are the step lists of
-:mod:`braiding`, run over these maps.  No operator here is dense.
+symmetrizer's terms and the crossing of two words.  Both lifts take
+their letter map as a map: the universal lift's sends letters to blades,
+the co-universal lift's blades to letters.  The universal lift builds the
+images of all the words of one length as one map, once per lift, from the
+map of the length before; the co-universal lift runs its coproduct layers
+in integers over one running denominator.  The compatibility square and
+the braid relation are the step lists of :mod:`braiding`, run over these
+maps.  No operator here is dense.
 """
 
 from __future__ import annotations
@@ -159,22 +160,19 @@ def pair_word_tensor(alpha: GradedElement, beta: GradedElement, t: dict) -> Frac
 
 # -- lifts -------------------------------------------------------------------
 
-def universal_lift(images: list[Multivector], structure: CliffordStructure):
+def universal_lift(letter: LinearMap, structure: CliffordStructure):
     """Algebra morphism from words into the deformed algebra: each letter maps
-    to its image, words map to the left-to-right product, the empty word to 1.
-    Returns an evaluator on word elements.  The images of all the length-k
-    words are built as one map, in one batch, when a word of length k or
-    more is first evaluated, and kept for the evaluator's later calls: the
-    empty word goes to the unit, and a longer word to the image of all but
-    its last letter times that letter's image, one product step per word
-    (the product bracketed from the left).  Each word's image is read off
-    the map of its length."""
-    if len(images) != structure.n:
-        raise ValueError("need one image per letter")
-    for img in images:
-        structure._check(img)
-    letter = LinearMap(1, {(i,): {(b,): c for b, c in img.terms.items()}
-                           for i, img in enumerate(images)})
+    to its image under the letter map (letter_inclusion's e_mu, or any map
+    from letters to rank-n blades), words to the left-to-right product, the
+    empty word to 1.  Returns an evaluator on word elements.  The images of
+    all the length-k words are built as one map, in one batch, when a word
+    of length k or more is first evaluated, and kept for the evaluator's
+    later calls: the empty word goes to the unit, and a longer word to the
+    image of all but its last letter times that letter's image, one product
+    step per word (the product bracketed from the left).  Each word's image
+    is read off the map of its length."""
+    if not letter.fits(1, structure.n, 1 << structure.n):
+        raise ValueError("letter map must send letters below n to rank-n blades")
     maps = structure.maps
     by_length: list[LinearMap] = []  # the map of the length-k words at k
 
@@ -186,6 +184,7 @@ def universal_lift(images: list[Multivector], structure: CliffordStructure):
         return by_length[k]
 
     def evaluate(x: GradedElement) -> Multivector:
+        structure._check(x)
         image: dict = {}
         for w, c in x.terms.items():
             image = add(image, word_images(len(w)).cols[w], c)
@@ -194,8 +193,9 @@ def universal_lift(images: list[Multivector], structure: CliffordStructure):
     return evaluate
 
 
-def letter_inclusion(structure: CliffordStructure) -> list[Multivector]:
-    return [Multivector.basis_vector(structure.n, i) for i in range(structure.n)]
+def letter_inclusion(structure: CliffordStructure) -> LinearMap:
+    """The letter map sending letter mu to blade e_mu: grade1_projection's mirror."""
+    return LinearMap(1, {(mu,): {(1 << mu,): ONE} for mu in range(structure.n)})
 
 
 def grade1_projection(structure: CliffordStructure) -> LinearMap:
@@ -279,10 +279,6 @@ class WordOperator(LinearMap):
         """The composite of the steps on length-k words."""
         return cls(dim, k, LinearMap.of(letter_words(dim, k), steps).cols)
 
-    @classmethod
-    def identity(cls, dim: int, k: int) -> "WordOperator":
-        return cls.of_steps(dim, k, [])
-
     def __add__(self, other: "WordOperator") -> "WordOperator":
         return WordOperator(self.dim, self.arity,
                             {w: add(col, other.cols[w]) for w, col in self.cols.items()})
@@ -322,12 +318,12 @@ def quantum_symmetrizer(sigma: LinearMap, k: int, n: int) -> WordOperator:
     satisfies the braid equation (distant lifts always commute); that
     precondition is checked and violations are rejected."""
     if k < 2:
-        return WordOperator.identity(n, k)
+        return WordOperator.of_steps(n, k, [])
     if not check_letter_braid_equation(sigma, n):
         raise ValueError("letter crossing does not satisfy the braid equation")
-    total = WordOperator.identity(n, 1)
+    total = WordOperator.of_steps(n, 1, [])
     for m in range(2, k + 1):
-        moves = WordOperator.identity(n, m)
+        moves = WordOperator.of_steps(n, m, [])
         for j in range(m - 1):
             moves = moves + WordOperator.of_steps(n, m, [sigma.at(i) for i in range(j, m - 1)])
         total = WordOperator.of_steps(n, m, [moves.at(0), total.at(0)])

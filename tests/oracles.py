@@ -41,7 +41,7 @@ def rank(a: Matrix) -> int:
 
 
 def is_invertible(a: Matrix) -> bool:
-    return a.is_square() and rank(a) == a.nrows
+    return a.nrows == a.ncols and rank(a) == a.nrows
 
 
 def minimal_polynomial(a: Matrix) -> list[Fraction]:
@@ -51,7 +51,7 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
     monic polynomial can annihilate A.  Returns [c0, c1, ..., 1] meaning
     c0 + c1 x + ... + x^d.
     """
-    if not a.is_square():
+    if a.nrows != a.ncols:
         raise ValueError("minimal_polynomial requires a square matrix")
     n = a.nrows
     if n == 0:
@@ -78,7 +78,7 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
 
 def poly_eval_matrix(coeffs: Sequence, a: Matrix) -> Matrix:
     """Evaluate a polynomial (ascending coefficients) at a square matrix."""
-    if not a.is_square():
+    if a.nrows != a.ncols:
         raise ValueError("square matrix required")
     out = Matrix.zeros(a.nrows, a.nrows)
     power = Matrix.identity(a.nrows)

@@ -19,7 +19,7 @@ from xcliff import braiding, cli, hopf
 from xcliff.cli import main as cli_main
 from xcliff.clifford import (CliffordStructure, check_counit_is_algebra_map,
                              check_unit_is_cogebra_map, xi_gram_determinant)
-from xcliff.exterior import Multivector, blade_indices, blades, det_pairing, grade
+from xcliff.exterior import Multivector, blade_indices, blades, det_pairing
 from xcliff.linmap import keys
 from xcliff.scalars import Matrix
 from xcliff.tensor_shuffle import (GradedElement, concat_product, couniversal_lift,

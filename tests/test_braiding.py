@@ -18,7 +18,7 @@ from xcliff.scalars import AffineSolutionSet, Matrix, invert, solve_sparse_syste
 from oracles import (_routed, antipode_scattering, is_invertible, minimal_polynomial,
                      module_action, poly_eval_matrix, scattering_system, solve_linear_system,
                      switch_map, twelve_param_family_member)
-from random_forms import (FAMILIES, complex_structure, forms, random_form,
+from random_forms import (FAMILIES, complex_structure, forms,
                           random_nonzero_rational, rationals)
 
 
@@ -397,14 +397,14 @@ def test_action_of_unit_is_identity():
     s = complex_structure(0, 0)
     sigma = switch_map(1, graded=True)
     t = Tensor2(1, {(0, 1): F(2), (1, 1): F(-1)})
-    assert module_action(s, sigma, s.unit(1), t) == t
+    assert module_action(s, sigma, Multivector.blade(s.n, 0), t) == t
 
 
 def test_action_of_primitive_distributes():
     s = complex_structure(0, 0)
     sigma = switch_map(1, graded=True)
-    t = Tensor2.outer(s.unit(1), s.unit(1))
-    e0 = Multivector.basis_vector(1, 0)
+    t = Tensor2.outer(Multivector.blade(s.n, 0), Multivector.blade(s.n, 0))
+    e0 = Multivector.blade(1, 1)
     assert module_action(s, sigma, e0, t) == Tensor2(1, {(1, 0): F(1), (0, 1): F(1)})
 
 
@@ -414,11 +414,11 @@ def test_action_associativity_probe_recorded():
     s = complex_structure(0, 0)
     sigma = switch_map(1, graded=True)
     table = {}
-    basis = [s.unit(1), Multivector.basis_vector(1, 0)]
+    basis = [Multivector.blade(s.n, 0), Multivector.blade(1, 1)]
     for xi, x in enumerate(basis):
         for yi, y in enumerate(basis):
             for ti, tprime in enumerate(basis):
-                t = Tensor2.outer(tprime, s.unit(1))
+                t = Tensor2.outer(tprime, Multivector.blade(s.n, 0))
                 via_product = module_action(s, sigma, s.clifford_product(x, y), t)
                 stepwise = module_action(s, sigma, x, module_action(s, sigma, y, t))
                 table[(xi, yi, ti)] = via_product == stepwise

@@ -24,13 +24,13 @@ def zero_structure(n):
 
 def test_vector_square_is_form_value():
     s = complex_structure(-1, 1)
-    i = Multivector.basis_vector(1, 0)
-    assert s.clifford_product(i, i) == Multivector.scalar(1, -1)
+    i = Multivector.blade(1, 1)
+    assert s.clifford_product(i, i) == Multivector.blade(1, 0, -1)
 
 
 def test_product_unital_on_blades():
     s = CliffordStructure(2, Matrix([[0, 1], [0, 0]]), Matrix.zeros(2, 2))
-    one = s.unit(1)
+    one = Multivector.blade(s.n, 0)
     for b in blades(2):
         assert s.clifford_product(one, mv(2, b)) == mv(2, b)
         assert s.clifford_product(mv(2, b), one) == mv(2, b)
@@ -47,13 +47,13 @@ def test_dual_product_mirrors():
     # the dual product is the product with xi in the place of eta
     s = complex_structure(-1, F(5, 7))
     dual = CliffordStructure(1, s.xi, s.eta)
-    j = Multivector.basis_vector(1, 0)
-    assert dual.clifford_product(j, j) == Multivector.scalar(1, F(5, 7))
+    j = Multivector.blade(1, 1)
+    assert dual.clifford_product(j, j) == Multivector.blade(1, 0, F(5, 7))
     s2 = CliffordStructure(2, Matrix.zeros(2, 2), Matrix.identity(2))
     dual2 = CliffordStructure(2, s2.xi, s2.eta)
     eps0 = mv(2, 1)
-    assert dual2.clifford_product(s2.unit(1), eps0) == eps0
-    assert dual2.clifford_product(eps0, eps0) == Multivector.scalar(2, 1)
+    assert dual2.clifford_product(Multivector.blade(s2.n, 0), eps0) == eps0
+    assert dual2.clifford_product(eps0, eps0) == Multivector.blade(2, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -75,13 +75,13 @@ def test_product_associative_sampled_forms(n):
 
 def test_coproduct_of_unit_rank1():
     s = complex_structure(-1, F(3))
-    t = s.coproduct(s.unit(1))
+    t = s.coproduct(Multivector.blade(s.n, 0))
     assert t == Tensor2(1, {(0, 0): F(1), (1, 1): F(3)})
 
 
 def test_coproduct_of_vector_is_primitive_rank1():
     s = complex_structure(-1, F(3))
-    t = s.coproduct(Multivector.basis_vector(1, 0))
+    t = s.coproduct(Multivector.blade(1, 1))
     assert t == Tensor2(1, {(0, 1): F(1), (1, 0): F(1)})
 
 
@@ -228,8 +228,8 @@ def test_displayed_series_symmetric_form():
     for _ in range(5):
         xi = random_form(2, rng, symmetric=True)
         s = CliffordStructure(2, Matrix.zeros(2, 2), xi)
-        e = [Multivector.basis_vector(2, 0), Multivector.basis_vector(2, 1)]
-        one = s.unit(1)
+        e = [Multivector.blade(2, 1), Multivector.blade(2, 2)]
+        one = Multivector.blade(s.n, 0)
         expect = Tensor2.outer(one, one)
         for m in range(2):
             for v in range(2):
@@ -277,7 +277,7 @@ def test_zero_form_coproduct_is_the_pairings_signed_unshuffle(n, pairing):
 
 
 def test_dkp_examples():
-    assert dkp_coproduct(Multivector.scalar(2, 1)) == Tensor2(2, {(0, 0): F(1)})
+    assert dkp_coproduct(Multivector.blade(2, 0)) == Tensor2(2, {(0, 0): F(1)})
     assert dkp_coproduct(mv(2, 0b01)) == Tensor2(2, {(0, 0b01): F(1), (0b01, 0): F(1)})
     assert dkp_coproduct(mv(2, 0b11)) == Tensor2(
         2, {(0, 0b11): F(1), (0b11, 0): F(1), (0b01, 0b10): F(-1), (0b10, 0b01): F(1)})
@@ -417,3 +417,13 @@ def test_structure_config_roundtrip():
 def test_tensor2_to_json():
     t = Tensor2(2, {(0b01, 0b10): F(-1, 2), (0, 0): F(3)})
     assert t.to_json() == [["", "", "3"], ["0", "1", "-1/2"]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Tensor2(1, {(0, 2): 1}), "blade pair out of range"),
+    (lambda: complex_structure(-1, 1).coproduct(Multivector.blade(2, 1)),
+     "rank mismatch: structure has 1, value has 2"),
+], ids=["tensor2_blade_pair", "coproduct_rank"])
+def test_a_value_outside_the_structure_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -2,12 +2,14 @@
 structure of (gᵀ·eta·g, g⁻¹·xi·g⁻ᵀ) onto that of (eta, xi).  G intertwines
 the products and the coproducts, and Λ(g⁻ᵀ) those of the dual structures
 (xi in the place of eta); the antipode and a unique scattering transport
-exactly, and their existence and solution-space dimensions agree.  The
+exactly, and their existence and solution-space dimensions agree, as does
+every field of the verify report that does not depend on the basis.  The
 basis sign change of tests/test_sign_change.py is the case g = diag(±1)."""
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from xcliff.braiding import scattering_map, solve_sigma
+from xcliff.cli import build_instance_report
 from xcliff.clifford import PAIRINGS, CliffordStructure
 from xcliff.hopf import antipode_map, solve_antipode
 from xcliff.linmap import agree, keys
@@ -74,3 +76,33 @@ def test_exterior_power_carries_the_transported_structure(instance):
             sigma_g = scattering_map(moved, sol_g.particular)
             assert agree(pair, [sigma_g.at(0), lam.at(0), lam.at(1)],
                          [lam.at(0), lam.at(1), sigma.at(0)])
+
+
+def basis_free_fields(report: dict) -> dict:
+    """The fields of a verify report that do not depend on the basis.  The
+    braided flags count only where the scattering is unique: a family's
+    particular member is read off a reduced echelon form, which does."""
+    sigma = report["sigma"]
+    fields = {"hard_checks": report["hard_checks"], "hard_pass": report["hard_pass"],
+              "shuffle": report["shuffle"],
+              "antipode": {key: report["antipode"][key] for key in (
+                  "exists", "unique", "xi_eta_is_identity", "conjecture_consistent")},
+              "sigma": {key: sigma.get(key) for key in ("consistent", "solution_space_dim")}}
+    if sigma.get("solution_space_dim") == 0:
+        fields["braided"] = {key: sigma[key]
+                             for key in ("braided_flags", "braided_iff_discrepancy")}
+    return fields
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(instances())
+@example((2, *GENERIC, Matrix([[1, 2], [-1, "1/2"]])))
+@example((3, *RANK3))
+def test_transport_keeps_every_basis_free_field_of_the_report(instance):
+    n, eta, xi, g = instance
+    g_inv = invert(g)
+    eta_g, xi_g = transpose(g) @ eta @ g, g_inv @ xi @ transpose(g_inv)
+    for pairing in PAIRINGS:
+        report, moved = (build_instance_report(CliffordStructure(n, e, x, pairing), 2)
+                         for e, x in ((eta, xi), (eta_g, xi_g)))
+        assert basis_free_fields(moved) == basis_free_fields(report)

@@ -22,7 +22,7 @@ def test_wedge_repeated_factor():
 
 
 def test_contract_dual_basis():
-    assert contract(mv(1, 1), mv(1, 1)) == Multivector.scalar(1, 1)
+    assert contract(mv(1, 1), mv(1, 1)) == Multivector.blade(1, 0)
 
 
 def test_contract_antiderivation_signs():
@@ -45,7 +45,7 @@ def test_det_pairing_examples():
 
 def test_grade_project():
     x = Multivector(2, {0: F(1), 0b01: F(1), 0b11: F(1)})
-    assert grade_project(x, 0) == Multivector.scalar(2, 1)
+    assert grade_project(x, 0) == Multivector.blade(2, 0)
     assert grade_project(x, 1) == mv(2, 0b01)
     assert not grade_project(mv(2, 0b11), 2) - mv(2, 0b11)
     with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ def test_grade_project():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_wedge_associative_and_unital(n):
-    one = Multivector.scalar(n, 1)
+    one = Multivector.blade(n, 0)
     for a in blades(n):
         x = mv(n, a)
         assert wedge(one, x) == x
@@ -78,7 +78,7 @@ def test_wedge_graded_commutative(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_contract_squares_to_zero(n):
     for mu in range(n):
-        alpha = Multivector.basis_vector(n, mu)
+        alpha = Multivector.blade(n, 1 << mu)
         for b in blades(n):
             assert not contract(alpha, contract(alpha, mv(n, b)))
 
@@ -98,3 +98,8 @@ def test_blade_key():
 def test_dim_mismatch_raises():
     with pytest.raises(ValueError):
         wedge(mv(2, 1), mv(3, 1))
+
+
+def test_blade_out_of_range_is_refused():
+    with pytest.raises(ValueError, match="blade 2 out of range for rank 1"):
+        Multivector(1, {2: 1})

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from xcliff import cli, clifford
 from xcliff.cli import _verify_antipode, sweep_row
 from xcliff.clifford import PAIRINGS, CliffordStructure, xi_gram_determinant
-from xcliff.exterior import Multivector, blades, grade
+from xcliff.exterior import Multivector, blades
 from xcliff.hopf import (antipode_map, complex_antipode_closed_form, convolution,
                          solve_antipode, unit_counit_endo)
 from xcliff import hopf
@@ -30,13 +30,13 @@ def test_convolution_of_identity_doubles_primitives():
     s = CliffordStructure(1, Matrix.zeros(1, 1), Matrix.zeros(1, 1))
     idm = s.maps.id
     conv = convolution(idm, idm, s)
-    assert apply_endo(conv, Multivector.basis_vector(1, 0)) == Multivector(1, {1: F(2)})
+    assert apply_endo(conv, Multivector.blade(1, 1)) == Multivector(1, {1: F(2)})
 
 
 def test_convolution_unit_on_group_like():
     s = CliffordStructure(1, Matrix.zeros(1, 1), Matrix.zeros(1, 1))
     ue = unit_counit_endo(s)
-    assert apply_endo(convolution(ue, ue, s), s.unit(1)) == s.unit(1)
+    assert apply_endo(convolution(ue, ue, s), Multivector.blade(s.n, 0)) == Multivector.blade(s.n, 0)
 
 
 def test_convolution_identity_on_unit_with_nonzero_forms():
@@ -44,7 +44,7 @@ def test_convolution_identity_on_unit_with_nonzero_forms():
     s = complex_structure(i2, j2)
     conv = convolution(s.maps.id, s.maps.id, s)
     expected = 1 + j2 * i2  # unit splits as 1x1 plus the form-weighted i x i
-    assert apply_endo(conv, s.unit(1)) == Multivector(1, {0: expected})
+    assert apply_endo(conv, Multivector.blade(s.n, 0)) == Multivector(1, {0: expected})
 
 
 def test_convolution_associative_and_unital_rank1():
@@ -175,9 +175,9 @@ def test_zero_xi_antipode_low_grades():
             sol = solve_antipode(s)
             assert sol.is_unique
             m = antipode_map(s, sol.particular)
-            assert apply_endo(m, s.unit(1)) == s.unit(1)
+            assert apply_endo(m, Multivector.blade(s.n, 0)) == Multivector.blade(s.n, 0)
             for i in range(n):
-                v = Multivector.basis_vector(n, i)
+                v = Multivector.blade(n, 1 << i)
                 assert apply_endo(m, v) == -1 * v
             for i in range(n):
                 for j in range(i + 1, n):
@@ -198,9 +198,9 @@ def test_zero_xi_antipode_grade2_straight_pairing():
             sol = solve_antipode(s)
             assert sol.is_unique
             m = antipode_map(s, sol.particular)
-            assert apply_endo(m, s.unit(1)) == s.unit(1)
+            assert apply_endo(m, Multivector.blade(s.n, 0)) == Multivector.blade(s.n, 0)
             for i in range(n):
-                v = Multivector.basis_vector(n, i)
+                v = Multivector.blade(n, 1 << i)
                 assert apply_endo(m, v) == -1 * v
             for i in range(n):
                 for j in range(i + 1, n):
@@ -449,3 +449,12 @@ def test_constant_term_of_id_follows_the_existence_law(n, pairing, examples):
             assert (c[0] == 0) == (law == 0)
 
     check()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_convolution_refuses_a_map_of_another_rank(side):
+    s = complex_structure(-1, 1)
+    rank2 = LinearMap(1, {(b,): {(b,): 1} for b in blades(2)})
+    f, g = (rank2, unit_counit_endo(s)) if side == "left" else (unit_counit_endo(s), rank2)
+    with pytest.raises(ValueError, match="endomorphism shape does not match rank"):
+        convolution(f, g, s)

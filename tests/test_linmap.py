@@ -429,3 +429,8 @@ def test_word_element_equality_counts_bound_and_flag():
     assert GradedElement(2, 2, terms, truncated=True) != GradedElement(2, 2, terms)
     assert GradedElement(2, 2, terms, truncated=True) == GradedElement(2, 2, terms, True)
     assert GradedElement(2, 2, terms) == GradedElement(2, 2, terms)
+
+
+def test_a_map_never_equals_a_value_of_another_type():
+    assert (LinearMap(1, {}) == 0) is False
+    assert (LinearMap(1, {}) != 0) is True

@@ -51,12 +51,8 @@ ALLOWED = {
                                                    "check the product map against",
     "clifford.CliffordStructure.coproduct": "the element coproduct, which the tests check "
                                             "the coproduct map against",
-    "clifford.CliffordStructure.unit": "the tests' spelling of Multivector.scalar, kept "
-                                       "for its call sites",
-    "exterior.Multivector.scalar": "called only by CliffordStructure.unit",
     "exterior.Multivector.is_homogeneous": "called only by contract",
     "scalars.Matrix.zeros": "builds the zero forms of 46 test call sites",
-    "scalars.Matrix.is_square": "called only by invert",
     "scalars.Matrix.__repr__": "shows a form in a failing assertion's message",
     "scalars.AffineSolutionSet.members": "walks a solution family in the tests, whose "
                                          "callers would otherwise copy it",

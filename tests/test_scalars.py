@@ -357,3 +357,12 @@ def test_invert_matches_fraction_gauss_jordan(a):
         assert got.value.rank == exc.rank
     else:
         assert invert(a) == expected
+
+
+def test_product_of_mismatched_shapes_is_refused():
+    with pytest.raises(ValueError, match="shape mismatch 1x2 @ 1x2"):
+        Matrix([[1, 2]]) @ Matrix([[1, 2]])
+
+
+def test_inconsistent_solution_set_has_no_members():
+    assert list(AffineSolutionSet(particular=None).members()) == []

@@ -144,8 +144,8 @@ def test_pairing_dualities_exhaustive():
 def test_universal_lift_examples():
     s = CliffordStructure(2, Matrix([[-1, 0], [0, 1]]), Matrix.zeros(2, 2))
     lift = universal_lift(letter_inclusion(s), s)
-    assert lift(w(0, 0)) == Multivector.scalar(2, -1)
-    assert lift(w()) == s.unit(1)
+    assert lift(w(0, 0)) == Multivector.blade(2, 0, -1)
+    assert lift(w()) == Multivector.blade(s.n, 0)
     s0 = CliffordStructure(2, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
     lift0 = universal_lift(letter_inclusion(s0), s0)
     assert lift0(w(0, 1)) == Multivector.blade(2, 0b11)
@@ -172,23 +172,44 @@ def test_universal_lift_is_the_left_to_right_product_on_elements():
         s = CliffordStructure(n, random_form(n, rng), random_form(n, rng))
         images = [Multivector(n, {b: F(rng.randint(-3, 3), rng.randint(1, 3))
                                   for b in blades(n)}) for _ in range(n)]
-        lift = universal_lift(images, s)
+        letter_map = LinearMap(1, {(i,): {(b,): c for b, c in img.terms.items()}
+                                   for i, img in enumerate(images)})
+        lift = universal_lift(letter_map, s)
         x = GradedElement(n, L, {u: F(rng.randint(-3, 3), rng.randint(1, 3))
                                  for u in all_words(n) if rng.random() < 0.5})
         expected = Multivector(n, {})
         for u, c in x.terms.items():
-            product = s.unit(1)
+            product = Multivector.blade(s.n, 0)
             for letter in u:
                 product = s.clifford_product(product, images[letter])
             expected = expected + c * product
         assert lift(x) == expected
 
 
+def test_lifts_refuse_an_element_of_another_rank():
+    # a word over a larger alphabet is a rank mismatch, as a multivector of
+    # a larger rank is for the co-universal lift
+    s = CliffordStructure(1, Matrix([[2]]), Matrix.zeros(1, 1))
+    with pytest.raises(ValueError, match="rank mismatch: structure has 1, value has 2"):
+        universal_lift(letter_inclusion(s), s)(GradedElement.word(2, 3, (1, 0)))
+    with pytest.raises(ValueError, match="rank mismatch: structure has 1, value has 2"):
+        couniversal_lift(grade1_projection(s), s, 3)(Multivector.blade(2, 3))
+
+
+def test_lifts_refuse_a_letter_map_of_the_wrong_shape():
+    # each lift is handed the other's letter map
+    s = CliffordStructure(2, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
+    with pytest.raises(ValueError, match="letter map must send letters below n to rank-n"):
+        universal_lift(grade1_projection(s), s)
+    with pytest.raises(ValueError, match="letter map must send rank-n blades to letters"):
+        couniversal_lift(letter_inclusion(s), s, 3)
+
+
 def test_couniversal_lift_examples():
     s = CliffordStructure(2, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
     colift = couniversal_lift(grade1_projection(s), s, L)
-    assert colift(Multivector.basis_vector(2, 0)) == w(0)
-    assert colift(s.unit(1)) == w()
+    assert colift(Multivector.blade(2, 1)) == w(0)
+    assert colift(Multivector.blade(s.n, 0)) == w()
     # the bivector image carries the coproduct's antisymmetry; the sign
     # convention ties to the tensor-factor ordering and is pinned here
     assert colift(Multivector.blade(2, 0b11)) == w(1, 0) - w(0, 1)
@@ -222,11 +243,11 @@ def test_couniversal_truncation_flag():
     # a nonzero co-vector form feeds ever longer words out of the unit
     s = CliffordStructure(1, Matrix([[2]]), Matrix([[F(1, 2)]]))
     colift = couniversal_lift(grade1_projection(s), s, 4)
-    out = colift(s.unit(1))
+    out = colift(Multivector.blade(s.n, 0))
     assert out.terms == {(): F(1), (0, 0): F(1, 2), (0, 0, 0, 0): F(1, 4)}
     assert out.truncated
     s0 = CliffordStructure(1, Matrix([[2]]), Matrix.zeros(1, 1))
-    assert not couniversal_lift(grade1_projection(s0), s0, 4)(s0.unit(1)).truncated
+    assert not couniversal_lift(grade1_projection(s0), s0, 4)(Multivector.blade(s0.n, 0)).truncated
 
 
 def _naive_couniversal_lift(letter_map, s, bound, x):
@@ -321,12 +342,12 @@ def test_reduced_word_independence_longest_element():
 def test_symmetrizer_small_cases():
     sym = quantum_symmetrizer(letter_switch(2), 2, 2)
     s1 = braid_lift(letter_switch(2), 2, 2)[0]
-    assert sym == WordOperator.identity(2, 2) + s1
+    assert sym == WordOperator.of_steps(2, 2, []) + s1
     assert sym.rank() == 3
     anti = quantum_symmetrizer(letter_switch(2, -1), 2, 2)
     assert anti.rank() == 1
     zero = quantum_symmetrizer(zero_letter_crossing(2), 2, 2)
-    assert zero == WordOperator.identity(2, 2)
+    assert zero == WordOperator.of_steps(2, 2, [])
     assert zero.rank() == 4
 
 
